@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race batch-equiv check metrics-lint serve-smoke chaos-smoke atlas-smoke fabric-smoke bench bench-compare
+.PHONY: build vet test race batch-equiv check metrics-lint serve-smoke chaos-smoke atlas-smoke fabric-smoke cellbench-smoke bench bench-compare
 
 build:
 	$(GO) build ./...
@@ -33,8 +33,9 @@ batch-equiv:
 # engine's bit-identity pins plus the full test suite under the race
 # detector (the campaign engine's worker pool and the serving daemon's
 # job queue must stay race-clean; `race` covers internal/serve too),
-# plus the multi-process fabric smoke.
-check: build vet metrics-lint batch-equiv race fabric-smoke
+# plus the multi-process fabric smoke, plus the campaign-cell
+# benchmark's output check against its stored references.
+check: build vet metrics-lint batch-equiv race fabric-smoke cellbench-smoke
 
 # serve-smoke boots a real swarmfuzzd on an ephemeral port, submits a
 # tiny fuzz job through the CLI client, and asserts it finishes with a
@@ -63,6 +64,12 @@ atlas-smoke:
 # from the content-addressed result cache without re-simulating.
 fabric-smoke:
 	./scripts/fabric-smoke.sh
+
+# cellbench-smoke runs cellbench's tests and one short traced pass of a
+# Table I cell, failing unless every mission's outputs match the stored
+# references (the benchmark itself exits 0 on wrong outputs).
+cellbench-smoke:
+	./scripts/cellbench-smoke.sh
 
 # bench smoke-runs every benchmark once and leaves two records behind:
 # BENCH_telemetry.json holds the telemetry pipeline's throughput

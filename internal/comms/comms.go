@@ -58,9 +58,16 @@ type State struct {
 // Implementations must be deterministic: the same sequence of exchange
 // calls on a bus constructed with the same parameters yields the same
 // observations.
+//
+// Memoryless reports whether each exchange's observations depend on
+// that exchange's published states alone — no RNG stream, no history.
+// A simulation over a memoryless bus is fully described at every step
+// by its drones' state, which is what lets a run resume from a
+// recorded snapshot (sim.RunOptions.Prefix).
 type Bus interface {
 	Exchange(published []State) [][]State
 	ExchangeInto(published []State) [][]State
+	Memoryless() bool
 }
 
 // arena is the flat reusable storage backing ExchangeInto. All
@@ -123,6 +130,10 @@ func NewPerfectBus() *PerfectBus { return &PerfectBus{} }
 func (b *PerfectBus) Exchange(published []State) [][]State {
 	return copyRows(b.ExchangeInto(published))
 }
+
+// Memoryless implements Bus: every exchange delivers exactly the
+// published states.
+func (*PerfectBus) Memoryless() bool { return true }
 
 // ExchangeInto implements Bus. The returned slices alias the bus's
 // arena and are valid until the next exchange.
@@ -202,6 +213,10 @@ func (b *LossyBus) Exchange(published []State) [][]State {
 	return copyRows(b.ExchangeInto(published))
 }
 
+// Memoryless implements Bus: drops draw from an RNG stream and fall
+// back to the last-heard table.
+func (*LossyBus) Memoryless() bool { return false }
+
 // ExchangeInto implements Bus. The returned slices alias the bus's
 // arena and are valid until the next exchange. Drop decisions are
 // drawn in the same (receiver-major, sender-minor) order as Exchange
@@ -260,6 +275,9 @@ func NewDelayedBus(delay int) (*DelayedBus, error) {
 	}
 	return &DelayedBus{delay: delay}, nil
 }
+
+// Memoryless implements Bus: receivers observe past exchanges.
+func (*DelayedBus) Memoryless() bool { return false }
 
 // Exchange implements Bus.
 func (b *DelayedBus) Exchange(published []State) [][]State {

@@ -37,6 +37,10 @@ func NewRangeBus(radius float64) (*RangeBus, error) {
 // Radius returns the radio radius.
 func (b *RangeBus) Radius() float64 { return b.radius }
 
+// Memoryless implements Bus: reachability is judged on each exchange's
+// broadcast positions alone.
+func (*RangeBus) Memoryless() bool { return true }
+
 // Exchange implements Bus. Reachability is judged on broadcast
 // positions: a spoofed drone reports a false position but transmits
 // from its true one; using the broadcast position models receivers

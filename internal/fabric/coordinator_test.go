@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -76,10 +77,27 @@ func TestWorkersDrainJob(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	runner := func(ctx context.Context, u Unit) (CellOutput, error) {
-		return CellOutput{Checkpoint: []byte(fmt.Sprintf("n%d", u.Cell.SwarmSize))}, nil
-	}
+	// A two-party barrier: each worker's first cell waits until the
+	// other worker also holds a lease, so both have leased before the
+	// job can drain. Without it one worker could take all four instant
+	// cells before the other's first poll, and only one would be live.
+	var arrivals atomic.Int32
+	bothLeased := make(chan struct{})
 	for i := 0; i < 2; i++ {
+		var arrive sync.Once
+		runner := func(ctx context.Context, u Unit) (CellOutput, error) {
+			arrive.Do(func() {
+				if arrivals.Add(1) == 2 {
+					close(bothLeased)
+				}
+			})
+			select {
+			case <-bothLeased:
+			case <-ctx.Done():
+				return CellOutput{}, ctx.Err()
+			}
+			return CellOutput{Checkpoint: []byte(fmt.Sprintf("n%d", u.Cell.SwarmSize))}, nil
+		}
 		w, err := NewWorker(WorkerOptions{Coordinator: ts.URL, ID: fmt.Sprintf("w%d", i), Run: runner, Poll: 20 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)

@@ -285,7 +285,7 @@ func randomSearch(in Input, seed svg.Seed, clean *cleanRun, opts Options, rec te
 			Direction: seed.Direction,
 			Distance:  in.SpoofDistance,
 		}
-		ev, err := evaluate(in, plan, seed.Victim, rec)
+		ev, err := evaluate(in, plan, seed.Victim, clean.res.Trajectory, rec)
 		iters++
 		if err != nil {
 			return iters, nil, err

@@ -295,11 +295,17 @@ type evaluation struct {
 	success   bool
 }
 
-func evaluate(in Input, plan gps.SpoofPlan, victim int, rec telemetry.Recorder) (evaluation, error) {
+// evaluate runs one attacked mission and scores it for victim. prefix
+// is the clean run's trajectory: the attacked run resumes from its
+// latest fork point before the spoof starts (sim.RunOptions.Prefix),
+// since every step before that is identical to the clean run's. A nil
+// prefix runs the whole mission.
+func evaluate(in Input, plan gps.SpoofPlan, victim int, prefix *sim.Trajectory, rec telemetry.Recorder) (evaluation, error) {
 	res, err := sim.Run(in.Mission, sim.RunOptions{
 		Controller: in.Controller,
 		Spoof:      &plan,
 		Telemetry:  rec,
+		Prefix:     prefix,
 	})
 	if err != nil {
 		return evaluation{}, err
@@ -372,7 +378,7 @@ func searchSeed(in Input, seed svg.Seed, clean *sim.Result, opts Options, rec te
 			Direction: seed.Direction,
 			Distance:  in.SpoofDistance,
 		}
-		ev, err := evaluate(in, plan, seed.Victim, r)
+		ev, err := evaluate(in, plan, seed.Victim, clean.Trajectory, r)
 		if err != nil {
 			return math.Inf(1), err
 		}
@@ -478,10 +484,8 @@ func searchSeed(in Input, seed svg.Seed, clean *sim.Result, opts Options, rec te
 		if trace != nil {
 			// The iterate trail numbers iterations across the whole
 			// multi-start schedule, matching the per-seed budget
-			// accounting. opt.Observe fires exactly once per counted
-			// iterate with the same point and value Trace reports, so
-			// the flight log's search trail is unchanged by deriving it
-			// from the structured stream.
+			// accounting; opt.Observe fires exactly once per counted
+			// iterate.
 			base := acc.Iters
 			g.Observe = func(it opt.Iterate) {
 				it.Iter += base

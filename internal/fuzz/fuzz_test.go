@@ -217,7 +217,7 @@ func TestEvaluateTargetCollisionNotSuccess(t *testing.T) {
 	// Evaluate a no-op plan (zero duration): nothing happens.
 	ev, err := evaluate(in, gps.SpoofPlan{
 		Target: 0, Start: 0, Duration: 0, Direction: gps.Right, Distance: 10,
-	}, 1, telemetry.Nop)
+	}, 1, nil, telemetry.Nop)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,6 +84,15 @@ func NewIdealSensor() *Sensor {
 	return &Sensor{src: rng.New(0)}
 }
 
+// Draws returns the position of the sensor's noise stream: the
+// generator steps drawn so far, the bias direction included.
+func (s *Sensor) Draws() uint64 { return s.src.Draws() }
+
+// AdvanceTo fast-forwards the noise stream to position n, as reported
+// by Draws on a sensor built from a source with the same seed. Later
+// readings then continue that sensor's noise sequence bit for bit.
+func (s *Sensor) AdvanceTo(n uint64) { s.src.AdvanceTo(n) }
+
 // Read returns the perceived position for the given true position at
 // mission time t.
 func (s *Sensor) Read(truth vec.Vec3, t float64) Reading {

@@ -57,10 +57,15 @@ func PageRank(g *Digraph, opts PageRankOptions) ([]float64, error) {
 		rank[i] = 1 / float64(n)
 	}
 
-	// Pre-compute out-weight sums.
+	// Flatten the adjacency into ascending-neighbour arrays once: the
+	// map order OutNeighbors yields varies from call to call, and
+	// floating-point sums in varying order vary in their last bits.
+	start, dst, wt := g.sortedOut()
 	outSum := make([]float64, n)
 	for u := 0; u < n; u++ {
-		g.OutNeighbors(u, func(_ int, w float64) { outSum[u] += w })
+		for e := start[u]; e < start[u+1]; e++ {
+			outSum[u] += wt[e]
+		}
 	}
 
 	base := (1 - opts.Damping) / float64(n)
@@ -74,9 +79,9 @@ func PageRank(g *Digraph, opts PageRankOptions) ([]float64, error) {
 				dangling += rank[u]
 				continue
 			}
-			g.OutNeighbors(u, func(v int, w float64) {
-				next[v] += rank[u] * w / outSum[u]
-			})
+			for e := start[u]; e < start[u+1]; e++ {
+				next[dst[e]] += rank[u] * wt[e] / outSum[u]
+			}
 		}
 		delta := 0.0
 		for i := range next {

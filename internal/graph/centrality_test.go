@@ -202,3 +202,34 @@ func TestPropPageRankDistribution(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPageRankRepeatable requires bit-identical scores from repeated
+// calls on one dense weighted graph. Summing neighbour contributions in
+// map order would make the low bits differ from call to call, and the
+// seed schedule ranks drones by these scores.
+func TestPageRankRepeatable(t *testing.T) {
+	const n = 15
+	g := NewDigraph(n)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if u != v && (u*7+v*3)%4 != 0 {
+				mustEdge(t, g, u, v, 0.1+float64((u*31+v*17)%97)/13)
+			}
+		}
+	}
+	want, err := PageRank(g, DefaultPageRankOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call := 0; call < 100; call++ {
+		got, err := PageRank(g, DefaultPageRankOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("call %d: rank[%d] = %v, want %v bit for bit", call, i, got[i], want[i])
+			}
+		}
+	}
+}

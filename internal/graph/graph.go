@@ -8,6 +8,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Digraph is a weighted directed graph over nodes 0..N-1. Edge weights
@@ -87,6 +88,29 @@ func (g *Digraph) OutNeighbors(u int, fn func(v int, w float64)) {
 	for v, w := range g.out[u] {
 		fn(v, w)
 	}
+}
+
+// sortedOut returns the adjacency in compressed sparse-row form with
+// every node's out-neighbours in ascending order: the edges of u are
+// dst[start[u]:start[u+1]] with weights wt[start[u]:start[u+1]].
+func (g *Digraph) sortedOut() (start, dst []int, wt []float64) {
+	start = make([]int, g.n+1)
+	dst = make([]int, 0, g.NumEdges())
+	for u, m := range g.out {
+		mark := len(dst)
+		for v := range m {
+			dst = append(dst, v)
+		}
+		sort.Ints(dst[mark:])
+		start[u+1] = len(dst)
+	}
+	wt = make([]float64, len(dst))
+	for u := 0; u < g.n; u++ {
+		for e := start[u]; e < start[u+1]; e++ {
+			wt[e] = g.out[u][dst[e]]
+		}
+	}
+	return start, dst, wt
 }
 
 // Transpose returns the graph with every edge reversed. SwarmFuzz uses

@@ -7,7 +7,7 @@ import (
 
 // TestBatchMatchesSequential runs the descent with and without the
 // batched-objective hook on several synthetic objectives and requires
-// identical results and accounting: the batch path exists so callers
+// identical results, accounting and Observe streams: the batch path exists so callers
 // can parallelise the three independent simulations per iteration,
 // and must be observationally indistinguishable from the lazy path.
 func TestBatchMatchesSequential(t *testing.T) {
@@ -37,12 +37,8 @@ func TestBatchMatchesSequential(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Horizon = horizon
 
-			var seqTrace, batTrace [][4]float64
 			var seqObs, batObs []Iterate
 			seqOpts := opts
-			seqOpts.Trace = func(iter int, ts, dt, v float64) {
-				seqTrace = append(seqTrace, [4]float64{float64(iter), ts, dt, v})
-			}
 			seqOpts.Observe = func(it Iterate) { seqObs = append(seqObs, it) }
 			seq, err := Minimize(f, 2, 4, seqOpts)
 			if err != nil {
@@ -50,9 +46,6 @@ func TestBatchMatchesSequential(t *testing.T) {
 			}
 
 			batOpts := opts
-			batOpts.Trace = func(iter int, ts, dt, v float64) {
-				batTrace = append(batTrace, [4]float64{float64(iter), ts, dt, v})
-			}
 			batOpts.Observe = func(it Iterate) { batObs = append(batObs, it) }
 			batCalls := 0
 			batOpts.Batch = func(pts [][2]float64) []float64 {
@@ -74,14 +67,6 @@ func TestBatchMatchesSequential(t *testing.T) {
 			if seq != bat {
 				t.Errorf("%s (horizon %g): sequential %+v != batched %+v", name, horizon, seq, bat)
 			}
-			if len(seqTrace) != len(batTrace) {
-				t.Fatalf("%s: trace lengths differ: %d vs %d", name, len(seqTrace), len(batTrace))
-			}
-			for i := range seqTrace {
-				if seqTrace[i] != batTrace[i] {
-					t.Errorf("%s: trace entry %d differs: %v vs %v", name, i, seqTrace[i], batTrace[i])
-				}
-			}
 			if batCalls != bat.Iters && name != "probe-hit" {
 				// One batch call per candidate iteration (probe-hit ends
 				// on a probe, which adds an extra counted iteration).
@@ -102,32 +87,30 @@ func TestBatchMatchesSequential(t *testing.T) {
 				t.Errorf("%s: %d observations for %d iterations", name, len(seqObs), seq.Iters)
 			}
 
-			// The final accepted iterate — the one Result reports — must
-			// appear in both the Trace and the Observe streams, in both
-			// paths. For a found collision it is specifically the LAST
-			// entry.
+			// The observed iterations count 0..Iters-1 in order, and the
+			// final accepted iterate — the one Result reports — appears in
+			// the stream of both paths. For a found collision it is
+			// specifically the LAST entry.
 			for _, tc := range []struct {
-				path  string
-				res   Result
-				trace [][4]float64
-				obs   []Iterate
+				path string
+				res  Result
+				obs  []Iterate
 			}{
-				{"sequential", seq, seqTrace, seqObs},
-				{"batched", bat, batTrace, batObs},
+				{"sequential", seq, seqObs},
+				{"batched", bat, batObs},
 			} {
-				want := [4]float64{0, tc.res.TS, tc.res.DT, tc.res.Value}
 				found := -1
-				for i, e := range tc.trace {
-					if e[1] == want[1] && e[2] == want[2] && e[3] == want[3] {
+				for i, it := range tc.obs {
+					if it.Iter != i {
+						t.Errorf("%s %s: observation %d carries iteration %d", name, tc.path, i, it.Iter)
+					}
+					if it.Accepted && it.TS == tc.res.TS && it.DT == tc.res.DT && it.Value == tc.res.Value {
 						found = i
 					}
 				}
 				if found < 0 {
-					t.Errorf("%s %s: final accepted iterate (%g,%g)=%g never traced",
+					t.Errorf("%s %s: final accepted iterate (%g,%g)=%g never observed",
 						name, tc.path, tc.res.TS, tc.res.DT, tc.res.Value)
-				} else if tc.res.Found && found != len(tc.trace)-1 {
-					t.Errorf("%s %s: found-collision iterate traced at %d, want last (%d)",
-						name, tc.path, found, len(tc.trace)-1)
 				}
 				last := tc.obs[len(tc.obs)-1]
 				if tc.res.Found {

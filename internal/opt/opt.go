@@ -39,16 +39,12 @@ type Options struct {
 	// MinStep stops the search when the parameter update is smaller
 	// than this (stalled descent).
 	MinStep float64
-	// Trace, when non-nil, observes every counted iterate of the
-	// descent: the zero-based iteration index, the evaluated point and
-	// its objective value. Gradient probes are not traced unless they
-	// terminate the search (a probe that finds the collision counts as
-	// an iteration, matching Result.Iters).
-	Trace func(iter int, ts, dt, value float64)
 	// Observe, when non-nil, receives one structured Iterate per
-	// counted iteration, in the same order Trace fires. Unlike Trace it
-	// carries the finite-difference gradient norm and the projected
-	// step the descent took from this iterate, so it is emitted after
+	// counted iteration, in iteration order. Gradient probes are not
+	// observed unless they terminate the search (a probe that finds the
+	// collision counts as an iteration, matching Result.Iters). Each
+	// Iterate carries the finite-difference gradient norm and the
+	// projected step the descent took from it, so it is emitted after
 	// the gradient probes (or immediately, with GradNorm < 0, when the
 	// iterate terminates the search). The sequential and batched paths
 	// produce identical Observe sequences.
@@ -66,12 +62,11 @@ type Options struct {
 }
 
 // Iterate is one structured record of the descent: the counted
-// iteration (matching Trace's index), the evaluated point and value,
+// iteration, the evaluated point and value,
 // and — when the iterate did not terminate the search — the estimated
 // gradient norm and the projected step taken from it.
 type Iterate struct {
-	// Iter is the zero-based counted iteration, identical to the index
-	// Trace reports.
+	// Iter is the zero-based counted iteration.
 	Iter int
 	// TS, DT and Value are the evaluated point and its objective.
 	TS, DT, Value float64
@@ -162,9 +157,6 @@ func Minimize(f Objective, ts0, dt0 float64, opts Options) (Result, error) {
 		}
 		res.Iters++
 		res.Evals++
-		if opts.Trace != nil {
-			opts.Trace(res.Iters-1, ts, dt, v)
-		}
 		accepted := v < res.Value
 		if accepted {
 			res.Value, res.TS, res.DT = v, ts, dt
@@ -193,9 +185,6 @@ func Minimize(f Objective, ts0, dt0 float64, opts Options) (Result, error) {
 			res.Found = true
 			res.Value, res.TS, res.DT = vts, ts+h, dt
 			res.Iters++
-			if opts.Trace != nil {
-				opts.Trace(res.Iters-1, ts+h, dt, vts)
-			}
 			observe(opts, candIt) // no step taken from the candidate
 			observe(opts, Iterate{Iter: res.Iters - 1, TS: ts + h, DT: dt, Value: vts, GradNorm: -1, Accepted: true})
 			return res, nil
@@ -204,9 +193,6 @@ func Minimize(f Objective, ts0, dt0 float64, opts Options) (Result, error) {
 			res.Found = true
 			res.Value, res.TS, res.DT = vdt, ts, dt+h
 			res.Iters++
-			if opts.Trace != nil {
-				opts.Trace(res.Iters-1, ts, dt+h, vdt)
-			}
 			observe(opts, candIt) // no step taken from the candidate
 			observe(opts, Iterate{Iter: res.Iters - 1, TS: ts, DT: dt + h, Value: vdt, GradNorm: -1, Accepted: true})
 			return res, nil

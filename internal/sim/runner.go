@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sort"
 
 	"swarmfuzz/internal/comms"
 	"swarmfuzz/internal/gps"
@@ -90,6 +92,41 @@ type Trajectory struct {
 	// MeanInterDist holds, per sample, the mean pairwise inter-drone
 	// distance of active drones.
 	MeanInterDist []float64
+
+	// forks holds the resumable state of a clean run over a memoryless
+	// bus (see RunOptions.Prefix); nil for any other recording.
+	forks *forkPoints
+}
+
+// forkEvery is the fork-point cadence in integration steps: a clean
+// run that records its trajectory snapshots its state at the start of
+// every step whose index is a multiple of forkEvery.
+const forkEvery = 20
+
+// forkPoints are a clean run's state snapshots. Snapshot k is the state
+// at the start of step k·forkEvery, i.e. everything steps 0..k·forkEvery−1
+// produced: bodies, each sensor's noise-stream position and each
+// drone's obstacle clearance so far in flat [snapshot][drone] arrays,
+// plus the count of collisions recorded before the step.
+type forkPoints struct {
+	m      *Mission
+	bodies []Body
+	draws  []uint64
+	clear  []float64
+	ncoll  []int
+	// colls is a copy of the recording run's collision list, taken when
+	// the run finishes; snapshot k's collisions are colls[:ncoll[k]].
+	colls []Collision
+}
+
+// record appends the snapshot for the stepper's current step.
+func (fp *forkPoints) record(s *Stepper) {
+	fp.bodies = append(fp.bodies, s.bodies...)
+	for _, sen := range s.sensors {
+		fp.draws = append(fp.draws, sen.Draws())
+	}
+	fp.clear = append(fp.clear, s.res.MinClearance...)
+	fp.ncoll = append(fp.ncoll, len(s.res.Collisions))
 }
 
 // ClosestSample returns the index of the sample with the smallest mean
@@ -179,10 +216,38 @@ type RunOptions struct {
 	// collision events and the final result. Nil (the default) records
 	// nothing and costs one nil check per step on the hot path.
 	Flight FlightRecorder
+	// Prefix, when non-nil, is the recorded trajectory of a clean run
+	// of the same mission with the same controller. The run resumes
+	// from the latest fork point of that run whose preceding steps the
+	// spoof plan cannot have touched, skipping the steps the two runs
+	// share; its Result is bit-identical to a full run's. Only plain
+	// runs can resume: Prefix excludes a non-nil Bus (a resumed run
+	// exchanges over a fresh PerfectBus), Flight and RecordTrajectory.
+	Prefix *Trajectory
 }
 
 // errNilController is returned when RunOptions lack a controller.
 var errNilController = errors.New("sim: RunOptions.Controller is required")
+
+// validatePrefix rejects option combinations a resumed run cannot
+// honour: the skipped steps' bus exchanges, flight records and
+// trajectory samples never happen.
+func validatePrefix(m *Mission, opts RunOptions) error {
+	p := opts.Prefix
+	switch {
+	case opts.Bus != nil:
+		return errors.New("sim: Prefix runs use the default PerfectBus; Bus must be nil")
+	case opts.Flight != nil:
+		return errors.New("sim: Prefix runs cannot be flight-recorded")
+	case opts.RecordTrajectory:
+		return errors.New("sim: Prefix runs cannot record a trajectory")
+	case p.forks == nil:
+		return errors.New("sim: Prefix trajectory carries no fork points (record it from a clean run over a memoryless bus)")
+	case p.forks.m != m:
+		return errors.New("sim: Prefix was recorded on a different mission")
+	}
+	return nil
+}
 
 // Stepper simulates one mission incrementally, one integration step
 // per Step call. It owns all per-run scratch — observation arenas (via
@@ -206,6 +271,7 @@ type Stepper struct {
 	sensors []*gps.Sensor
 	res     *Result
 	traj    *Trajectory
+	forks   *forkPoints
 	// posFlat/velFlat are the flat backing arrays trajectory sample
 	// rows are sliced from, reserved once from the known sample count.
 	posFlat []vec.Vec3
@@ -233,6 +299,11 @@ type Stepper struct {
 func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 	if opts.Controller == nil {
 		return nil, errNilController
+	}
+	if opts.Prefix != nil {
+		if err := validatePrefix(m, opts); err != nil {
+			return nil, err
+		}
 	}
 	cfg := m.Config
 	bus := opts.Bus
@@ -294,10 +365,54 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 		s.steps = opts.StepBudget
 		s.budgetCapped = true
 	}
+	if s.traj != nil && spoofer == nil && bus.Memoryless() {
+		est := s.steps/forkEvery + 1
+		s.forks = &forkPoints{
+			m:      m,
+			bodies: make([]Body, 0, est*n),
+			draws:  make([]uint64, 0, est*n),
+			clear:  make([]float64, 0, est*n),
+			ncoll:  make([]int, 0, est),
+		}
+		s.traj.forks = s.forks
+	}
+	if opts.Prefix != nil {
+		s.resume(opts.Prefix.forks, opts.Spoof)
+	}
 	return s, nil
 }
 
-// StepsRun returns the number of integration steps executed so far.
+// resume restores the latest snapshot of fp from which this run
+// reproduces a full run: every step before it must precede the spoof
+// window — tested with the very time expression Step hands to
+// SpoofPlan.Active — and its step must lie within this run's step
+// bound. Snapshot 0 is the initial state, so there is always one.
+func (s *Stepper) resume(fp *forkPoints, plan *gps.SpoofPlan) {
+	start := math.Inf(1)
+	if plan != nil {
+		start = plan.Start
+	}
+	k := sort.Search(len(fp.ncoll), func(k int) bool {
+		step := k * forkEvery
+		return step > s.steps || float64(step-1)*s.cfg.Dt >= start
+	}) - 1
+	if k <= 0 {
+		return
+	}
+	n := len(s.bodies)
+	copy(s.bodies, fp.bodies[k*n:(k+1)*n])
+	copy(s.res.MinClearance, fp.clear[k*n:(k+1)*n])
+	if c := fp.ncoll[k]; c > 0 {
+		s.res.Collisions = append([]Collision(nil), fp.colls[:c]...)
+	}
+	for i, sen := range s.sensors {
+		sen.AdvanceTo(fp.draws[k*n+i])
+	}
+	s.step = k * forkEvery
+}
+
+// StepsRun returns the number of integration steps executed so far; a
+// run resumed from a Prefix counts only the steps it executed itself.
 func (s *Stepper) StepsRun() int { return s.stepsRun }
 
 // Result returns the run's Result once Step has reported done without
@@ -313,6 +428,9 @@ func (s *Stepper) Result() *Result {
 func (s *Stepper) finish() {
 	s.res.Duration = s.tEnd
 	s.res.Trajectory = s.traj
+	if s.forks != nil {
+		s.forks.colls = append([]Collision(nil), s.res.Collisions...)
+	}
 	s.done = true
 }
 
@@ -323,6 +441,9 @@ func (s *Stepper) finish() {
 func (s *Stepper) Step() (done bool, err error) {
 	if s.done {
 		return true, s.err
+	}
+	if s.forks != nil && s.step%forkEvery == 0 {
+		s.forks.record(s)
 	}
 	n := len(s.bodies)
 	cfg := s.cfg
