@@ -19,18 +19,18 @@ race:
 metrics-lint:
 	./scripts/metrics-lint.sh
 
-# batch-equiv pins the batched mission engine to the scalar path under
-# the race detector: every drive of the same missions — scalar Stepper,
-# lockstep BatchStepper, tiled RunBatch, and RunCampaign at any
-# BatchSize — must produce bit-identical results. `race` already runs
-# these tests too; the named target exists so the equivalence contract
-# has its own CI handle and a fast local loop.
+# batch-equiv pins the simulator's two decide paths to each other under
+# the race detector: the SoA batch kernel (flock's BatchCommands inside
+# sim.Stepper) and per-drone Command over PerfectBus rows must produce
+# bit-identical commands and run results. `race` already runs these
+# tests too; the named target exists so the equivalence contract has
+# its own CI handle and a fast local loop.
 batch-equiv:
-	$(GO) test -race -run '^(TestBatchStepperMatchesSequentialRuns|TestBatchCommandsMatchesCommand|TestCampaignByteIdenticalAcrossBatchSizes)$$' \
-		./internal/sim/ ./internal/flock/ ./internal/experiments/
+	$(GO) test -race -run '^(TestBatchPathMatchesRowPath|TestBatchPathMatchesRowPathWithDroneCollisions|TestBatchCommandsMatchesCommand)$$' \
+		./internal/sim/ ./internal/flock/
 
-# check is the CI gate: vet plus metric-name hygiene plus the batched
-# engine's bit-identity pins plus the full test suite under the race
+# check is the CI gate: vet plus metric-name hygiene plus the decide
+# paths' bit-identity pins plus the full test suite under the race
 # detector (the campaign engine's worker pool and the serving daemon's
 # job queue must stay race-clean; `race` covers internal/serve too),
 # plus the multi-process fabric smoke, plus the campaign-cell
@@ -82,7 +82,7 @@ cellbench-smoke:
 bench:
 	BENCH_OUT=$(CURDIR)/BENCH_telemetry.json BENCH_BASELINE=$(CURDIR)/BENCH_baseline.json $(GO) test -bench=. -benchtime=1x -run=^$$ .
 	rm -f $(CURDIR)/BENCH_hotpath.json
-	BENCH_HOTPATH=$(CURDIR)/BENCH_hotpath.json $(GO) test -bench='^(BenchmarkSimStep|BenchmarkSeedSearch|BenchmarkBatchedCampaign)$$' -benchtime=1x -run=^$$ .
+	BENCH_HOTPATH=$(CURDIR)/BENCH_hotpath.json $(GO) test -bench='^(BenchmarkSimStep|BenchmarkSeedSearch)$$' -benchtime=1x -run=^$$ .
 	rm -f $(CURDIR)/BENCH_obs.json
 	BENCH_OBS=$(CURDIR)/BENCH_obs.json $(GO) test -bench='^BenchmarkStatsSnapshot$$' -benchtime=1x -run=^$$ .
 	rm -f $(CURDIR)/BENCH_atlas.json
@@ -95,7 +95,7 @@ bench:
 # BENCH_hotpath.json to accept an intentional cost change.
 bench-compare:
 	rm -f $(CURDIR)/BENCH_hotpath.new.json
-	BENCH_HOTPATH=$(CURDIR)/BENCH_hotpath.new.json $(GO) test -bench='^(BenchmarkSimStep|BenchmarkSeedSearch|BenchmarkBatchedCampaign)$$' -benchtime=1x -run=^$$ .
+	BENCH_HOTPATH=$(CURDIR)/BENCH_hotpath.new.json $(GO) test -bench='^(BenchmarkSimStep|BenchmarkSeedSearch)$$' -benchtime=1x -run=^$$ .
 	$(GO) run ./tools/benchcompare -old $(CURDIR)/BENCH_hotpath.json -new $(CURDIR)/BENCH_hotpath.new.json -max-regression 0.20
 	rm -f $(CURDIR)/BENCH_obs.new.json
 	BENCH_OBS=$(CURDIR)/BENCH_obs.new.json $(GO) test -bench='^BenchmarkStatsSnapshot$$' -benchtime=1x -run=^$$ .

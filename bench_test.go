@@ -610,86 +610,6 @@ func BenchmarkSeedSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedCampaign measures the campaign's clean-safe mission
-// scan — whole missions simulated back to back — sequentially (k1, the
-// scalar sim.Run path) and through the batched SoA engine at lockstep
-// widths 8 and 32, on 50-drone missions. All three variants produce
-// bit-identical per-mission results (pinned in internal/sim and
-// internal/experiments); the recorded missions/s figures show what the
-// batch layout buys in throughput, and ns_per_mission feeds the
-// bench-compare regression gate.
-func BenchmarkBatchedCampaign(b *testing.B) {
-	ctrl, err := flock.New(flock.DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	const swarm = 50
-	const missionCount = 32
-	missions := make([]*sim.Mission, missionCount)
-	for i := range missions {
-		m, err := sim.NewMission(sim.DefaultMissionConfig(swarm, uint64(i+1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		missions[i] = m
-	}
-	runSet := func(b *testing.B, ms []*sim.Mission, k int) {
-		b.Helper()
-		if k == 1 {
-			for _, m := range ms {
-				if _, err := sim.Run(m, sim.RunOptions{Controller: ctrl}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			return
-		}
-		for i := 0; i < len(ms); i += k {
-			j := i + k
-			if j > len(ms) {
-				j = len(ms)
-			}
-			bs, err := sim.RunBatch(ms[i:j], sim.BatchOptions{Controller: ctrl})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for m := 0; m < bs.Len(); m++ {
-				if err := bs.Err(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	for _, k := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
-			quick := missions[:4]
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runSet(b, quick, k)
-			}
-			b.StopTimer()
-			if os.Getenv("BENCH_HOTPATH") == "" {
-				return
-			}
-			// Fixed-work measurement over the full mission set, best of
-			// three passes: the minimum elapsed time is the least-noise
-			// estimate of the true cost on a shared core, so the
-			// recorded throughput is stable under -benchtime=1x.
-			var elapsed time.Duration
-			for pass := 0; pass < 3; pass++ {
-				t0 := time.Now()
-				runSet(b, missions, k)
-				if d := time.Since(t0); pass == 0 || d < elapsed {
-					elapsed = d
-				}
-			}
-			hotpathRecord(b, fmt.Sprintf("batched_campaign_k%d", k), map[string]float64{
-				"ns_per_mission":   float64(elapsed.Nanoseconds()) / missionCount,
-				"missions_per_sec": missionCount / elapsed.Seconds(),
-			})
-		})
-	}
-}
-
 // BenchmarkSearchObserver pins the cost of atlas recording on the
 // search hot path. "disabled" is the default nil Observe hook — the
 // optimizer pays exactly one nil-func check per counted iterate and

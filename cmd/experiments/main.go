@@ -84,7 +84,6 @@ func run(ctx context.Context, args []string, log *telemetry.Logger) (err error) 
 		retries    = fs.Int("retries", 2, "extra attempts for transiently-failed missions (deadline misses)")
 		progress   = fs.Duration("progress", 30*time.Second, "interval between progress summaries (0 = none)")
 		workers    = fs.Int("seed-workers", 0, "speculative seed-search workers per mission (0/1 = sequential; results are identical either way)")
-		batch      = fs.Int("batch", 0, "clean-safe scan batch width: run up to this many candidate missions in lockstep through the batched engine (0/1 = sequential; results are byte-identical either way)")
 		flightDir  = fs.String("flightlog", "", "directory to archive flight logs of cracked/degraded missions into")
 		postmortem = fs.Bool("postmortem", false, "render an HTML post-mortem next to each archived flight log")
 		atlasFile  = fs.String("atlas", "", "file to write the SwarmFuzz grid's search-atlas artifact into (JSONL)")
@@ -112,7 +111,6 @@ func run(ctx context.Context, args []string, log *telemetry.Logger) (err error) 
 	cfg := experiments.DefaultConfig(*missions)
 	cfg.BaseSeed = *seed
 	cfg.Fuzz.SeedWorkers = *workers
-	cfg.BatchSize = *batch
 	cfg.MissionTimeout = *timeout
 	cfg.Checkpoint = *checkpoint
 	cfg.Retry.MaxAttempts = 1 + *retries

@@ -321,7 +321,6 @@ func runSubmit(ctx context.Context, args []string, log *telemetry.Logger) error 
 		maxs    = fs.Int("max-seeds", 0, "max seeds per mission (0 = all)")
 		sworker = fs.Int("seed-workers", 0, "speculative seed-search workers")
 		workers = fs.Int("workers", 0, "campaign mission parallelism (0 = GOMAXPROCS)")
-		batch   = fs.Int("batch", 0, "clean-safe scan batch width (campaign/grid; 0/1 = sequential)")
 		timeout = fs.Duration("timeout", 0, "per-mission fuzzing deadline (0 = none)")
 		retries = fs.Int("retries", 0, "extra attempts for transiently-failed missions (0 = default policy)")
 		flight  = fs.Bool("flightlog", false, "archive flight logs under the job's store directory")
@@ -345,7 +344,6 @@ func runSubmit(ctx context.Context, args []string, log *telemetry.Logger) error 
 		MaxSeeds:          *maxs,
 		SeedWorkers:       *sworker,
 		Workers:           *workers,
-		BatchSize:         *batch,
 		MissionTimeoutSec: timeout.Seconds(),
 		Retries:           *retries,
 		Flightlog:         *flight,

@@ -3,8 +3,8 @@ package comms
 import "swarmfuzz/internal/vec"
 
 // Broadcast is the structure-of-arrays view of one tick's state
-// exchange under perfect connectivity, used by the batched mission
-// engine. Where Bus hands every receiver its own row of State copies,
+// exchange under perfect connectivity, used by the simulator's batch
+// decide path. Where Bus hands every receiver its own row of State copies,
 // a Broadcast is the single shared column store those rows would all
 // be copied from: batch-aware controllers read neighbours straight out
 // of the flat arrays and skip the receiver by index, which eliminates

@@ -45,15 +45,6 @@ type Config struct {
 	Flock flock.Params
 	// Workers bounds campaign parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// BatchSize, when > 1, runs the clean-safe mission scan through the
-	// batched SoA engine, advancing up to BatchSize candidate missions
-	// in lockstep per sim.BatchStepper instead of one sim.Run at a
-	// time. The scan's verdicts, the selected seeds, every table and
-	// checkpoint byte, and the sim_runs/sim_steps telemetry counters
-	// are identical to the sequential scan (the batched engine is
-	// bit-identical per mission; see DESIGN.md §4.13). 0 or 1 selects
-	// the sequential scan.
-	BatchSize int
 	// MissionTimeout is the per-mission fuzzing deadline; a mission
 	// that exceeds it is recorded as an errored outcome. 0 disables
 	// the deadline.
@@ -262,9 +253,7 @@ func RunCampaign(ctx context.Context, cfg Config, fuzzer fuzz.Fuzzer, swarmSize 
 	// sequentially and unsafe missions are skipped. To keep the
 	// outcome set deterministic regardless of scheduling, we first
 	// select the clean-safe seeds sequentially (cheap runs), then fan
-	// out the expensive fuzzing. With cfg.BatchSize > 1 the selection
-	// runs candidate missions through the batched SoA engine — same
-	// seeds, same verdicts, same counters, less wall time.
+	// out the expensive fuzzing.
 	jobs, err := selectCleanSafe(ctx, cfg, ctrl, swarmSize, result)
 	if err != nil {
 		return nil, err
@@ -320,34 +309,19 @@ type campaignJob struct {
 	cleanVDO float64
 }
 
-// errCleanSafeExhausted builds the seed-stream-exhausted error both
-// selection paths return from the same spot in the seed stream.
-func errCleanSafeExhausted(cfg Config, swarmSize int) error {
-	return fmt.Errorf("experiments: could not find %d clean-safe missions (n=%d)",
-		cfg.Missions, swarmSize)
-}
-
 // selectCleanSafe is the campaign's phase 1: walk the sequential seed
 // stream, run each candidate mission clean, keep the clean-safe ones
-// until cfg.Missions jobs are selected. Sequential by default; with
-// cfg.BatchSize > 1 and a batch-aware controller the candidates advance
-// in lockstep through the batched engine instead. Both paths select the
-// same seeds with the same VDOs, bump result.SkippedUnsafe identically,
-// and account the same sim_runs/sim_steps telemetry.
+// until cfg.Missions jobs are selected.
 func selectCleanSafe(ctx context.Context, cfg Config, ctrl sim.Controller,
 	swarmSize int, result *CampaignResult) ([]campaignJob, error) {
-	if cfg.BatchSize > 1 {
-		if bc, ok := ctrl.(sim.BatchController); ok {
-			return selectCleanSafeBatched(ctx, cfg, bc, swarmSize, result)
-		}
-	}
 	var jobs []campaignJob
 	for seed := cfg.BaseSeed; len(jobs) < cfg.Missions; seed++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if seed-cfg.BaseSeed > uint64(cfg.Missions)*100 {
-			return nil, errCleanSafeExhausted(cfg, swarmSize)
+			return nil, fmt.Errorf("experiments: could not find %d clean-safe missions (n=%d)",
+				cfg.Missions, swarmSize)
 		}
 		mission, err := sim.NewMission(sim.DefaultMissionConfig(swarmSize, seed))
 		if err != nil {
@@ -363,87 +337,6 @@ func selectCleanSafe(ctx context.Context, cfg Config, ctrl sim.Controller,
 		}
 		vdo, _ := metrics.VDO(clean.MinClearance)
 		jobs = append(jobs, campaignJob{seed: seed, mission: mission, cleanVDO: vdo})
-	}
-	return jobs, nil
-}
-
-// selectCleanSafeBatched is the lockstep variant of the clean-safe
-// scan. Each round it takes the next min(BatchSize, missions still
-// needed) seeds from the stream, runs them as one batch, and consumes
-// the verdicts in seed order — so every mission the sequential scan
-// would have run is run (and telemetry-accounted) here too, and none
-// beyond it: batches never overshoot because a round is capped at the
-// number of jobs still missing. Per-mission results are bit-identical
-// to sim.Run by the batched-engine contract, which makes the selected
-// job set — and everything downstream of it — byte-identical to the
-// sequential scan's.
-func selectCleanSafeBatched(ctx context.Context, cfg Config, ctrl sim.BatchController,
-	swarmSize int, result *CampaignResult) ([]campaignJob, error) {
-	rec := telemetry.OrNop(cfg.Telemetry)
-	// The sequential scan errors on the first seed past this bound.
-	maxSeed := cfg.BaseSeed + uint64(cfg.Missions)*100
-	var jobs []campaignJob
-	seed := cfg.BaseSeed
-	for len(jobs) < cfg.Missions {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if seed > maxSeed {
-			return nil, errCleanSafeExhausted(cfg, swarmSize)
-		}
-		k := cfg.BatchSize
-		if rem := cfg.Missions - len(jobs); k > rem {
-			k = rem
-		}
-		// Form the round's batch from sequential seeds, truncating at
-		// the stream bound; a mission-generation error truncates too,
-		// surfacing only after the prior seeds' verdicts are consumed —
-		// exactly the order the sequential scan observes.
-		missions := make([]*sim.Mission, 0, k)
-		var genErr error
-		for len(missions) < k && seed <= maxSeed {
-			m, err := sim.NewMission(sim.DefaultMissionConfig(swarmSize, seed))
-			if err != nil {
-				genErr = err
-				break
-			}
-			missions = append(missions, m)
-			seed++
-		}
-		if len(missions) == 0 {
-			if genErr != nil {
-				return nil, genErr
-			}
-			return nil, errCleanSafeExhausted(cfg, swarmSize)
-		}
-		wallStart := rec.Now()
-		bs, err := sim.RunBatch(missions, sim.BatchOptions{Controller: ctrl})
-		if err != nil {
-			return nil, err
-		}
-		wallShare := rec.Now().Sub(wallStart).Seconds() / float64(len(missions))
-		for i, m := range missions {
-			// Account each consumed mission exactly as sim.Run's
-			// single counting site would have: one run, its steps, a
-			// wall-time sample (the batch's mean share — wall time is
-			// the one non-deterministic metric).
-			rec.Add(telemetry.MSimRuns, 1)
-			rec.Add(telemetry.MSimSteps, int64(bs.StepsRun(i)))
-			rec.Observe(telemetry.MSimWallSeconds, wallShare)
-			if err := bs.Err(i); err != nil {
-				return nil, err
-			}
-			clean := bs.Result(i)
-			if len(clean.Collisions) > 0 || !clean.Completed {
-				result.SkippedUnsafe++
-				continue
-			}
-			vdo, _ := metrics.VDO(clean.MinClearance)
-			jobs = append(jobs, campaignJob{seed: m.Config.Seed, mission: m, cleanVDO: vdo})
-		}
-		if genErr != nil {
-			return nil, genErr
-		}
 	}
 	return jobs, nil
 }

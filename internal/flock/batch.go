@@ -2,7 +2,6 @@ package flock
 
 import (
 	"math"
-	"sync"
 
 	"swarmfuzz/internal/comms"
 	"swarmfuzz/internal/sim"
@@ -23,8 +22,8 @@ type soaBounds struct {
 
 // soaScratch holds the per-receiver accumulators of one BatchCommands
 // sweep: repulsion sums, friction sums and counts, and the
-// farthest-neighbour running maxima. Pooled so the pass allocates
-// nothing in steady state.
+// farthest-neighbour running maxima. The caller owns it (see
+// NewBatchScratch), so the pass allocates nothing in steady state.
 type soaScratch struct {
 	rep      []vec.Vec3
 	frictSum []vec.Vec3
@@ -34,31 +33,15 @@ type soaScratch struct {
 	farD2    []float64
 }
 
-var soaPool = sync.Pool{New: func() any { return &soaScratch{} }}
-
-// reset sizes the scratch for n receivers and zeroes every accumulator.
-func (s *soaScratch) reset(n int) {
-	if cap(s.rep) < n {
-		s.rep = make([]vec.Vec3, n)
-		s.frictSum = make([]vec.Vec3, n)
-		s.frictCnt = make([]int32, n)
-		s.farRel = make([]vec.Vec3, n)
-		s.farDist = make([]float64, n)
-		s.farD2 = make([]float64, n)
-	}
-	s.rep = s.rep[:n]
-	s.frictSum = s.frictSum[:n]
-	s.frictCnt = s.frictCnt[:n]
-	s.farRel = s.farRel[:n]
-	s.farDist = s.farDist[:n]
-	s.farD2 = s.farD2[:n]
-	for i := 0; i < n; i++ {
-		s.rep[i] = vec.Zero
-		s.frictSum[i] = vec.Zero
-		s.frictCnt[i] = 0
-		s.farRel[i] = vec.Zero
-		s.farDist[i] = 0
-		s.farD2[i] = 0
+// NewBatchScratch implements sim.BatchController.
+func (c *Controller) NewBatchScratch(n int) any {
+	return &soaScratch{
+		rep:      make([]vec.Vec3, n),
+		frictSum: make([]vec.Vec3, n),
+		frictCnt: make([]int32, n),
+		farRel:   make([]vec.Vec3, n),
+		farDist:  make([]float64, n),
+		farD2:    make([]float64, n),
 	}
 }
 
@@ -109,11 +92,12 @@ func mirrorSub(d, x, y vec.Vec3) vec.Vec3 {
 //     squared-distance bounds (soaBounds) and computed only where a
 //     term consumes the rounded distance.
 //
+// scratch must come from NewBatchScratch for at least b.N() drones.
 // It returns the minimum squared distance between any two active
 // drones' broadcast positions (+Inf when fewer than two are active) —
-// a free by-product of the pair sweep that the batch engine uses to
-// prove whole collision scans redundant.
-func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, cmds []vec.Vec3) float64 {
+// a free by-product of the pair sweep that the Stepper uses to prove
+// the collision scan empty.
+func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, scratch any, cmds []vec.Vec3) float64 {
 	// Padded squared-radius gates: each bound is off by ±1e-9
 	// relative, so e.g. d2 ≥ r²·(1+1e-9) proves the correctly rounded
 	// sqrt(d2) ≥ r — the padded root clears r by ~4.9e-10 relative
@@ -127,8 +111,7 @@ func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, cmds []vec.
 	}
 
 	n := b.N()
-	sc := soaPool.Get().(*soaScratch)
-	sc.reset(n)
+	sc := scratch.(*soaScratch)
 
 	minPairD2 := math.Inf(1)
 	// Reslicing every column to exactly n lets the compiler prove j < n
@@ -137,6 +120,12 @@ func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, cmds []vec.
 	positions, velocities, act := b.Pos[:n], b.Vel[:n], b.Active[:n]
 	rep, frictSum, frictCnt := sc.rep[:n], sc.frictSum[:n], sc.frictCnt[:n]
 	farRel, farDist, farD2 := sc.farRel[:n], sc.farDist[:n], sc.farD2[:n]
+	clear(rep)
+	clear(frictSum)
+	clear(frictCnt)
+	clear(farRel)
+	clear(farDist)
+	clear(farD2)
 	for i := 0; i < n; i++ {
 		if !act[i] {
 			continue
@@ -235,7 +224,6 @@ func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, cmds []vec.
 		cmds[i] = c.finishSoA(positions[i], velocities[i], w, sc, i)
 	}
 
-	soaPool.Put(sc)
 	return minPairD2
 }
 

@@ -87,7 +87,7 @@ func TestBatchCommandsMatchesCommand(t *testing.T) {
 		n := 2 + int(src.Uniform(0, 60))
 		f := makeBatchFixture(src, n, w)
 		cmds := make([]vec.Vec3, n)
-		c.BatchCommands(&f.bc, w, cmds)
+		c.BatchCommands(&f.bc, w, c.NewBatchScratch(n), cmds)
 		for i := 0; i < n; i++ {
 			var want vec.Vec3
 			if f.bc.Active[i] {
@@ -111,8 +111,9 @@ func TestBatchCommandsZeroAlloc(t *testing.T) {
 	src := rng.New(9)
 	f := makeBatchFixture(src, 50, w)
 	cmds := make([]vec.Vec3, 50)
+	sc := c.NewBatchScratch(50)
 	allocs := testing.AllocsPerRun(20, func() {
-		c.BatchCommands(&f.bc, w, cmds)
+		c.BatchCommands(&f.bc, w, sc, cmds)
 	})
 	if allocs != 0 {
 		t.Errorf("BatchCommands allocates %v objects/op, want 0", allocs)

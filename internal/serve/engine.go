@@ -60,10 +60,6 @@ const (
 	// MJobsGCed counts terminal jobs swept from the store by TTL
 	// garbage collection.
 	MJobsGCed = "serve_jobs_gced"
-	// MBatchWidth gauges the lockstep batch width (JobSpec.BatchSize)
-	// of the most recently started campaign/grid job — 0 or 1 means the
-	// sequential clean-safe scan.
-	MBatchWidth = "serve_batch_width"
 )
 
 // robustnessCounters are pre-registered at engine creation so the
@@ -96,7 +92,6 @@ func init() {
 		MIODegraded:                 "Store writes that failed even after retries.",
 		MWatchdogKills:              "Job attempts killed by the stall watchdog.",
 		MJobsGCed:                   "Terminal jobs swept by TTL garbage collection.",
-		MBatchWidth:                 "Lockstep batch width of the last started campaign/grid job.",
 		jobWallMetric(KindFuzz):     "Job wall time, fuzz jobs.",
 		jobWallMetric(KindCampaign): "Job wall time, campaign jobs.",
 		jobWallMetric(KindGrid):     "Job wall time, grid jobs.",
@@ -516,6 +511,9 @@ func (e *Engine) Submit(spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, err
 	}
 	j := &job{spec: spec, status: st, hub: newHub(id, 0, e.store, e.log), enqueued: now}
+	// Publish before the job becomes visible to the workers, so its
+	// stream always opens with "queued", never after "running".
+	j.hub.publish("state", func(ev *Event) { ev.State = StateQueued })
 	e.jobs[id] = j
 	if key := spec.IdempotencyKey; key != "" {
 		e.byKey[key] = id
@@ -524,7 +522,6 @@ func (e *Engine) Submit(spec JobSpec) (JobStatus, error) {
 	e.cond.Signal()
 	e.updateMetricsLocked()
 	e.mu.Unlock()
-	j.hub.publish("state", func(ev *Event) { ev.State = StateQueued })
 	e.log.Infof("job %s: %s/%s queued", id, spec.Kind, spec.Fuzzer)
 	return st, nil
 }
@@ -872,7 +869,6 @@ func (e *Engine) settle(id string, j *job, report []byte, err error, wall time.D
 	if state.Terminal() {
 		j.status.FinishedUnix = e.opts.Clock().Unix()
 	}
-	var degraded bool
 	if state == StateDone {
 		if werr := e.store.WriteReport(id, report); werr != nil {
 			// The result outlives the write failure: the job stays done,
@@ -880,8 +876,16 @@ func (e *Engine) settle(id string, j *job, report []byte, err error, wall time.D
 			// degradation is visible in the status and the event stream.
 			j.report = report
 			j.status.IODegraded = true
-			degraded = true
 			e.log.Errorf("job %s: persist report: %v (degraded to in-memory report)", id, werr)
+			// Published under e.mu, so the event is in the job's log
+			// before anyone can observe the done state.
+			j.hub.publish("io_degraded", func(ev *Event) {
+				ev.Error = "report could not be persisted; serving the in-memory copy"
+			})
+		} else if e.opts.Cache != nil && j.spec.Cacheable() {
+			// Cached under e.mu too, so a resubmission that sees this
+			// job done also finds its result.
+			e.storeCacheEntry(id, j.spec, report)
 		}
 	}
 	if werr := e.store.WriteStatus(j.status); werr != nil {
@@ -900,11 +904,6 @@ func (e *Engine) settle(id string, j *job, report []byte, err error, wall time.D
 	if err != nil && state != StateDone {
 		errText = err.Error()
 	}
-	if degraded {
-		j.hub.publish("io_degraded", func(ev *Event) {
-			ev.Error = "report could not be persisted; serving the in-memory copy"
-		})
-	}
 	j.hub.publish("state", func(ev *Event) {
 		ev.State = state
 		if state == StateFailed {
@@ -913,9 +912,6 @@ func (e *Engine) settle(id string, j *job, report []byte, err error, wall time.D
 	})
 	if state.Terminal() {
 		j.hub.close()
-	}
-	if state == StateDone && !degraded && e.opts.Cache != nil && j.spec.Cacheable() {
-		e.storeCacheEntry(id, j.spec, report)
 	}
 	switch {
 	case state == StateDone:
@@ -1035,7 +1031,6 @@ func (e *Engine) runCampaign(ctx context.Context, id string, spec JobSpec, fuzze
 	cfg.Flock = params
 	cfg.Telemetry = rec
 	cfg.Log = e.log
-	e.rec.Set(MBatchWidth, float64(spec.BatchSize))
 	cfg.Checkpoint = e.store.CheckpointDir(id)
 	if spec.Flightlog {
 		cfg.FlightDir = e.store.FlightDir(id)

@@ -77,10 +77,6 @@ type JobSpec struct {
 	// campaign parallelism (0 = GOMAXPROCS).
 	SeedWorkers int `json:"seed_workers,omitempty"`
 	Workers     int `json:"workers,omitempty"`
-	// BatchSize > 1 runs a campaign/grid job's clean-safe mission scan
-	// through the batched SoA engine, BatchSize missions in lockstep;
-	// results are byte-identical to the sequential scan (0 or 1).
-	BatchSize int `json:"batch_size,omitempty"`
 	// MissionTimeoutSec is the per-mission fuzzing deadline in seconds
 	// (for a fuzz job, the whole run's deadline); 0 disables it.
 	MissionTimeoutSec float64 `json:"mission_timeout_seconds,omitempty"`
@@ -122,11 +118,6 @@ func (s *JobSpec) Normalize() {
 		if s.BaseSeed == 0 {
 			s.BaseSeed = 1
 		}
-	}
-	// BatchSize 0 and 1 both mean the sequential mission scan;
-	// canonicalise so equivalent specs hash identically.
-	if s.BatchSize == 1 {
-		s.BatchSize = 0
 	}
 }
 
@@ -174,7 +165,7 @@ func (s JobSpec) Validate(resolve func(string) (fuzz.Fuzzer, error)) error {
 		return fmt.Errorf("serve: unknown job kind %q", s.Kind)
 	}
 	if s.MissionTimeoutSec < 0 || s.Retries < 0 || s.Workers < 0 ||
-		s.SeedWorkers < 0 || s.MaxIterPerSeed < 0 || s.MaxSeeds < 0 || s.BatchSize < 0 {
+		s.SeedWorkers < 0 || s.MaxIterPerSeed < 0 || s.MaxSeeds < 0 {
 		return errors.New("serve: job spec knobs must be non-negative")
 	}
 	if len(s.IdempotencyKey) > 128 {
@@ -188,7 +179,7 @@ func (s JobSpec) Validate(resolve func(string) (fuzz.Fuzzer, error)) error {
 // verify which spec a deduplicated resubmission matched. Hashing the
 // normalized form makes default-filled and explicitly-defaulted specs
 // indistinguishable: omitting "fuzzer" hashes like "swarmfuzz",
-// omitting "seed" on a fuzz job like seed 1, batch 1 like batch 0.
+// omitting "seed" on a fuzz job like seed 1.
 func (s JobSpec) Hash() string {
 	s.Normalize() // value receiver: normalizes a private copy
 	data, _ := json.Marshal(s)
@@ -200,13 +191,13 @@ func (s JobSpec) Hash() string {
 // cache: a full SHA-256 over the normalized spec with identity and
 // execution-only knobs cleared. Two submissions that must produce
 // byte-identical reports — regardless of who submitted them
-// (IdempotencyKey) and of how the work is parallelised (Workers,
-// SeedWorkers, BatchSize are all pinned byte-identity-invariant) —
+// (IdempotencyKey) and of how the work is parallelised (Workers and
+// SeedWorkers are both pinned byte-identity-invariant) —
 // map to the same key.
 func (s JobSpec) CacheKey() string {
 	s.Normalize()
 	s.IdempotencyKey = ""
-	s.Workers, s.SeedWorkers, s.BatchSize = 0, 0, 0
+	s.Workers, s.SeedWorkers = 0, 0
 	data, _ := json.Marshal(s)
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
@@ -265,7 +256,6 @@ func (s JobSpec) CampaignConfig() experiments.Config {
 	cfg.Fuzz.MaxSeeds = s.MaxSeeds
 	cfg.Fuzz.SeedWorkers = s.SeedWorkers
 	cfg.Workers = s.Workers
-	cfg.BatchSize = s.BatchSize
 	cfg.MissionTimeout = s.MissionTimeout()
 	if s.Retries > 0 {
 		cfg.Retry = robust.Policy{MaxAttempts: 1 + s.Retries,

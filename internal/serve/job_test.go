@@ -24,12 +24,11 @@ func TestHashNormalizesDefaults(t *testing.T) {
 		t.Errorf("minimal spec hash %s != explicit-defaults hash %s", minimal.Hash(), explicit.Hash())
 	}
 
-	// Campaign/grid defaults: omitted base_seed means 1, batch 1 means
-	// the same sequential scan as batch 0.
+	// Campaign/grid defaults: omitted base_seed means 1.
 	a := serve.JobSpec{Kind: serve.KindCampaign, SwarmSize: 5, SpoofDistance: 10, Missions: 3, BaseSeed: 1}
-	b := serve.JobSpec{Kind: serve.KindCampaign, SwarmSize: 5, SpoofDistance: 10, Missions: 3, BatchSize: 1}
+	b := serve.JobSpec{Kind: serve.KindCampaign, SwarmSize: 5, SpoofDistance: 10, Missions: 3}
 	if a.Hash() != b.Hash() {
-		t.Errorf("base_seed-1/batch-1 spec hash %s != defaulted hash %s", b.Hash(), a.Hash())
+		t.Errorf("base_seed-1 spec hash %s != defaulted hash %s", a.Hash(), b.Hash())
 	}
 
 	// A materially different spec must not collide.
@@ -63,7 +62,6 @@ func TestCacheKeyIgnoresExecutionKnobs(t *testing.T) {
 		func(s *serve.JobSpec) { s.IdempotencyKey = "ik-someone-else" },
 		func(s *serve.JobSpec) { s.Workers = 8 },
 		func(s *serve.JobSpec) { s.SeedWorkers = 4 },
-		func(s *serve.JobSpec) { s.BatchSize = 16 },
 		func(s *serve.JobSpec) { s.Fuzzer = "SWARMFUZZ" },
 	}
 	for i, mutate := range same {

@@ -46,6 +46,40 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreReadsSpecWithRetiredKnob loads a spec.json written before a
+// JobSpec field was removed: the store decodes leniently, so the old
+// job directory still loads, and the spec hashes like one that never
+// had the field.
+func TestStoreReadsSpecWithRetiredKnob(t *testing.T) {
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := FormatID(0)
+	old, err := os.ReadFile(filepath.Join("testdata", "spec_retired_knob.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(store.JobDir(id), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(store.JobDir(id), "spec.json"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := store.ReadSpec(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := JobSpec{Kind: KindCampaign, Fuzzer: "swarmfuzz", SwarmSize: 5,
+		SpoofDistance: 10, Missions: 3, BaseSeed: 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ReadSpec = %+v, want %+v", got, want)
+	}
+	if got.Hash() != want.Hash() {
+		t.Errorf("old spec hash %s != %s", got.Hash(), want.Hash())
+	}
+}
+
 func TestStoreListSkipsForeignEntries(t *testing.T) {
 	store, err := OpenStore(t.TempDir())
 	if err != nil {

@@ -3,7 +3,6 @@ package sim_test
 import (
 	"errors"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -29,30 +28,6 @@ func countedRun(t *testing.T, m *sim.Mission, opts sim.RunOptions) (res *sim.Res
 	}
 	c := reg.Snapshot().Counters
 	return res, c[telemetry.MSimRuns], c[telemetry.MSimSteps]
-}
-
-// requireBitIdentical fails unless got and want are deeply equal and
-// every float they hold has the same bits (reflect.DeepEqual compares
-// floats with ==, which equates 0 and -0).
-func requireBitIdentical(t *testing.T, label string, got, want *sim.Result) {
-	t.Helper()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: resumed result differs from the full run:\n got  %+v\n want %+v", label, got, want)
-	}
-	same := math.Float64bits(got.Duration) == math.Float64bits(want.Duration)
-	for i := range want.MinClearance {
-		same = same && math.Float64bits(got.MinClearance[i]) == math.Float64bits(want.MinClearance[i])
-	}
-	for i, c := range want.Collisions {
-		g := got.Collisions[i]
-		same = same && math.Float64bits(g.Time) == math.Float64bits(c.Time)
-		for _, p := range [][2]float64{{g.Pos.X, c.Pos.X}, {g.Pos.Y, c.Pos.Y}, {g.Pos.Z, c.Pos.Z}} {
-			same = same && math.Float64bits(p[0]) == math.Float64bits(p[1])
-		}
-	}
-	if !same {
-		t.Fatalf("%s: resumed result is == but not bit-identical to the full run", label)
-	}
 }
 
 // expectedForkStep is the step a Prefix run resumes at, derived from
@@ -154,11 +129,14 @@ func TestPrefixResumeMatchesFullRun(t *testing.T) {
 // rammingController flies drones 0 and 1 straight at each other and
 // leaves the rest to the flocking controller, so the clean run records
 // an early drone-drone collision before most of its fork points.
-type rammingController struct{ *flock.Controller }
+// It holds the flocking controller in a named field: embedding it
+// would promote BatchCommands and the Stepper would never call this
+// Command.
+type rammingController struct{ ctrl *flock.Controller }
 
 func (c rammingController) Command(p sim.Perception, nb []comms.State, w *sim.World) vec.Vec3 {
 	if p.ID > 1 {
-		return c.Controller.Command(p, nb, w)
+		return c.ctrl.Command(p, nb, w)
 	}
 	for _, s := range nb {
 		if s.ID == 1-p.ID {

@@ -38,6 +38,38 @@ type Controller interface {
 	Command(p Perception, neighbors []comms.State, w *World) vec.Vec3
 }
 
+// BatchController is a Controller that can also derive one tick of
+// commands for the whole swarm straight from the structure-of-arrays
+// broadcast, without materialising per-receiver neighbour rows. The
+// Stepper uses it for every run it can (see Stepper), so an
+// implementation must be bit-identical to calling Command per drone
+// with PerfectBus neighbour rows: same neighbour order (ascending
+// index, self skipped), same arithmetic.
+//
+// A type that overrides Command must not promote BatchCommands — do
+// not embed a BatchController in a wrapper that changes behaviour;
+// hold it in a named field. Otherwise the Stepper takes the batch
+// path and the override never runs.
+type BatchController interface {
+	Controller
+	// NewBatchScratch returns the per-receiver accumulator storage
+	// BatchCommands needs for a swarm of n drones. The Stepper asks for
+	// it once per run and lends it to every BatchCommands call of that
+	// run, so the controller itself holds no mutable state and one
+	// instance can serve concurrent runs.
+	NewBatchScratch(n int) any
+	// BatchCommands writes, for every active drone i, the command
+	// derived from its own broadcast state and its neighbours' into
+	// cmds[i]. Entries of inactive drones are zeroed.
+	//
+	// It returns the minimum squared distance between any two active
+	// drones' broadcast positions, +Inf when fewer than two drones are
+	// active. The pair loop computes every pairwise distance anyway,
+	// so the minimum is a by-product; the Stepper uses it to prove the
+	// drone-pair collision scan empty (see pairScanNeeded).
+	BatchCommands(b *comms.Broadcast, w *World, scratch any, cmds []vec.Vec3) (minPairD2 float64)
+}
+
 // CollisionKind distinguishes what a drone collided with.
 type CollisionKind int
 
@@ -251,10 +283,19 @@ func validatePrefix(m *Mission, opts RunOptions) error {
 
 // Stepper simulates one mission incrementally, one integration step
 // per Step call. It owns all per-run scratch — observation arenas (via
-// the bus), GPS readings, commands, trajectory backing arrays and the
-// collision grid — so a steady-state Step performs zero heap
-// allocations. Run drives a Stepper to completion; external callers
-// (benchmarks, interactive tooling) may drive it directly.
+// the bus) or broadcast columns and controller accumulators, GPS
+// readings, commands, trajectory backing arrays and the collision grid
+// — so a steady-state Step performs zero heap allocations. Run drives a
+// Stepper to completion; external callers (benchmarks, interactive
+// tooling) may drive it directly.
+//
+// The decide phase takes one of two paths. A run whose controller is a
+// BatchController, whose bus is a PerfectBus and which has no flight
+// recorder hands the Stepper's broadcast columns to BatchCommands (the
+// batch path). Everything else exchanges State rows over the bus and
+// calls Command per drone (the row path): lossy, delayed and range
+// buses shape each receiver's view, and flight records need the rows.
+// Both paths share sense, actuate, collision, recording and arrival.
 //
 // A Stepper is single-use and not safe for concurrent use. Slices
 // handed to the FlightRecorder and the trajectory rows alias the
@@ -282,6 +323,12 @@ type Stepper struct {
 	cmds      []vec.Vec3
 	collider  droneCollider
 	pairs     [][2]int
+
+	// batch is non-nil on the batch path; bc holds its broadcast
+	// columns and scratch the controller's accumulators.
+	batch   BatchController
+	bc      comms.Broadcast
+	scratch any
 
 	steps        int
 	budgetCapped bool
@@ -341,6 +388,17 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 	for i := 0; i < n; i++ {
 		s.bodies[i] = Body{Pos: m.Start[i]}
 		s.sensors[i] = gps.NewSensor(cfg.GPSBias, cfg.GPSNoise, rng.DeriveN(cfg.Seed, "gps", i))
+	}
+	if bc, ok := opts.Controller.(BatchController); ok && opts.Flight == nil {
+		if _, perfect := bus.(*comms.PerfectBus); perfect {
+			s.batch = bc
+			s.scratch = bc.NewBatchScratch(n)
+			s.bc = comms.Broadcast{
+				Pos:    make([]vec.Vec3, n),
+				Vel:    make([]vec.Vec3, n),
+				Active: make([]bool, n),
+			}
+		}
 	}
 
 	s.res = &Result{MinClearance: make([]float64, n)}
@@ -450,40 +508,21 @@ func (s *Stepper) Step() (done bool, err error) {
 	s.stepsRun++
 	t := float64(s.step) * cfg.Dt
 
-	// (1) Sense: read GPS (with spoofing) and (2) broadcast state.
-	s.published = s.published[:0]
+	// (1) Sense: read GPS (with spoofing).
 	for i := 0; i < n; i++ {
-		if s.bodies[i].Crashed {
-			continue
+		if !s.bodies[i].Crashed {
+			s.readings[i] = s.spoofer.Apply(i, s.sensors[i].Read(s.bodies[i].Pos, t))
 		}
-		s.readings[i] = s.spoofer.Apply(i, s.sensors[i].Read(s.bodies[i].Pos, t))
-		s.published = append(s.published, comms.State{
-			ID:       i,
-			Position: s.readings[i].Position,
-			Velocity: s.bodies[i].Vel,
-			Time:     t,
-		})
 	}
-	// The arena-backed exchange: observation slices alias the bus's
-	// scratch and are valid for this tick only, which is exactly the
-	// lifetime the decide pass and the FlightStep contract need.
-	observations := s.bus.ExchangeInto(s.published)
 
-	// (3)+(4) Decide: every active drone derives its command from
-	// its own perception and the received states.
-	obsIdx := 0
-	for i := 0; i < n; i++ {
-		if s.bodies[i].Crashed {
-			s.cmds[i] = vec.Zero
-			continue
-		}
-		s.cmds[i] = s.ctrl.Command(Perception{
-			ID:       i,
-			GPS:      s.readings[i],
-			Velocity: s.bodies[i].Vel,
-			Time:     t,
-		}, observations[obsIdx], &s.m.World)
-		obsIdx++
+	// (2) Broadcast and (3)+(4) decide: every active drone derives its
+	// command from its own perception and the received states.
+	var observations [][]comms.State
+	minPairD2, maxErrD2 := 0.0, 0.0 // a zero bound proves nothing
+	if s.batch != nil {
+		minPairD2, maxErrD2 = s.decideBatch(t)
+	} else {
+		observations = s.decideRows(t)
 	}
 
 	// Flight recording sits between decide and actuate, so the
@@ -504,14 +543,23 @@ func (s *Stepper) Step() (done bool, err error) {
 	// Actuate, guarding against numerical divergence: a state that
 	// leaves the realm of finite numbers poisons every derived
 	// metric (clearances, SVG weights, gradients), so the run is
-	// aborted rather than aggregated.
+	// aborted rather than aggregated. maxVelD2 is the worst squared
+	// speed after the step, for pairScanNeeded.
+	maxVelD2 := 0.0
 	for i := 0; i < n; i++ {
-		s.bodies[i].Step(s.cmds[i], cfg.Body, cfg.Dt)
-		if !s.bodies[i].Crashed && (!s.bodies[i].Pos.IsFinite() || !s.bodies[i].Vel.IsFinite()) {
+		b := &s.bodies[i]
+		b.Step(s.cmds[i], cfg.Body, cfg.Dt)
+		if b.Crashed {
+			continue
+		}
+		if !b.Pos.IsFinite() || !b.Vel.IsFinite() {
 			s.done = true
 			s.err = fmt.Errorf("sim: drone %d state non-finite at t=%.2fs (pos %v, vel %v): %w",
-				i, t, s.bodies[i].Pos, s.bodies[i].Vel, robust.ErrDiverged)
+				i, t, b.Pos, b.Vel, robust.ErrDiverged)
 			return true, s.err
+		}
+		if v2 := b.Vel.NormSq(); v2 > maxVelD2 {
+			maxVelD2 = v2
 		}
 	}
 
@@ -534,15 +582,17 @@ func (s *Stepper) Step() (done bool, err error) {
 			}
 		}
 	}
-	s.pairs = s.collider.collide(s.bodies, 2*cfg.DroneRadius, s.pairs[:0])
-	for _, p := range s.pairs {
-		i, j := p[0], p[1]
-		ci := Collision{Drone: i, Kind: KindDrone, Other: j, Time: t, Pos: s.bodies[i].Pos}
-		cj := Collision{Drone: j, Kind: KindDrone, Other: i, Time: t, Pos: s.bodies[j].Pos}
-		s.res.Collisions = append(s.res.Collisions, ci, cj)
-		if s.flight != nil {
-			s.flight.RecordCollision(ci)
-			s.flight.RecordCollision(cj)
+	if s.pairScanNeeded(minPairD2, maxErrD2, maxVelD2) {
+		s.pairs = s.collider.collide(s.bodies, 2*cfg.DroneRadius, s.pairs[:0])
+		for _, p := range s.pairs {
+			i, j := p[0], p[1]
+			ci := Collision{Drone: i, Kind: KindDrone, Other: j, Time: t, Pos: s.bodies[i].Pos}
+			cj := Collision{Drone: j, Kind: KindDrone, Other: i, Time: t, Pos: s.bodies[j].Pos}
+			s.res.Collisions = append(s.res.Collisions, ci, cj)
+			if s.flight != nil {
+				s.flight.RecordCollision(ci)
+				s.flight.RecordCollision(cj)
+			}
 		}
 	}
 
@@ -580,6 +630,83 @@ func (s *Stepper) Step() (done bool, err error) {
 		return true, nil
 	}
 	return false, nil
+}
+
+// decideRows is the row path's decide phase: publish every active
+// drone's state, exchange over the bus and call Command per drone. It
+// returns the observations, which alias the bus's arena and are valid
+// for this tick only — exactly the lifetime the FlightStep contract
+// needs.
+func (s *Stepper) decideRows(t float64) [][]comms.State {
+	s.published = s.published[:0]
+	for i := range s.bodies {
+		if s.bodies[i].Crashed {
+			continue
+		}
+		s.published = append(s.published, comms.State{
+			ID:       i,
+			Position: s.readings[i].Position,
+			Velocity: s.bodies[i].Vel,
+			Time:     t,
+		})
+	}
+	observations := s.bus.ExchangeInto(s.published)
+	obsIdx := 0
+	for i := range s.bodies {
+		if s.bodies[i].Crashed {
+			s.cmds[i] = vec.Zero
+			continue
+		}
+		s.cmds[i] = s.ctrl.Command(Perception{
+			ID:       i,
+			GPS:      s.readings[i],
+			Velocity: s.bodies[i].Vel,
+			Time:     t,
+		}, observations[obsIdx], &s.m.World)
+		obsIdx++
+	}
+	return observations
+}
+
+// decideBatch is the batch path's decide phase: fill the broadcast
+// columns and let the controller sweep them. It returns the kernel's
+// minimum squared broadcast pair distance and the worst squared
+// sensing error (noise, bias and spoof displacement) of any active
+// drone. A NaN error never compares ≤, so it poisons the bound and
+// keeps the collision scan.
+func (s *Stepper) decideBatch(t float64) (minPairD2, maxErrD2 float64) {
+	for i := range s.bodies {
+		b := &s.bodies[i]
+		s.bc.Active[i] = !b.Crashed
+		if b.Crashed {
+			continue
+		}
+		s.bc.Pos[i] = s.readings[i].Position
+		s.bc.Vel[i] = b.Vel
+		if e2 := s.readings[i].Position.Sub(b.Pos).NormSq(); !(e2 <= maxErrD2) {
+			maxErrD2 = e2
+		}
+	}
+	s.bc.Time = t
+	return s.batch.BatchCommands(&s.bc, &s.m.World, s.scratch, s.cmds), maxErrD2
+}
+
+// pairScanNeeded reports whether this tick's drone-pair collision scan
+// can find a pair. The batch path's decide phase measured the closest
+// perceived pair before this tick's motion; true distances differ from
+// perceived ones by at most the worst sensing error per endpoint, and
+// the motion closed any pair by at most one displacement (|vel|·Dt,
+// Body.Step moves by exactly that) per endpoint. When even that lower
+// bound clears the collision threshold — with a 1e-6 m pad that swamps
+// the few float roundings in the chain — the scan provably returns no
+// pairs and is skipped. Any doubt (a zero bound from the row path,
+// coincident perceptions, large spoof errors, NaNs) fails the test and
+// runs the scan, so skipping never changes an output bit. A swarm
+// cruising metres apart against a 2·DroneRadius threshold culls nearly
+// every tick.
+func (s *Stepper) pairScanNeeded(minPairD2, maxErrD2, maxVelD2 float64) bool {
+	lower := math.Sqrt(minPairD2) - 2*math.Sqrt(maxErrD2) - 2*math.Sqrt(maxVelD2)*s.cfg.Dt - 1e-6
+	return !(lower > 2*s.cfg.DroneRadius)
 }
 
 // Run simulates the mission and returns its Result. It is

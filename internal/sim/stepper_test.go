@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"testing"
-
-	"swarmfuzz/internal/comms"
-)
+import "testing"
 
 // TestStepperMatchesRun drives a Stepper by hand and checks it
 // reproduces Run exactly (Run is itself a Stepper loop, but the test
@@ -61,42 +57,5 @@ func TestStepperMatchesRun(t *testing.T) {
 	}
 	if st.StepsRun() == 0 {
 		t.Fatal("StepsRun is zero after a full run")
-	}
-}
-
-// TestStepperZeroAlloc pins the tentpole property: once warm, one
-// simulation step allocates nothing — across swarm sizes on both
-// collision paths (brute force and spatial hash), with and without
-// trajectory recording.
-func TestStepperZeroAlloc(t *testing.T) {
-	for _, n := range []int{5, 10, 50} {
-		for _, traj := range []bool{false, true} {
-			mission, err := NewMission(DefaultMissionConfig(n, 7))
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := NewStepper(mission, RunOptions{
-				Controller:       straightController{speed: 0.01},
-				Bus:              comms.NewPerfectBus(),
-				RecordTrajectory: traj,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Warm up: first steps size the bus arena and collision grid.
-			for i := 0; i < 5; i++ {
-				if _, err := st.Step(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			allocs := testing.AllocsPerRun(100, func() {
-				if _, err := st.Step(); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("n=%d traj=%v: warm Step allocates %v objects/op, want 0", n, traj, allocs)
-			}
-		}
 	}
 }
