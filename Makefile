@@ -26,7 +26,7 @@ metrics-lint:
 # tests too; the named target exists so the equivalence contract has
 # its own CI handle and a fast local loop.
 batch-equiv:
-	$(GO) test -race -run '^(TestBatchPathMatchesRowPath|TestBatchPathMatchesRowPathWithDroneCollisions|TestBatchCommandsMatchesCommand)$$' \
+	$(GO) test -race -run '^(TestBatchPathMatchesRowPath|TestBatchPathMatchesRowPathWithDroneCollisions|TestBatchStepperMatchesSequentialRuns|TestBatchStepperBudgetExhaustion|TestBatchCommandsMatchesCommand)$$' \
 		./internal/sim/ ./internal/flock/
 
 # check is the CI gate: vet plus metric-name hygiene plus the decide

@@ -2,7 +2,7 @@ package sim_test
 
 import (
 	"errors"
-	"reflect"
+	"fmt"
 	"testing"
 
 	"swarmfuzz/internal/flock"
@@ -25,27 +25,11 @@ func equivMissions(t *testing.T, n int, base uint64, k int) []*sim.Mission {
 	return missions
 }
 
-// requireSameResult asserts batch output is bit-identical to the scalar
-// run: every float in Duration, MinClearance and the collision events
-// must match exactly, not approximately.
-func requireSameResult(t *testing.T, label string, got, want *sim.Result) {
-	t.Helper()
-	if (got == nil) != (want == nil) {
-		t.Fatalf("%s: result nil-ness differs (batch %v, scalar %v)", label, got != nil, want != nil)
-	}
-	if got == nil {
-		return
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: results differ\nbatch:  %+v\nscalar: %+v", label, got, want)
-	}
-}
-
-// TestBatchStepperMatchesSequentialRuns is the byte-identity pin for
-// the batched engine: K missions run in lockstep must produce, per
-// mission, exactly the Result that K sequential sim.Run calls produce —
-// clean and spoofed, across swarm sizes on both sides of the collision
-// grid crossover. make check runs this under -race.
+// TestBatchStepperMatchesSequentialRuns pins the Stepper's batch decide
+// path to per-drone sequential Command calls over mission sets: each of
+// k missions, clean and spoofed, gives the bit-identical Result and step
+// count on both paths, and sim.Run returns that same Result — across
+// swarm sizes on both sides of the collision grid crossover.
 func TestBatchStepperMatchesSequentialRuns(t *testing.T) {
 	ctrl := flock.MustNew(flock.DefaultParams())
 	cases := []struct {
@@ -59,117 +43,44 @@ func TestBatchStepperMatchesSequentialRuns(t *testing.T) {
 		{name: "clean_n26_k3", n: 26, base: 11, k: 3},
 		{name: "spoofed_n5_k6", n: 5, base: 21, k: 6, spoof: func(i int) *gps.SpoofPlan {
 			if i%2 == 1 {
-				return nil // mixed batch: odd missions run clean
+				return nil // mixed set: odd missions run clean
 			}
 			return &gps.SpoofPlan{Target: i % 5, Start: 10, Duration: 15, Direction: gps.Left, Distance: 8}
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			missions := equivMissions(t, tc.n, tc.base, tc.k)
-			var spoofs []*gps.SpoofPlan
-			if tc.spoof != nil {
-				spoofs = make([]*gps.SpoofPlan, tc.k)
-				for i := range spoofs {
-					spoofs[i] = tc.spoof(i)
-				}
-			}
-			bs, err := sim.RunBatch(missions, sim.BatchOptions{Controller: ctrl, Spoofs: spoofs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, m := range missions {
+			for i, m := range equivMissions(t, tc.n, tc.base, tc.k) {
 				var spoof *gps.SpoofPlan
-				if spoofs != nil {
-					spoof = spoofs[i]
+				if tc.spoof != nil {
+					spoof = tc.spoof(i)
 				}
-				// Fresh mission value for the scalar run is not needed:
-				// missions are read-only during runs.
-				want, werr := sim.Run(m, sim.RunOptions{Controller: ctrl, Spoof: spoof})
-				if werr != nil {
-					t.Fatalf("scalar run %d: %v", i, werr)
+				label := fmt.Sprintf("%s mission %d", tc.name, i)
+				got := requireSamePaths(t, label, m, ctrl, sim.RunOptions{Spoof: spoof})
+				want, err := sim.Run(m, sim.RunOptions{Controller: ctrl, Spoof: spoof})
+				if err != nil {
+					t.Fatalf("%s: sim.Run: %v", label, err)
 				}
-				if bs.Err(i) != nil {
-					t.Fatalf("batch mission %d failed: %v", i, bs.Err(i))
-				}
-				requireSameResult(t, tc.name, bs.Result(i), want)
-				swant, _ := sim.NewStepper(m, sim.RunOptions{Controller: ctrl, Spoof: spoof})
-				for done := false; !done; {
-					done, _ = swant.Step()
-				}
-				if bs.StepsRun(i) != swant.StepsRun() {
-					t.Fatalf("mission %d: batch ran %d steps, scalar %d", i, bs.StepsRun(i), swant.StepsRun())
-				}
+				requireBitIdentical(t, label+" vs sim.Run", got, want)
 			}
 		})
 	}
 }
 
-// TestBatchStepperBudgetExhaustion mirrors the scalar step-budget
-// contract: a budget-capped mission that cannot complete fails with an
-// error wrapping robust.ErrDiverged while batchmates keep running.
+// TestBatchStepperBudgetExhaustion pins the step-budget contract on
+// the batch decide path: a budget-capped mission that cannot complete
+// fails with an error wrapping robust.ErrDiverged, with the same text
+// and after the same number of steps as on the row path.
 func TestBatchStepperBudgetExhaustion(t *testing.T) {
 	ctrl := flock.MustNew(flock.DefaultParams())
-	missions := equivMissions(t, 5, 31, 3)
-	bs, err := sim.RunBatch(missions, sim.BatchOptions{Controller: ctrl, StepBudget: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range missions {
-		_, werr := sim.Run(m, sim.RunOptions{Controller: ctrl, StepBudget: 10})
-		gerr := bs.Err(i)
-		if (gerr == nil) != (werr == nil) {
-			t.Fatalf("mission %d: batch err %v, scalar err %v", i, gerr, werr)
+	for i, m := range equivMissions(t, 5, 31, 3) {
+		res, err := sim.Run(m, sim.RunOptions{Controller: ctrl, StepBudget: 10})
+		if !errors.Is(err, robust.ErrDiverged) {
+			t.Fatalf("mission %d: err = %v, want an error wrapping ErrDiverged", i, err)
 		}
-		if werr == nil {
-			continue
-		}
-		if !errors.Is(gerr, robust.ErrDiverged) {
-			t.Errorf("mission %d: batch error %v does not wrap ErrDiverged", i, gerr)
-		}
-		if gerr.Error() != werr.Error() {
-			t.Errorf("mission %d: error text differs\nbatch:  %v\nscalar: %v", i, gerr, werr)
-		}
-		if bs.Result(i) != nil {
+		if res != nil {
 			t.Errorf("mission %d: Result non-nil after failure", i)
 		}
-	}
-}
-
-// TestBatchStepperValidation covers the constructor's rejections.
-func TestBatchStepperValidation(t *testing.T) {
-	ctrl := flock.MustNew(flock.DefaultParams())
-	missions := equivMissions(t, 5, 41, 2)
-
-	if _, err := sim.NewBatchStepper(missions, sim.BatchOptions{}); err == nil {
-		t.Error("nil controller accepted")
-	}
-	if _, err := sim.NewBatchStepper(nil, sim.BatchOptions{Controller: ctrl}); err == nil {
-		t.Error("empty batch accepted")
-	}
-	if _, err := sim.NewBatchStepper(missions, sim.BatchOptions{
-		Controller: ctrl,
-		Spoofs:     make([]*gps.SpoofPlan, 1),
-	}); err == nil {
-		t.Error("spoof/mission length mismatch accepted")
-	}
-	if _, err := sim.NewBatchStepper(missions, sim.BatchOptions{
-		Controller: ctrl,
-		Spoofs: []*gps.SpoofPlan{
-			{Target: 99, Start: 1, Duration: 1, Direction: gps.Left, Distance: 5},
-			nil,
-		},
-	}); err == nil {
-		t.Error("out-of-range spoof target accepted")
-	}
-
-	// Mixed shapes: same seed field allowed to differ, nothing else.
-	odd, err := sim.NewMission(sim.DefaultMissionConfig(7, 41))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.NewBatchStepper([]*sim.Mission{missions[0], odd},
-		sim.BatchOptions{Controller: ctrl}); err == nil {
-		t.Error("mixed swarm sizes accepted")
+		requireSamePaths(t, fmt.Sprintf("mission %d budget", i), m, ctrl, sim.RunOptions{StepBudget: 10})
 	}
 }
