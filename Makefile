@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race batch-equiv check metrics-lint serve-smoke chaos-smoke atlas-smoke fabric-smoke cellbench-smoke bench bench-compare
+.PHONY: build vet test race batch-equiv check metrics-lint fuzz-smoke serve-smoke chaos-smoke atlas-smoke fabric-smoke cellbench-smoke bench bench-compare
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,14 @@ batch-equiv:
 # plus the multi-process fabric smoke, plus the campaign-cell
 # benchmark's output check against its stored references.
 check: build vet metrics-lint batch-equiv race fabric-smoke cellbench-smoke
+
+# fuzz-smoke runs the native Go fuzz targets for inputs that can come
+# from a torn disk briefly: the flight-log reader must never panic and
+# must accept every prefix of a log it accepts. Minimization is capped
+# per input so the short budget goes to fuzzing, not to shrinking the
+# multi-kilobyte seed logs.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFlight$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/flightlog/
 
 # serve-smoke boots a real swarmfuzzd on an ephemeral port, submits a
 # tiny fuzz job through the CLI client, and asserts it finishes with a

@@ -21,7 +21,7 @@ func publish(n int, tick float64) []State {
 
 func TestPerfectBusDeliversAllOthers(t *testing.T) {
 	b := NewPerfectBus()
-	obs := b.Exchange(publish(4, 0))
+	obs := b.ExchangeInto(publish(4, 0))
 	if len(obs) != 4 {
 		t.Fatalf("got %d receivers, want 4", len(obs))
 	}
@@ -39,8 +39,8 @@ func TestPerfectBusDeliversAllOthers(t *testing.T) {
 
 func TestPerfectBusFreshStates(t *testing.T) {
 	b := NewPerfectBus()
-	b.Exchange(publish(3, 0))
-	obs := b.Exchange(publish(3, 1))
+	b.ExchangeInto(publish(3, 0))
+	obs := b.ExchangeInto(publish(3, 1))
 	for i, o := range obs {
 		for _, s := range o {
 			if s.Time != 1 {
@@ -52,173 +52,8 @@ func TestPerfectBusFreshStates(t *testing.T) {
 
 func TestPerfectBusSingleDrone(t *testing.T) {
 	b := NewPerfectBus()
-	obs := b.Exchange(publish(1, 0))
+	obs := b.ExchangeInto(publish(1, 0))
 	if len(obs) != 1 || len(obs[0]) != 0 {
 		t.Errorf("single drone should observe nothing, got %v", obs)
-	}
-}
-
-func TestLossyBusValidation(t *testing.T) {
-	if _, err := NewLossyBus(-0.1, 1); err == nil {
-		t.Error("negative drop probability accepted")
-	}
-	if _, err := NewLossyBus(1.1, 1); err == nil {
-		t.Error("drop probability > 1 accepted")
-	}
-	if _, err := NewLossyBus(0.5, 1); err != nil {
-		t.Errorf("valid drop probability rejected: %v", err)
-	}
-}
-
-func TestLossyBusZeroDropActsPerfect(t *testing.T) {
-	b, err := NewLossyBus(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := b.Exchange(publish(3, 0))
-	for i, o := range obs {
-		if len(o) != 2 {
-			t.Errorf("receiver %d observed %d states, want 2", i, len(o))
-		}
-	}
-}
-
-func TestLossyBusFullDropDeliversNothing(t *testing.T) {
-	b, err := NewLossyBus(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tick := 0; tick < 5; tick++ {
-		obs := b.Exchange(publish(3, float64(tick)))
-		for i, o := range obs {
-			if len(o) != 0 {
-				t.Errorf("tick %d receiver %d observed %d states, want 0", tick, i, len(o))
-			}
-		}
-	}
-}
-
-func TestLossyBusStaleStateRetention(t *testing.T) {
-	// With a high drop rate, late observations should still carry the
-	// last successfully delivered state, never a hallucinated one.
-	b, err := NewLossyBus(0.7, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[float64]bool{}
-	for tick := 0; tick < 200; tick++ {
-		obs := b.Exchange(publish(2, float64(tick)))
-		for _, o := range obs {
-			for _, s := range o {
-				seen[s.Time] = true
-				if s.Time > float64(tick) {
-					t.Fatalf("state from the future: t=%v at tick %d", s.Time, tick)
-				}
-			}
-		}
-	}
-	if len(seen) == 0 {
-		t.Fatal("0.7 drop rate delivered nothing in 200 ticks")
-	}
-}
-
-func TestLossyBusDeterminism(t *testing.T) {
-	run := func() [][]State {
-		b, err := NewLossyBus(0.5, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var last [][]State
-		for tick := 0; tick < 20; tick++ {
-			last = b.Exchange(publish(4, float64(tick)))
-		}
-		return last
-	}
-	a, c := run(), run()
-	for i := range a {
-		if len(a[i]) != len(c[i]) {
-			t.Fatalf("non-deterministic lossy bus at receiver %d", i)
-		}
-		for j := range a[i] {
-			if a[i][j] != c[i][j] {
-				t.Fatalf("non-deterministic state at receiver %d slot %d", i, j)
-			}
-		}
-	}
-}
-
-func TestDelayedBusValidation(t *testing.T) {
-	if _, err := NewDelayedBus(-1); err == nil {
-		t.Error("negative delay accepted")
-	}
-}
-
-func TestDelayedBusZeroDelay(t *testing.T) {
-	b, err := NewDelayedBus(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Exchange(publish(3, 0))
-	obs := b.Exchange(publish(3, 1))
-	for _, o := range obs {
-		for _, s := range o {
-			if s.Time != 1 {
-				t.Errorf("zero-delay bus delivered stale state t=%v", s.Time)
-			}
-		}
-	}
-}
-
-func TestDelayedBusDelay(t *testing.T) {
-	b, err := NewDelayedBus(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tick := 0; tick < 10; tick++ {
-		obs := b.Exchange(publish(3, float64(tick)))
-		wantTime := float64(tick - 2)
-		if wantTime < 0 {
-			wantTime = 0
-		}
-		for i, o := range obs {
-			if len(o) != 2 {
-				t.Fatalf("tick %d receiver %d observed %d states", tick, i, len(o))
-			}
-			for _, s := range o {
-				if s.Time != wantTime {
-					t.Errorf("tick %d: observed t=%v, want %v", tick, s.Time, wantTime)
-				}
-			}
-		}
-	}
-}
-
-func TestDelayedBusNoSelfDelivery(t *testing.T) {
-	b, err := NewDelayedBus(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tick := 0; tick < 5; tick++ {
-		obs := b.Exchange(publish(4, float64(tick)))
-		for i, o := range obs {
-			for _, s := range o {
-				if s.ID == i {
-					t.Fatalf("receiver %d observed itself at tick %d", i, tick)
-				}
-			}
-		}
-	}
-}
-
-func TestDelayedBusHistoryTrimming(t *testing.T) {
-	b, err := NewDelayedBus(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tick := 0; tick < 1000; tick++ {
-		b.Exchange(publish(2, float64(tick)))
-	}
-	if len(b.ring) > 4 {
-		t.Errorf("history grew unbounded: %d snapshots retained", len(b.ring))
 	}
 }

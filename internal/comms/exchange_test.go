@@ -34,16 +34,6 @@ func randomPublishes(src *rng.Source, ticks, maxN, idOffset int) [][]State {
 	return seq
 }
 
-// deepCopyRows snapshots arena-backed rows so they survive the next
-// exchange.
-func deepCopyRows(rows [][]State) [][]State {
-	out := make([][]State, len(rows))
-	for i, r := range rows {
-		out[i] = append([]State(nil), r...)
-	}
-	return out
-}
-
 func diffRows(t *testing.T, tick int, want, got [][]State) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -61,58 +51,36 @@ func diffRows(t *testing.T, tick int, want, got [][]State) {
 	}
 }
 
-// TestExchangeIntoMatchesExchange drives two identically-constructed
-// buses through the same random publish sequence — one via the legacy
-// Exchange, one via the arena-backed ExchangeInto — and requires
-// element-wise identical observations at every tick, for every bus
-// type, under crashed and non-contiguous IDs.
-func TestExchangeIntoMatchesExchange(t *testing.T) {
-	mkBuses := []struct {
-		name string
-		mk   func() Bus
-	}{
-		{"perfect", func() Bus { return NewPerfectBus() }},
-		{"lossy", func() Bus {
-			b, err := NewLossyBus(0.3, 42)
-			if err != nil {
-				t.Fatal(err)
+// legacyExchange is the original filter-one-state-at-a-time
+// PerfectBus exchange: every receiver observes every other publisher,
+// in publish order, in freshly allocated rows.
+func legacyExchange(published []State) [][]State {
+	out := make([][]State, len(published))
+	for i, self := range published {
+		obs := make([]State, 0, len(published))
+		for _, s := range published {
+			if s.ID != self.ID {
+				obs = append(obs, s)
 			}
-			return b
-		}},
-		{"delayed", func() Bus {
-			b, err := NewDelayedBus(3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}},
-		{"range", func() Bus {
-			b, err := NewRangeBus(8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}},
-	}
-	for _, tc := range mkBuses {
-		for _, idOffset := range []int{0, 7} {
-			t.Run(fmt.Sprintf("%s/offset%d", tc.name, idOffset), func(t *testing.T) {
-				legacy, buffered := tc.mk(), tc.mk()
-				seq := randomPublishes(rng.Derive(99, tc.name), 40, 9, idOffset)
-				for tick, pub := range seq {
-					want := legacy.Exchange(pub)
-					got := buffered.ExchangeInto(pub)
-					diffRows(t, tick, want, got)
-					// The legacy wrapper must hand out caller-owned
-					// slices: mutating them must not corrupt the bus.
-					for i := range want {
-						for j := range want[i] {
-							want[i][j].Position = vec.New(1e9, 1e9, 1e9)
-						}
-					}
-				}
-			})
 		}
+		out[i] = obs
+	}
+	return out
+}
+
+// TestExchangeIntoMatchesExchange drives the arena-backed
+// PerfectBus.ExchangeInto through a random publish sequence and
+// requires element-wise the legacy exchange's observations at every
+// tick, under crashed and non-contiguous IDs.
+func TestExchangeIntoMatchesExchange(t *testing.T) {
+	for _, idOffset := range []int{0, 7} {
+		t.Run(fmt.Sprintf("perfect/offset%d", idOffset), func(t *testing.T) {
+			bus := NewPerfectBus()
+			seq := randomPublishes(rng.Derive(99, "perfect"), 40, 9, idOffset)
+			for tick, pub := range seq {
+				diffRows(t, tick, legacyExchange(pub), bus.ExchangeInto(pub))
+			}
+		})
 	}
 }
 
@@ -131,154 +99,47 @@ func TestExchangeIntoRowsAreCapped(t *testing.T) {
 	}
 }
 
-// --- reference implementations ---------------------------------------
-//
-// referenceLossy and referenceDelayed are verbatim ports of the
-// original map/append-based Exchange implementations. They pin the
-// observable behaviour: the optimised buses must reproduce their
-// output bit-for-bit, including the LossyBus RNG draw order.
-
-type referenceLossy struct {
-	dropProb float64
-	src      *rng.Source
-	last     map[int]map[int]State
-}
-
-func newReferenceLossy(dropProb float64, seed uint64) *referenceLossy {
-	return &referenceLossy{dropProb: dropProb, src: rng.Derive(seed, "comms/lossy")}
-}
-
-func (b *referenceLossy) Exchange(published []State) [][]State {
-	if b.last == nil {
-		b.last = make(map[int]map[int]State)
-	}
-	n := len(published)
-	out := make([][]State, n)
-	for i := 0; i < n; i++ {
-		ri := published[i].ID
-		hist := b.last[ri]
-		if hist == nil {
-			hist = make(map[int]State, n-1)
-			b.last[ri] = hist
-		}
-		obs := make([]State, 0, n-1)
-		for j := 0; j < n; j++ {
-			sid := published[j].ID
-			if sid == ri {
-				continue
-			}
-			if !b.src.Bool(b.dropProb) {
-				hist[sid] = published[j]
-			}
-			if s, ok := hist[sid]; ok {
-				obs = append(obs, s)
-			}
-		}
-		out[i] = obs
-	}
-	return out
-}
-
-type referenceDelayed struct {
-	delay   int
-	history [][]State
-}
-
-func (b *referenceDelayed) Exchange(published []State) [][]State {
-	snapshot := make([]State, len(published))
-	copy(snapshot, published)
-	b.history = append(b.history, snapshot)
-	idx := len(b.history) - 1 - b.delay
-	if idx < 0 {
-		idx = 0
-	}
-	if drop := len(b.history) - 1 - b.delay; drop > 0 {
-		b.history = b.history[drop:]
-		idx -= drop
-		if idx < 0 {
-			idx = 0
-		}
-	}
-	src := b.history[idx]
-	n := len(published)
-	out := make([][]State, n)
-	for i := 0; i < n; i++ {
-		ri := published[i].ID
-		obs := make([]State, 0, n-1)
-		for j := 0; j < len(src); j++ {
-			if src[j].ID != ri {
-				obs = append(obs, src[j])
-			}
-		}
-		out[i] = obs
-	}
-	return out
-}
-
-// TestLossyBusMatchesReference pins the optimised dense-table LossyBus
-// to the original map-based implementation, RNG draw order included.
-func TestLossyBusMatchesReference(t *testing.T) {
-	for _, drop := range []float64{0, 0.2, 0.7, 1} {
-		t.Run(fmt.Sprintf("drop%g", drop), func(t *testing.T) {
-			ref := newReferenceLossy(drop, 7)
-			bus, err := NewLossyBus(drop, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq := randomPublishes(rng.Derive(5, "lossy-ref"), 60, 8, 3)
-			for tick, pub := range seq {
-				want := ref.Exchange(pub)
-				got := deepCopyRows(bus.ExchangeInto(pub))
-				diffRows(t, tick, want, got)
-			}
-		})
-	}
-}
-
-// TestDelayedBusMatchesReference pins the ring-buffer DelayedBus to the
-// original append-and-trim history implementation.
-func TestDelayedBusMatchesReference(t *testing.T) {
-	for _, delay := range []int{0, 1, 4} {
-		t.Run(fmt.Sprintf("delay%d", delay), func(t *testing.T) {
-			ref := &referenceDelayed{delay: delay}
-			bus, err := NewDelayedBus(delay)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq := randomPublishes(rng.Derive(11, "delayed-ref"), 60, 8, 0)
-			for tick, pub := range seq {
-				want := ref.Exchange(pub)
-				got := deepCopyRows(bus.ExchangeInto(pub))
-				diffRows(t, tick, want, got)
-			}
-		})
-	}
-}
-
 // TestExchangeIntoSteadyStateAllocs verifies the hot path allocates
 // nothing once the arena is warm.
 func TestExchangeIntoSteadyStateAllocs(t *testing.T) {
 	pub := publish(10, 0)
-	buses := map[string]Bus{"perfect": NewPerfectBus()}
-	if b, err := NewDelayedBus(2); err == nil {
-		buses["delayed"] = b
+	bus := NewPerfectBus()
+	// Warm the arena.
+	for i := 0; i < 3; i++ {
+		bus.ExchangeInto(pub)
 	}
-	if b, err := NewRangeBus(100); err == nil {
-		buses["range"] = b
+	allocs := testing.AllocsPerRun(50, func() {
+		bus.ExchangeInto(pub)
+	})
+	if allocs != 0 {
+		t.Errorf("ExchangeInto allocates %v objects/op in steady state, want 0", allocs)
 	}
-	if b, err := NewLossyBus(0.5, 1); err == nil {
-		buses["lossy"] = b
-	}
-	for name, bus := range buses {
-		// Warm the arena (and, for lossy, the last-heard table).
-		for i := 0; i < 3; i++ {
-			bus.ExchangeInto(pub)
+}
+
+// TestBroadcastNeighborsMatchPerfectBus pins Broadcast.Neighbors to the
+// PerfectBus rows of the same tick: publishing every active column
+// entry in index order and exchanging gives receiver i exactly
+// Neighbors(i), which is what lets a flight log rebuild the rows its
+// terms need from the columns.
+func TestBroadcastNeighborsMatchPerfectBus(t *testing.T) {
+	src := rng.Derive(3, "neighbors")
+	bus := NewPerfectBus()
+	var row []State
+	for tick := 0; tick < 30; tick++ {
+		n := 1 + src.Intn(9)
+		bc := Broadcast{Pos: make([]vec.Vec3, n), Vel: make([]vec.Vec3, n), Active: make([]bool, n), Time: float64(tick)}
+		var pub []State
+		for j := 0; j < n; j++ {
+			bc.Pos[j] = vec.New(src.Uniform(-10, 10), src.Uniform(-10, 10), src.Uniform(0, 5))
+			bc.Vel[j] = vec.New(src.Uniform(-2, 2), src.Uniform(-2, 2), 0)
+			if bc.Active[j] = src.Uniform(0, 1) >= 0.25; bc.Active[j] {
+				pub = append(pub, bc.State(j))
+			}
 		}
-		allocs := testing.AllocsPerRun(50, func() {
-			bus.ExchangeInto(pub)
-		})
-		if allocs != 0 {
-			t.Errorf("%s: ExchangeInto allocates %v objects/op in steady state, want 0", name, allocs)
+		rows := bus.ExchangeInto(pub)
+		for k, self := range pub {
+			row = bc.Neighbors(self.ID, row)
+			diffRows(t, tick, [][]State{rows[k]}, [][]State{row})
 		}
 	}
 }

@@ -223,6 +223,8 @@ type runRecorder struct {
 	label string
 	m     *sim.Mission
 	spoof *gps.SpoofPlan
+	// nbrs is the reused neighbour row handed to the TermSource.
+	nbrs []comms.State
 }
 
 var _ sim.FlightRecorder = (*runRecorder)(nil)
@@ -256,7 +258,6 @@ func (r *runRecorder) RecordStep(s sim.FlightStep) {
 	n := len(s.Bodies)
 	rec.Drones = make([]DroneState, n)
 	minSep, minClear := math.Inf(1), math.Inf(1)
-	obsIdx := 0
 	for i := 0; i < n; i++ {
 		d := DroneState{
 			ID:  i,
@@ -282,16 +283,16 @@ func (r *runRecorder) RecordStep(s sim.FlightStep) {
 				minSep = dist
 			}
 		}
-		if r.log.terms != nil && obsIdx < len(s.Observations) {
+		if r.log.terms != nil {
+			r.nbrs = s.Broadcast.Neighbors(i, r.nbrs)
 			t := r.log.terms.Terms(sim.Perception{
 				ID:       i,
 				GPS:      s.Readings[i],
 				Velocity: s.Bodies[i].Vel,
 				Time:     s.Time,
-			}, s.Observations[obsIdx], &r.m.World)
+			}, r.nbrs, &r.m.World)
 			d.Terms = newTermsRecord(t)
 		}
-		obsIdx++
 		rec.Drones[i] = d
 	}
 	rec.MinSep = finiteOr(minSep, -1)

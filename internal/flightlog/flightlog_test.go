@@ -355,9 +355,17 @@ func TestReadFlightSkipsUnknownTypes(t *testing.T) {
 	}
 }
 
+// TestReadFlightReportsLineNumbers keeps corruption fatal and located:
+// a malformed line that ends in a newline, or one followed by more
+// lines, is not a torn write.
 func TestReadFlightReportsLineNumbers(t *testing.T) {
-	in := strings.NewReader(`{"type":"mission"}` + "\n" + `{broken` + "\n")
-	if _, err := ReadFlight(in); err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("err = %v, want a line-2 parse error", err)
+	for _, in := range []string{
+		`{"type":"mission"}` + "\n" + `{broken` + "\n",
+		`{"type":"mission"}` + "\n" + `{broken` + "\n" + `{"type":"note","key":"k","value":"v"}`,
+		`{"type":"mission"}` + "\n" + `{"type":"step","run":"clean","step":"x"}` + "\n",
+	} {
+		if _, err := ReadFlight(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("%q: err = %v, want a line-2 parse error", in, err)
+		}
 	}
 }

@@ -57,11 +57,24 @@ const maxLine = 8 << 20
 // ReadFlight parses a JSONL flight log. Step and event records attach
 // to the most recently opened run with their label, so repeated labels
 // (which the writers avoid) resolve to distinct runs in log order.
+//
+// A final line without a trailing newline that does not parse is the
+// torn tail of a write cut short, as a crash mid-record leaves it: it
+// is dropped, and the runs it would have extended stay open (End nil).
+// A malformed line anywhere else is corruption and fails the read.
 func ReadFlight(r io.Reader) (*Flight, error) {
 	f := &Flight{}
 	open := map[string]*FlightRun{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), maxLine)
+	// torn reports whether the line just scanned ended at EOF without
+	// its newline.
+	torn := false
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		torn = tok != nil && data[adv-1] != '\n'
+		return adv, tok, err
+	})
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -73,6 +86,9 @@ func ReadFlight(r io.Reader) (*Flight, error) {
 			Type string `json:"type"`
 		}
 		if err := json.Unmarshal(line, &probe); err != nil {
+			if torn {
+				break
+			}
 			return nil, fmt.Errorf("flightlog: line %d: %w", lineNo, err)
 		}
 		var err error
@@ -139,7 +155,7 @@ func ReadFlight(r io.Reader) (*Flight, error) {
 			// Unknown record types are skipped: newer logs stay readable
 			// by older tooling.
 		}
-		if err != nil {
+		if err != nil && !torn {
 			return nil, fmt.Errorf("flightlog: line %d (%s): %w", lineNo, probe.Type, err)
 		}
 	}

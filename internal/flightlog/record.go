@@ -13,9 +13,6 @@ import (
 // noise; fixed rounding keeps records short and byte-stable.
 type Vec [3]float64
 
-// AsVec3 converts back to the vector type used by the simulator.
-func (v Vec) AsVec3() vec.Vec3 { return vec.New(v[0], v[1], v[2]) }
-
 // r6 rounds to 1e-6, the log's scalar resolution.
 func r6(x float64) float64 { return math.Round(x*1e6) / 1e6 }
 

@@ -78,12 +78,6 @@ func NewSensor(biasMag, noiseStd float64, src *rng.Source) *Sensor {
 	return &Sensor{bias: bias, noiseStd: noiseStd, src: src}
 }
 
-// NewIdealSensor returns a noiseless, bias-free sensor. Useful for
-// deterministic unit tests and for isolating the spoofing effect.
-func NewIdealSensor() *Sensor {
-	return &Sensor{src: rng.New(0)}
-}
-
 // Draws returns the position of the sensor's noise stream: the
 // generator steps drawn so far, the bias direction included.
 func (s *Sensor) Draws() uint64 { return s.src.Draws() }

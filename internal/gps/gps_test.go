@@ -28,7 +28,7 @@ func TestDirectionValid(t *testing.T) {
 }
 
 func TestIdealSensorPassThrough(t *testing.T) {
-	s := NewIdealSensor()
+	s := NewSensor(0, 0, rng.New(0))
 	truth := vec.New(10, 20, 30)
 	r := s.Read(truth, 1.5)
 	if r.Position != truth {

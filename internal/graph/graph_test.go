@@ -58,9 +58,6 @@ func TestEdgeAccessors(t *testing.T) {
 	if g.NumEdges() != 3 {
 		t.Errorf("NumEdges = %d, want 3", g.NumEdges())
 	}
-	if g.OutDegree(0) != 2 || g.InDegree(1) != 2 || g.OutDegree(3) != 0 {
-		t.Error("degree accounting wrong")
-	}
 }
 
 func TestSetEdgeOverwrite(t *testing.T) {

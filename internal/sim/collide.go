@@ -16,10 +16,9 @@ import "swarmfuzz/internal/spatial"
 // droneCollider picks between the brute-force scan (small swarms,
 // where the grid's bookkeeping costs more than it saves) and a spatial
 // hash over 2D cells of side = threshold (large swarms, where it turns
-// the scan into O(n) expected work). The cell hash is the shared
-// spatial.Grid, which the comms range bus reuses for its range
-// queries. All storage is reused across calls so a steady-state
-// collision pass allocates nothing.
+// the scan into O(n) expected work) on spatial.Grid. All storage is
+// reused across calls so a steady-state collision pass allocates
+// nothing.
 
 // collideGridMin is the swarm size at which the spatial hash becomes
 // worth its bookkeeping; below it the brute-force scan is faster.

@@ -7,10 +7,10 @@ import (
 )
 
 // FlightStep is the complete state of one sampled control step, as
-// handed to a FlightRecorder: everything the drones sensed, decided and
-// truly were at mission time Time. It is captured after the
-// sense→exchange→decide phases and before actuation, so Commands are
-// exactly what the controllers derived from Readings and Observations.
+// handed to a FlightRecorder: everything the drones sensed, broadcast,
+// decided and truly were at mission time Time. It is captured after
+// the sense→broadcast→decide phases and before actuation, so Commands
+// are exactly what the controllers derived from Readings and Broadcast.
 //
 // The slices alias the simulator's internal buffers and are valid only
 // for the duration of the RecordStep call; recorders must copy what
@@ -29,10 +29,10 @@ type FlightStep struct {
 	// Commands holds the velocity command each drone's controller
 	// issued this step; zero for crashed drones.
 	Commands []vec.Vec3
-	// Observations holds, per active (non-crashed) drone in ascending
-	// ID order, the neighbour states received over the bus this tick —
-	// the exact inputs the controllers saw.
-	Observations [][]comms.State
+	// Broadcast holds the states the active drones exchanged this
+	// tick. Receiver i's neighbour row — the exact input its
+	// controller saw — is Broadcast.Neighbors(i, ...).
+	Broadcast *comms.Broadcast
 }
 
 // FlightRecorder is the mission-layer "black box": an observer that
@@ -61,15 +61,3 @@ type FlightRecorder interface {
 	// (divergence, exhausted step budget) otherwise.
 	EndFlight(res *Result, err error)
 }
-
-// NopFlight is a FlightRecorder that discards everything. It exists for
-// callers that want to thread a never-nil recorder; sim.Run itself
-// accepts nil.
-var NopFlight FlightRecorder = nopFlight{}
-
-type nopFlight struct{}
-
-func (nopFlight) BeginFlight(*Mission, *gps.SpoofPlan) {}
-func (nopFlight) RecordStep(FlightStep)                {}
-func (nopFlight) RecordCollision(Collision)            {}
-func (nopFlight) EndFlight(*Result, error)             {}

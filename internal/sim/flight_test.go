@@ -1,79 +1,85 @@
-package sim
+package sim_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"swarmfuzz/internal/comms"
+	"swarmfuzz/internal/flock"
 	"swarmfuzz/internal/gps"
 	"swarmfuzz/internal/robust"
+	"swarmfuzz/internal/sim"
 	"swarmfuzz/internal/vec"
 )
 
-// captureRecorder snapshots what the runner hands a FlightRecorder,
+// captureRecorder snapshots what the runner hands a sim.FlightRecorder,
 // copying everything during the call as the contract requires.
 type captureRecorder struct {
 	begins     int
-	mission    *Mission
+	mission    *sim.Mission
 	steps      []capturedStep
-	collisions []Collision
+	collisions []sim.Collision
 	ends       int
-	endRes     *Result
+	endRes     *sim.Result
 	endErr     error
 }
 
 type capturedStep struct {
 	step     int
 	time     float64
-	bodies   []Body
+	bodies   []sim.Body
 	readings []vec.Vec3
 	commands []vec.Vec3
-	obs      [][]comms.State
+	bc       comms.Broadcast
 }
 
-var _ FlightRecorder = (*captureRecorder)(nil)
+var _ sim.FlightRecorder = (*captureRecorder)(nil)
 
-func (r *captureRecorder) BeginFlight(m *Mission, _ *gps.SpoofPlan) {
+func (r *captureRecorder) BeginFlight(m *sim.Mission, _ *gps.SpoofPlan) {
 	r.begins++
 	r.mission = m
 }
 
-func (r *captureRecorder) RecordStep(s FlightStep) {
+func (r *captureRecorder) RecordStep(s sim.FlightStep) {
 	cs := capturedStep{
 		step:     s.Step,
 		time:     s.Time,
-		bodies:   append([]Body(nil), s.Bodies...),
+		bodies:   append([]sim.Body(nil), s.Bodies...),
 		commands: append([]vec.Vec3(nil), s.Commands...),
 	}
 	for _, rd := range s.Readings {
 		cs.readings = append(cs.readings, rd.Position)
 	}
-	for _, o := range s.Observations {
-		cs.obs = append(cs.obs, append([]comms.State(nil), o...))
+	cs.bc = comms.Broadcast{
+		Pos:    append([]vec.Vec3(nil), s.Broadcast.Pos...),
+		Vel:    append([]vec.Vec3(nil), s.Broadcast.Vel...),
+		Active: append([]bool(nil), s.Broadcast.Active...),
+		Time:   s.Broadcast.Time,
 	}
 	r.steps = append(r.steps, cs)
 }
 
-func (r *captureRecorder) RecordCollision(c Collision) {
+func (r *captureRecorder) RecordCollision(c sim.Collision) {
 	r.collisions = append(r.collisions, c)
 }
 
-func (r *captureRecorder) EndFlight(res *Result, err error) {
+func (r *captureRecorder) EndFlight(res *sim.Result, err error) {
 	r.ends++
 	r.endRes = res
 	r.endErr = err
 }
 
 func TestFlightRecorderLifecycle(t *testing.T) {
-	cfg := smallConfig(3, 2)
+	cfg := sim.SmallConfig(3, 2)
 	cfg.ObstacleLateralJitter = 0
-	m, err := NewMission(cfg)
+	m, err := sim.NewMission(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.World.Obstacles[0].Center = vec.New(500, 500, 0)
 	rec := &captureRecorder{}
-	res, err := Run(m, RunOptions{Controller: straightController{2}, Flight: rec})
+	res, err := sim.Run(m, sim.RunOptions{Controller: sim.Straight(2), Flight: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,50 +103,64 @@ func TestFlightRecorderLifecycle(t *testing.T) {
 }
 
 // TestFlightRecorderStepConsistency pins the placement contract: at the
-// instant RecordStep fires, re-running the controller on the recorded
-// readings reproduces the recorded commands exactly. This is what lets
-// the flight log decompose every issued command after the fact.
+// instant RecordStep fires, re-running the controller's per-drone
+// Command on the recorded readings and the neighbour rows rebuilt from
+// the recorded broadcast reproduces the recorded commands bit for bit.
+// This is what lets the flight log decompose every issued command after
+// the fact. The flocking controller's flight-recorded runs take the
+// batch kernel, so its case also holds the kernel to the per-drone
+// oracle; the straight-line controller covers the row path.
 func TestFlightRecorderStepConsistency(t *testing.T) {
-	cfg := smallConfig(3, 5)
-	m, err := NewMission(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		n    int
+		ctrl sim.Controller
+	}{
+		{"row path", 3, sim.Straight(2)},
+		{"batch path", 5, flock.MustNew(flock.DefaultParams())},
 	}
-	ctrl := straightController{2}
-	rec := &captureRecorder{}
-	if _, err := Run(m, RunOptions{Controller: ctrl, Flight: rec}); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range rec.steps {
-		obsIdx := 0
-		for i := range s.bodies {
-			if s.bodies[i].Crashed {
-				continue
-			}
-			var nbs []comms.State
-			if obsIdx < len(s.obs) {
-				nbs = s.obs[obsIdx]
-			}
-			obsIdx++
-			p := Perception{ID: i, Velocity: s.bodies[i].Vel, Time: s.time}
-			p.GPS.Position = s.readings[i]
-			want := ctrl.Command(p, nbs, &m.World)
-			if got := s.commands[i]; got != want {
-				t.Fatalf("step %d drone %d: recorded command %v, recomputed %v", s.step, i, got, want)
+	for _, tc := range cases {
+		m, err := sim.NewMission(sim.SmallConfig(tc.n, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &captureRecorder{}
+		if _, err := sim.Run(m, sim.RunOptions{Controller: tc.ctrl, Flight: rec}); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.steps) == 0 {
+			t.Fatalf("%s: no steps recorded", tc.name)
+		}
+		var nbs []comms.State
+		for _, s := range rec.steps {
+			for i := range s.bodies {
+				if s.bodies[i].Crashed {
+					continue
+				}
+				if s.bc.Time != s.time || !s.bc.Active[i] || s.bc.Pos[i] != s.readings[i] || s.bc.Vel[i] != s.bodies[i].Vel {
+					t.Fatalf("%s: step %d drone %d: broadcast disagrees with the recorded state", tc.name, s.step, i)
+				}
+				nbs = s.bc.Neighbors(i, nbs)
+				p := sim.Perception{ID: i, Velocity: s.bodies[i].Vel, Time: s.time}
+				p.GPS.Position = s.readings[i]
+				want := tc.ctrl.Command(p, nbs, &m.World)
+				if got := s.commands[i]; !sameBits(reflect.ValueOf(got), reflect.ValueOf(want)) {
+					t.Fatalf("%s: step %d drone %d: recorded command %#v, recomputed %#v", tc.name, s.step, i, got, want)
+				}
 			}
 		}
 	}
 }
 
 func TestFlightRecorderSeesCollisions(t *testing.T) {
-	cfg := smallConfig(2, 3)
-	m, err := NewMission(cfg)
+	cfg := sim.SmallConfig(2, 3)
+	m, err := sim.NewMission(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.World.Obstacles[0].Center = m.Start[0].Add(vec.New(0, 20, 0))
 	rec := &captureRecorder{}
-	res, err := Run(m, RunOptions{Controller: straightController{2}, Flight: rec})
+	res, err := sim.Run(m, sim.RunOptions{Controller: sim.Straight(2), Flight: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +175,12 @@ func TestFlightRecorderSeesCollisions(t *testing.T) {
 }
 
 func TestFlightRecorderEndOnError(t *testing.T) {
-	m, err := NewMission(smallConfig(2, 1))
+	m, err := sim.NewMission(sim.SmallConfig(2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := &captureRecorder{}
-	_, err = Run(m, RunOptions{Controller: nanController{after: 1}, Flight: rec})
+	_, err = sim.Run(m, sim.RunOptions{Controller: sim.NaNAfter(1), Flight: rec})
 	if !errors.Is(err, robust.ErrDiverged) {
 		t.Fatalf("err = %v, want robust.ErrDiverged", err)
 	}
@@ -173,17 +193,17 @@ func TestFlightRecorderEndOnError(t *testing.T) {
 }
 
 func TestFlightRecorderDoesNotPerturbRun(t *testing.T) {
-	cfg := DefaultMissionConfig(4, 11)
+	cfg := sim.DefaultMissionConfig(4, 11)
 	cfg.MaxTime = 30
-	m, err := NewMission(cfg)
+	m, err := sim.NewMission(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := Run(m, RunOptions{Controller: straightController{2}})
+	bare, err := sim.Run(m, sim.RunOptions{Controller: sim.Straight(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recorded, err := Run(m, RunOptions{Controller: straightController{2}, Flight: &captureRecorder{}})
+	recorded, err := sim.Run(m, sim.RunOptions{Controller: sim.Straight(2), Flight: &captureRecorder{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,10 +225,6 @@ func TestPrefixValidation(t *testing.T) {
 		return res.Trajectory
 	}
 	clean := record(sim.RunOptions{})
-	lossy, err := comms.NewLossyBus(0.1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	plan := &gps.SpoofPlan{Target: 0, Start: 20, Duration: 5, Direction: gps.Right, Distance: 10}
 	cases := []struct {
 		name string
@@ -242,8 +238,6 @@ func TestPrefixValidation(t *testing.T) {
 		{"other mission", other, sim.RunOptions{}, "different mission"},
 		{"hand-built trajectory", m, sim.RunOptions{Prefix: &sim.Trajectory{}}, "no fork points"},
 		{"spoofed recording", m, sim.RunOptions{Prefix: record(sim.RunOptions{Spoof: plan})}, "no fork points"},
-		{"lossy recording", m, sim.RunOptions{Prefix: record(sim.RunOptions{Bus: lossy})}, "no fork points"},
-		{"lossy bus", m, sim.RunOptions{Bus: lossy}, "Bus must be nil"},
 	}
 	for _, tc := range cases {
 		reg := telemetry.NewRegistry()

@@ -7,7 +7,6 @@ import (
 	"math"
 	"testing"
 
-	"swarmfuzz/internal/comms"
 	"swarmfuzz/internal/flock"
 	"swarmfuzz/internal/gps"
 	"swarmfuzz/internal/sim"
@@ -87,49 +86,6 @@ func TestFlockKeepsSeparation(t *testing.T) {
 	// threshold (2 × 0.25 m).
 	if minPair < 1.0 {
 		t.Errorf("minimum pairwise distance %.2fm dangerously small", minPair)
-	}
-}
-
-func TestFlockUnderLossyComms(t *testing.T) {
-	// The flock must still complete its mission with 30% packet loss —
-	// receivers act on the last heard state.
-	ctrl := flockController(t)
-	m, err := sim.NewMission(sim.DefaultMissionConfig(5, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus, err := comms.NewLossyBus(0.3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(m, sim.RunOptions{Controller: ctrl, Bus: bus})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Errorf("mission with lossy comms did not complete (%.1fs)", res.Duration)
-	}
-	if len(res.ObstacleCollisions()) > 0 {
-		t.Errorf("lossy comms caused obstacle collisions: %v", res.Collisions)
-	}
-}
-
-func TestFlockUnderDelayedComms(t *testing.T) {
-	ctrl := flockController(t)
-	m, err := sim.NewMission(sim.DefaultMissionConfig(5, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus, err := comms.NewDelayedBus(10) // 0.5 s of latency at dt=0.05
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(m, sim.RunOptions{Controller: ctrl, Bus: bus})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Errorf("mission with delayed comms did not complete (%.1fs)", res.Duration)
 	}
 }
 

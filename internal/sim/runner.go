@@ -125,8 +125,8 @@ type Trajectory struct {
 	// distance of active drones.
 	MeanInterDist []float64
 
-	// forks holds the resumable state of a clean run over a memoryless
-	// bus (see RunOptions.Prefix); nil for any other recording.
+	// forks holds the resumable state of an unspoofed run (see
+	// RunOptions.Prefix); nil for a spoofed recording.
 	forks *forkPoints
 }
 
@@ -244,9 +244,9 @@ type RunOptions struct {
 	// its wall-time histogram sample; nil disables recording.
 	Telemetry telemetry.Recorder
 	// Flight, when non-nil, receives the run's black-box recording: the
-	// full sensed/decided/true state of every sample step plus
-	// collision events and the final result. Nil (the default) records
-	// nothing and costs one nil check per step on the hot path.
+	// full sensed/broadcast/decided/true state of every sample step
+	// plus collision events and the final result. Nil (the default)
+	// records nothing and costs one nil check per step on the hot path.
 	Flight FlightRecorder
 	// Prefix, when non-nil, is the recorded trajectory of a clean run
 	// of the same mission with the same controller. The run resumes
@@ -274,7 +274,7 @@ func validatePrefix(m *Mission, opts RunOptions) error {
 	case opts.RecordTrajectory:
 		return errors.New("sim: Prefix runs cannot record a trajectory")
 	case p.forks == nil:
-		return errors.New("sim: Prefix trajectory carries no fork points (record it from a clean run over a memoryless bus)")
+		return errors.New("sim: Prefix trajectory carries no fork points (record it from an unspoofed run)")
 	case p.forks.m != m:
 		return errors.New("sim: Prefix was recorded on a different mission")
 	}
@@ -282,20 +282,23 @@ func validatePrefix(m *Mission, opts RunOptions) error {
 }
 
 // Stepper simulates one mission incrementally, one integration step
-// per Step call. It owns all per-run scratch — observation arenas (via
-// the bus) or broadcast columns and controller accumulators, GPS
+// per Step call. It owns all per-run scratch — broadcast columns,
+// controller accumulators or the bus's observation arena, GPS
 // readings, commands, trajectory backing arrays and the collision grid
 // — so a steady-state Step performs zero heap allocations. Run drives a
 // Stepper to completion; external callers (benchmarks, interactive
 // tooling) may drive it directly.
 //
-// The decide phase takes one of two paths. A run whose controller is a
-// BatchController, whose bus is a PerfectBus and which has no flight
-// recorder hands the Stepper's broadcast columns to BatchCommands (the
-// batch path). Everything else exchanges State rows over the bus and
-// calls Command per drone (the row path): lossy, delayed and range
-// buses shape each receiver's view, and flight records need the rows.
-// Both paths share sense, actuate, collision, recording and arrival.
+// Every step fills the broadcast columns from the drones' readings and
+// velocities. The decide phase then takes one of two paths. A run
+// whose controller is a BatchController and whose bus is a PerfectBus
+// hands the columns to BatchCommands (the batch path); every run any
+// entry point starts takes it. Otherwise the Stepper publishes State
+// rows from the columns, exchanges them over the bus and calls Command
+// per drone (the row path). The row path stays as the reference the
+// batch-equivalence tests hold the kernel to, and for callers that wrap
+// the controller or the bus to time them. Both paths share sense,
+// actuate, collision, recording and arrival.
 //
 // A Stepper is single-use and not safe for concurrent use. Slices
 // handed to the FlightRecorder and the trajectory rows alias the
@@ -324,8 +327,8 @@ type Stepper struct {
 	collider  droneCollider
 	pairs     [][2]int
 
-	// batch is non-nil on the batch path; bc holds its broadcast
-	// columns and scratch the controller's accumulators.
+	// batch is non-nil on the batch path and scratch holds its
+	// controller's accumulators; bc holds the tick's broadcast columns.
 	batch   BatchController
 	bc      comms.Broadcast
 	scratch any
@@ -384,20 +387,20 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 		cmds:       make([]vec.Vec3, n),
 		stepBudget: opts.StepBudget,
 		tEnd:       cfg.MaxTime,
+		bc: comms.Broadcast{
+			Pos:    make([]vec.Vec3, n),
+			Vel:    make([]vec.Vec3, n),
+			Active: make([]bool, n),
+		},
 	}
 	for i := 0; i < n; i++ {
 		s.bodies[i] = Body{Pos: m.Start[i]}
 		s.sensors[i] = gps.NewSensor(cfg.GPSBias, cfg.GPSNoise, rng.DeriveN(cfg.Seed, "gps", i))
 	}
-	if bc, ok := opts.Controller.(BatchController); ok && opts.Flight == nil {
+	if bc, ok := opts.Controller.(BatchController); ok {
 		if _, perfect := bus.(*comms.PerfectBus); perfect {
 			s.batch = bc
 			s.scratch = bc.NewBatchScratch(n)
-			s.bc = comms.Broadcast{
-				Pos:    make([]vec.Vec3, n),
-				Vel:    make([]vec.Vec3, n),
-				Active: make([]bool, n),
-			}
 		}
 	}
 
@@ -423,7 +426,7 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 		s.steps = opts.StepBudget
 		s.budgetCapped = true
 	}
-	if s.traj != nil && spoofer == nil && bus.Memoryless() {
+	if s.traj != nil && spoofer == nil {
 		est := s.steps/forkEvery + 1
 		s.forks = &forkPoints{
 			m:      m,
@@ -517,26 +520,20 @@ func (s *Stepper) Step() (done bool, err error) {
 
 	// (2) Broadcast and (3)+(4) decide: every active drone derives its
 	// command from its own perception and the received states.
-	var observations [][]comms.State
-	minPairD2, maxErrD2 := 0.0, 0.0 // a zero bound proves nothing
-	if s.batch != nil {
-		minPairD2, maxErrD2 = s.decideBatch(t)
-	} else {
-		observations = s.decideRows(t)
-	}
+	minPairD2, maxErrD2 := s.decide(t)
 
 	// Flight recording sits between decide and actuate, so the
 	// recorded Commands are exactly what the controllers derived
-	// from the recorded Readings and Observations. The slices
-	// alias the stepper's buffers; recorders copy what they keep.
+	// from the recorded Readings and Broadcast. The slices alias
+	// the stepper's buffers; recorders copy what they keep.
 	if s.flight != nil && s.step%cfg.SampleEvery == 0 {
 		s.flight.RecordStep(FlightStep{
-			Step:         s.step,
-			Time:         t,
-			Bodies:       s.bodies,
-			Readings:     s.readings,
-			Commands:     s.cmds,
-			Observations: observations,
+			Step:      s.step,
+			Time:      t,
+			Bodies:    s.bodies,
+			Readings:  s.readings,
+			Commands:  s.cmds,
+			Broadcast: &s.bc,
 		})
 	}
 
@@ -632,49 +629,14 @@ func (s *Stepper) Step() (done bool, err error) {
 	return false, nil
 }
 
-// decideRows is the row path's decide phase: publish every active
-// drone's state, exchange over the bus and call Command per drone. It
-// returns the observations, which alias the bus's arena and are valid
-// for this tick only — exactly the lifetime the FlightStep contract
-// needs.
-func (s *Stepper) decideRows(t float64) [][]comms.State {
-	s.published = s.published[:0]
-	for i := range s.bodies {
-		if s.bodies[i].Crashed {
-			continue
-		}
-		s.published = append(s.published, comms.State{
-			ID:       i,
-			Position: s.readings[i].Position,
-			Velocity: s.bodies[i].Vel,
-			Time:     t,
-		})
-	}
-	observations := s.bus.ExchangeInto(s.published)
-	obsIdx := 0
-	for i := range s.bodies {
-		if s.bodies[i].Crashed {
-			s.cmds[i] = vec.Zero
-			continue
-		}
-		s.cmds[i] = s.ctrl.Command(Perception{
-			ID:       i,
-			GPS:      s.readings[i],
-			Velocity: s.bodies[i].Vel,
-			Time:     t,
-		}, observations[obsIdx], &s.m.World)
-		obsIdx++
-	}
-	return observations
-}
-
-// decideBatch is the batch path's decide phase: fill the broadcast
-// columns and let the controller sweep them. It returns the kernel's
-// minimum squared broadcast pair distance and the worst squared
-// sensing error (noise, bias and spoof displacement) of any active
-// drone. A NaN error never compares ≤, so it poisons the bound and
-// keeps the collision scan.
-func (s *Stepper) decideBatch(t float64) (minPairD2, maxErrD2 float64) {
+// decide fills the broadcast columns with every active drone's
+// perceived position and velocity, then derives every command on the
+// batch or the row path. It returns the kernel's minimum squared
+// broadcast pair distance (zero on the row path: a zero bound proves
+// nothing) and the worst squared sensing error (noise, bias and spoof
+// displacement) of any active drone. A NaN error never compares ≤, so
+// it poisons the bound and keeps the collision scan.
+func (s *Stepper) decide(t float64) (minPairD2, maxErrD2 float64) {
 	for i := range s.bodies {
 		b := &s.bodies[i]
 		s.bc.Active[i] = !b.Crashed
@@ -688,7 +650,38 @@ func (s *Stepper) decideBatch(t float64) (minPairD2, maxErrD2 float64) {
 		}
 	}
 	s.bc.Time = t
-	return s.batch.BatchCommands(&s.bc, &s.m.World, s.scratch, s.cmds), maxErrD2
+	if s.batch != nil {
+		return s.batch.BatchCommands(&s.bc, &s.m.World, s.scratch, s.cmds), maxErrD2
+	}
+	s.decideRows()
+	return 0, maxErrD2
+}
+
+// decideRows is the row path's decide phase: publish every active
+// drone's state from the columns, exchange over the bus and call
+// Command per drone.
+func (s *Stepper) decideRows() {
+	s.published = s.published[:0]
+	for i, active := range s.bc.Active {
+		if active {
+			s.published = append(s.published, s.bc.State(i))
+		}
+	}
+	observations := s.bus.ExchangeInto(s.published)
+	obsIdx := 0
+	for i, active := range s.bc.Active {
+		if !active {
+			s.cmds[i] = vec.Zero
+			continue
+		}
+		s.cmds[i] = s.ctrl.Command(Perception{
+			ID:       i,
+			GPS:      s.readings[i],
+			Velocity: s.bc.Vel[i],
+			Time:     s.bc.Time,
+		}, observations[obsIdx], &s.m.World)
+		obsIdx++
+	}
 }
 
 // pairScanNeeded reports whether this tick's drone-pair collision scan

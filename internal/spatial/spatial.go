@@ -1,10 +1,9 @@
-// Package spatial provides the reusable 2-D cell hash shared by the
-// simulator's drone-drone collision detector and the comms range bus.
-// Both need the same primitive: bucket n points into square cells of a
-// query-radius side so that every point within radius r of a query
-// point is guaranteed to sit in the 3×3 cell neighbourhood of the
-// query's cell — turning an all-pairs O(n²) scan into O(n) expected
-// work.
+// Package spatial provides the reusable 2-D cell hash behind the
+// simulator's drone-drone collision detector: bucket n points into
+// square cells of a query-radius side so that every point within radius
+// r of a query point is guaranteed to sit in the 3×3 cell neighbourhood
+// of the query's cell — turning an all-pairs O(n²) scan into O(n)
+// expected work.
 //
 // Cells are 2-D (X/Y) because flocking missions fly at near-constant
 // altitude; callers still apply their exact 3-D predicate to every
