@@ -38,12 +38,17 @@ batch-equiv:
 check: build vet metrics-lint batch-equiv race fabric-smoke cellbench-smoke
 
 # fuzz-smoke runs the native Go fuzz targets for inputs that can come
-# from a torn disk briefly: the flight-log reader must never panic and
-# must accept every prefix of a log it accepts. Minimization is capped
+# from a client or a torn disk, 10 s each. The flight-log and atlas
+# readers must never panic and must accept every prefix of an input
+# they accept (for the atlas, every prefix that keeps the header line).
+# JobSpec decode must never panic, Normalize must be idempotent, and
+# Hash and CacheKey must survive normalization. Minimization is capped
 # per input so the short budget goes to fuzzing, not to shrinking the
 # multi-kilobyte seed logs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFlight$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/flightlog/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadAtlas$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/atlas/
+	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/
 
 # serve-smoke boots a real swarmfuzzd on an ephemeral port, submits a
 # tiny fuzz job through the CLI client, and asserts it finishes with a

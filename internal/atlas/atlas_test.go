@@ -2,6 +2,7 @@ package atlas
 
 import (
 	"bytes"
+	"encoding/json"
 	"encoding/xml"
 	"io"
 	"strings"
@@ -232,30 +233,82 @@ func TestReadAtlasTornTail(t *testing.T) {
 	}
 }
 
-// TestRenderXHTMLWellFormed builds a grid-shaped artifact and asserts
-// the rendered page parses with a strict XML decoder.
-func TestRenderXHTMLWellFormed(t *testing.T) {
+// gridArtifact writes a one-cell grid artifact: header, cell, the
+// driveCollector mission, cell end and atlas end.
+func gridArtifact(tb testing.TB) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	if err := WriteHeader(&buf, "SwarmFuzz"); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := WriteCell(&buf, 5, 10); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	c := NewCollector(&buf, nil)
 	driveCollector(c)
 	if err := c.Err(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	sum := c.Summary()
 	if err := WriteCellEnd(&buf, AggregateCell(5, 10, []*MissionSearch{&sum})); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := WriteAtlasEnd(&buf, 1, 1); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return buf.Bytes()
+}
 
-	doc, err := ReadAtlas(bytes.NewReader(buf.Bytes()))
+// headerEnd returns the offset just past the newline that ends data's
+// first header record, or -1 when no complete line holds one.
+func headerEnd(data []byte) int {
+	for off := 0; ; {
+		nl := bytes.IndexByte(data[off:], '\n')
+		if nl < 0 {
+			return -1
+		}
+		line := data[off : off+nl]
+		var probe struct {
+			Type string `json:"type"`
+		}
+		var h Header
+		if json.Unmarshal(line, &probe) == nil && probe.Type == TypeHeader && json.Unmarshal(line, &h) == nil {
+			return off + nl + 1
+		}
+		off += nl + 1
+	}
+}
+
+// FuzzReadAtlas feeds ReadAtlas arbitrary bytes. It must never panic,
+// and whenever it accepts an artifact it must accept every prefix that
+// still holds the header line and its newline: such a cut is an
+// artifact whose writer stopped early.
+func FuzzReadAtlas(f *testing.F) {
+	art := gridArtifact(f)
+	hdr := headerEnd(art)
+	for _, cut := range []int{0, 1, hdr - 1, hdr, hdr + 9, len(art) / 2, len(art) - 2, len(art)} {
+		f.Add(art, uint(cut))         // the artifact, cut there
+		f.Add(art[:cut], uint(cut/2)) // a torn artifact, cut again
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cut uint) {
+		if _, err := ReadAtlas(bytes.NewReader(data)); err != nil {
+			return
+		}
+		hdr := headerEnd(data)
+		if hdr < 0 {
+			return
+		}
+		k := hdr + int(cut%uint(len(data)-hdr+1))
+		if _, err := ReadAtlas(bytes.NewReader(data[:k])); err != nil {
+			t.Fatalf("accepted a %d-byte artifact but rejected its %d-byte prefix: %v", len(data), k, err)
+		}
+	})
+}
+
+// TestRenderXHTMLWellFormed builds a grid-shaped artifact and asserts
+// the rendered page parses with a strict XML decoder.
+func TestRenderXHTMLWellFormed(t *testing.T) {
+	doc, err := ReadAtlas(bytes.NewReader(gridArtifact(t)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,6 @@ type Config struct {
 	BaseSeed uint64
 	// Fuzz carries the fuzzer options.
 	Fuzz fuzz.Options
-	// Flock carries the swarm-control parameters under test.
-	Flock flock.Params
 	// Workers bounds campaign parallelism; 0 means GOMAXPROCS.
 	Workers int
 	// MissionTimeout is the per-mission fuzzing deadline; a mission
@@ -93,7 +91,6 @@ func DefaultConfig(missions int) Config {
 		Missions:       missions,
 		BaseSeed:       1,
 		Fuzz:           fuzz.DefaultOptions(),
-		Flock:          flock.DefaultParams(),
 		Retry:          robust.DefaultPolicy(),
 	}
 }
@@ -230,7 +227,7 @@ func (c *CampaignResult) FoundParams() (starts, durations []float64) {
 // failures (mission generation, the sequential clean runs) and ctx
 // cancellation abort the cell.
 func RunCampaign(ctx context.Context, cfg Config, fuzzer fuzz.Fuzzer, swarmSize int, spoofDistance float64) (*CampaignResult, error) {
-	ctrl, err := flock.New(cfg.Flock)
+	ctrl, err := flock.New(flock.DefaultParams())
 	if err != nil {
 		return nil, err
 	}
@@ -454,6 +451,10 @@ func Grid(ctx context.Context, cfg Config, fuzzer fuzz.Fuzzer) ([]*CampaignResul
 						return out, fmt.Errorf("experiments: checkpoint %s holds %d missions, want %d; use a fresh -checkpoint dir when changing -missions",
 							filepath.Join(cfg.Checkpoint, checkpointFile(n, d)), len(cell.Outcomes), cfg.Missions)
 					}
+					if !drawnFrom(cell, cfg) {
+						return out, fmt.Errorf("experiments: checkpoint %s was not drawn from base seed %d; use a fresh -checkpoint dir when changing -seed",
+							filepath.Join(cfg.Checkpoint, checkpointFile(n, d)), cfg.BaseSeed)
+					}
 					if cfg.AtlasPath != "" {
 						// The fragment is written before its checkpoint, so a
 						// resumed cell replays the recorded bytes verbatim and
@@ -504,6 +505,25 @@ func Grid(ctx context.Context, cfg Config, fuzzer fuzz.Fuzzer) ([]*CampaignResul
 		}
 	}
 	return out, nil
+}
+
+// drawnFrom reports whether a checkpointed cell's outcomes come from
+// cfg's seed stream. selectCleanSafe walks seeds upward from BaseSeed
+// and stops at the last job, so the outcome seeds rise strictly, start
+// at or after BaseSeed and end exactly at
+// BaseSeed + Missions + SkippedUnsafe - 1.
+func drawnFrom(cell *CampaignResult, cfg Config) bool {
+	outs := cell.Outcomes
+	if len(outs) == 0 {
+		return true
+	}
+	for i := 1; i < len(outs); i++ {
+		if outs[i].Seed <= outs[i-1].Seed {
+			return false
+		}
+	}
+	last := cfg.BaseSeed + uint64(cfg.Missions+cell.SkippedUnsafe) - 1
+	return outs[0].Seed >= cfg.BaseSeed && outs[len(outs)-1].Seed == last
 }
 
 // CellFor returns the grid cell with the given configuration, or nil.

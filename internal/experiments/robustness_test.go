@@ -246,6 +246,21 @@ func TestGridCheckpointResume(t *testing.T) {
 	}
 }
 
+func TestGridCheckpointRejectsChangedSeed(t *testing.T) {
+	cfg := fastConfig(2)
+	cfg.Checkpoint = t.TempDir()
+	if _, err := Grid(context.Background(), cfg, newStubFuzzer()); err != nil {
+		t.Fatal(err)
+	}
+	// The same directory under the next base seed must not pass the
+	// seed-1 cell off as the seed-2 one.
+	cfg.BaseSeed++
+	_, err := Grid(context.Background(), cfg, alwaysPanic{})
+	if err == nil || !strings.Contains(err.Error(), "when changing -seed") {
+		t.Fatalf("Grid over a checkpoint from another base seed = %v, want a changed -seed error", err)
+	}
+}
+
 func TestRunnerTablesByteIdenticalAfterResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")

@@ -154,7 +154,7 @@ func (r *Runner) Fig5(ctx context.Context) error {
 		fmt.Fprintf(r.w, "Fig 5: no SPV found in %d scanned missions; increase -missions\n", scanned)
 		return nil
 	}
-	ctrl, err := flock.New(r.cfg.Flock)
+	ctrl, err := flock.New(flock.DefaultParams())
 	if err != nil {
 		return err
 	}
@@ -281,7 +281,7 @@ func (r *Runner) Fig7(ctx context.Context) error {
 // reports how many missions were scanned, so a miss can say what was
 // searched.
 func (r *Runner) findExampleSPV(ctx context.Context) (*fuzz.Finding, *sim.Mission, int, error) {
-	ctrl, err := flock.New(r.cfg.Flock)
+	ctrl, err := flock.New(flock.DefaultParams())
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -78,9 +78,6 @@ type Options struct {
 	// SPVs distort the formation *before* obstacle avoidance begins;
 	// the squeezed formation then collides during its natural passage.
 	ApproachLead float64
-	// InitLead shifts the initial window end by this many seconds
-	// (positive = later).
-	InitLead float64
 	// InitDuration is the initial Δt guess in seconds.
 	InitDuration float64
 	// RandSeed drives the random fuzzers' sampling.
@@ -154,7 +151,6 @@ func DefaultOptions() Options {
 		SVGThreshold:     0.05,
 		TargetsPerVictim: 2,
 		ApproachLead:     25,
-		InitLead:         0,
 		InitDuration:     12,
 		RandSeed:         1,
 	}
@@ -359,7 +355,7 @@ var errSpeculationStopped = errors.New("fuzz: speculative seed search cancelled"
 // so a cancelled speculative search aborts quickly.
 func searchSeed(in Input, seed svg.Seed, clean *sim.Result, opts Options, rec telemetry.Recorder, trace searchTrace, stop func() bool) (opt.Result, *Finding, error) {
 	horizon := clean.Duration
-	windowEnd := approachTime(in.Mission, clean.Trajectory, opts.ApproachLead) + opts.InitLead
+	windowEnd := approachTime(in.Mission, clean.Trajectory, opts.ApproachLead)
 	ts0 := math.Max(0, windowEnd-opts.InitDuration)
 	dt0 := opts.InitDuration
 

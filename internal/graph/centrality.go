@@ -95,64 +95,3 @@ func PageRank(g *Digraph, opts PageRankOptions) ([]float64, error) {
 	}
 	return rank, nil
 }
-
-// WeightedInDegree returns, per node, the sum of incoming edge
-// weights. It is the cheap centrality baseline for the ablation.
-func WeightedInDegree(g *Digraph) []float64 {
-	n := g.N()
-	deg := make([]float64, n)
-	for u := 0; u < n; u++ {
-		g.OutNeighbors(u, func(v int, w float64) { deg[v] += w })
-	}
-	return deg
-}
-
-// EigenvectorCentrality computes the dominant left eigenvector of the
-// weighted adjacency matrix by power iteration, normalised to sum 1.
-// Nodes in graphs with no edges get uniform scores.
-func EigenvectorCentrality(g *Digraph, maxIter int, tol float64) []float64 {
-	n := g.N()
-	if n == 0 {
-		return nil
-	}
-	x := make([]float64, n)
-	next := make([]float64, n)
-	for i := range x {
-		x[i] = 1 / float64(n)
-	}
-	if g.NumEdges() == 0 || maxIter < 1 {
-		return x
-	}
-	for iter := 0; iter < maxIter; iter++ {
-		for i := range next {
-			next[i] = 0
-		}
-		for u := 0; u < n; u++ {
-			g.OutNeighbors(u, func(v int, w float64) {
-				next[v] += x[u] * w
-			})
-		}
-		sum := 0.0
-		for _, v := range next {
-			sum += v
-		}
-		if sum == 0 {
-			// The iterate vanished (e.g. all mass on source-only
-			// nodes): fall back to uniform.
-			for i := range x {
-				x[i] = 1 / float64(n)
-			}
-			return x
-		}
-		delta := 0.0
-		for i := range next {
-			next[i] /= sum
-			delta += math.Abs(next[i] - x[i])
-		}
-		x, next = next, x
-		if delta < tol {
-			break
-		}
-	}
-	return x
-}

@@ -119,60 +119,6 @@ func TestPageRankInvalidOptions(t *testing.T) {
 	}
 }
 
-func TestWeightedInDegree(t *testing.T) {
-	g := NewDigraph(3)
-	mustEdge(t, g, 0, 2, 2)
-	mustEdge(t, g, 1, 2, 3)
-	mustEdge(t, g, 2, 0, 1)
-	deg := WeightedInDegree(g)
-	want := []float64{1, 0, 5}
-	for i := range want {
-		if deg[i] != want[i] {
-			t.Errorf("in-degree[%d] = %v, want %v", i, deg[i], want[i])
-		}
-	}
-}
-
-func TestEigenvectorCentralityEmpty(t *testing.T) {
-	if got := EigenvectorCentrality(NewDigraph(0), 50, 1e-9); got != nil {
-		t.Errorf("empty graph centrality = %v, want nil", got)
-	}
-	got := EigenvectorCentrality(NewDigraph(3), 50, 1e-9)
-	for _, v := range got {
-		if math.Abs(v-1.0/3) > 1e-9 {
-			t.Errorf("no-edge centrality %v, want uniform", got)
-			break
-		}
-	}
-}
-
-func TestEigenvectorCentralityCycleUniform(t *testing.T) {
-	g := NewDigraph(3)
-	mustEdge(t, g, 0, 1, 1)
-	mustEdge(t, g, 1, 2, 1)
-	mustEdge(t, g, 2, 0, 1)
-	got := EigenvectorCentrality(g, 200, 1e-12)
-	for i, v := range got {
-		if math.Abs(v-1.0/3) > 1e-6 {
-			t.Errorf("cycle centrality[%d] = %v, want 1/3", i, v)
-		}
-	}
-}
-
-func TestEigenvectorCentralityHub(t *testing.T) {
-	g := NewDigraph(4)
-	mustEdge(t, g, 1, 0, 1)
-	mustEdge(t, g, 2, 0, 1)
-	mustEdge(t, g, 3, 0, 1)
-	mustEdge(t, g, 0, 1, 0.5) // keep mass circulating
-	got := EigenvectorCentrality(g, 500, 1e-12)
-	for i := 2; i < 4; i++ {
-		if got[0] <= got[i] {
-			t.Errorf("hub centrality %v not above node %d's %v", got[0], i, got[i])
-		}
-	}
-}
-
 func TestPropPageRankDistribution(t *testing.T) {
 	f := func(edges [][2]uint8) bool {
 		g := NewDigraph(6)

@@ -1,8 +1,6 @@
-// Package graph provides the weighted directed graph and centrality
-// analyses behind the Swarm Vulnerability Graph. PageRank (computed
-// with the power method, as the paper prescribes) is the centrality
-// SwarmFuzz uses; weighted in-degree and eigenvector centrality are
-// included for the centrality-choice ablation.
+// Package graph provides the weighted directed graph and the PageRank
+// centrality behind the Swarm Vulnerability Graph. PageRank is computed
+// with the power method, as the paper prescribes.
 package graph
 
 import (

@@ -23,19 +23,6 @@ func VDO(minClearance []float64) (vdo float64, victim int) {
 	return vdo, victim
 }
 
-// SortedByVDO returns drone indices ordered by ascending minimum
-// obstacle clearance — the paper's victim scheduling order.
-func SortedByVDO(minClearance []float64) []int {
-	idx := make([]int, len(minClearance))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return minClearance[idx[a]] < minClearance[idx[b]]
-	})
-	return idx
-}
-
 // CDF computes the empirical CDF of xs at each of the given thresholds:
 // F(x) = fraction of samples <= x.
 func CDF(xs, thresholds []float64) []float64 {

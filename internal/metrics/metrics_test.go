@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -15,26 +14,6 @@ func TestVDO(t *testing.T) {
 	vdo, victim = VDO(nil)
 	if !math.IsInf(vdo, 1) || victim != -1 {
 		t.Errorf("empty VDO = %v,%d", vdo, victim)
-	}
-}
-
-func TestSortedByVDO(t *testing.T) {
-	got := SortedByVDO([]float64{5, 2, 7, 3})
-	want := []int{1, 3, 0, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedByVDO = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestSortedByVDOStable(t *testing.T) {
-	got := SortedByVDO([]float64{3, 3, 1})
-	want := []int{2, 0, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedByVDO ties = %v, want %v", got, want)
-		}
 	}
 }
 
@@ -172,42 +151,4 @@ func TestPropBoxOrdering(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestPropSortedByVDOIsPermutationAndSorted(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			if math.IsNaN(v) {
-				v = 0
-			}
-			xs[i] = v
-		}
-		idx := SortedByVDO(xs)
-		if len(idx) != len(xs) {
-			return false
-		}
-		seen := make([]bool, len(xs))
-		for _, i := range idx {
-			if i < 0 || i >= len(xs) || seen[i] {
-				return false
-			}
-			seen[i] = true
-		}
-		return sort.SliceIsSorted(idx, func(a, b int) bool {
-			return xs[idx[a]] < xs[idx[b]]
-		}) || len(xs) < 2 || isNonDecreasing(xs, idx)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func isNonDecreasing(xs []float64, idx []int) bool {
-	for i := 1; i < len(idx); i++ {
-		if xs[idx[i]] < xs[idx[i-1]] {
-			return false
-		}
-	}
-	return true
 }

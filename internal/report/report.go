@@ -29,22 +29,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// AddRowf appends a row formatting every value with the given verbs.
-// Values are formatted individually: verbs and values must correspond
-// one-to-one.
-func (t *Table) AddRowf(format string, values ...any) {
-	verbs := strings.Fields(format)
-	cells := make([]string, len(values))
-	for i, v := range values {
-		verb := "%v"
-		if i < len(verbs) {
-			verb = verbs[i]
-		}
-		cells[i] = fmt.Sprintf(verb, v)
-	}
-	t.rows = append(t.rows, cells)
-}
-
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) error {
 	cols := len(t.headers)

@@ -41,18 +41,6 @@ func TestTableShortRowsPadded(t *testing.T) {
 	}
 }
 
-func TestTableAddRowf(t *testing.T) {
-	tb := NewTable("", "name", "pct")
-	tb.AddRowf("%s %.1f%%", "foo", 49.0)
-	var sb strings.Builder
-	if err := tb.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "49.0%") {
-		t.Errorf("formatted cell missing: %q", sb.String())
-	}
-}
-
 func TestAsciiPlotBasic(t *testing.T) {
 	var sb strings.Builder
 	err := AsciiPlot(&sb, "plot", "x", "y", 40, 10,

@@ -142,15 +142,9 @@ type Options struct {
 	// FS is the base filesystem under the store (and under Chaos when
 	// both are set); nil means chaos.OS().
 	FS chaos.FS
-	// StoreRetry overrides the store's write-retry policy; the zero
-	// value means DefaultStoreRetry.
-	StoreRetry robust.Policy
 	// Fuzzers maps spec fuzzer names to implementations; nil means the
 	// built-in registry (fuzz.ByName). Tests inject stubs here.
 	Fuzzers map[string]fuzz.Fuzzer
-	// Flock carries the swarm-control parameters jobs run under; the
-	// zero value means flock.DefaultParams.
-	Flock *flock.Params
 	// Fabric, when non-nil, is the distributed campaign coordinator:
 	// grid jobs shard cell-by-cell across attached worker daemons
 	// whenever at least one worker is live, falling back to local
@@ -241,7 +235,6 @@ func NewEngine(opts Options) (*Engine, error) {
 	store, err := OpenStoreWith(StoreOptions{
 		Dir:       opts.Store,
 		FS:        fsys,
-		Retry:     opts.StoreRetry,
 		Telemetry: rec,
 		Log:       opts.Log,
 	})
@@ -936,19 +929,11 @@ func (e *Engine) execute(ctx context.Context, id string, spec JobSpec, rec *jobR
 		if err != nil {
 			return nil, err
 		}
-		params := flock.DefaultParams()
-		if e.opts.Flock != nil {
-			params = *e.opts.Flock
-		}
-		ctrl, err := flock.New(params)
-		if err != nil {
-			return nil, err
-		}
 		switch spec.Kind {
 		case KindFuzz:
-			return e.runFuzz(ctx, id, spec, fuzzer, ctrl, rec)
+			return e.runFuzz(ctx, id, spec, fuzzer, rec)
 		default:
-			return e.runCampaign(ctx, id, spec, fuzzer, params, rec)
+			return e.runCampaign(ctx, id, spec, fuzzer, rec)
 		}
 	})
 }
@@ -956,7 +941,11 @@ func (e *Engine) execute(ctx context.Context, id string, spec JobSpec, rec *jobR
 // runFuzz executes a single-mission fuzz job — the daemon twin of
 // cmd/swarmfuzz.
 func (e *Engine) runFuzz(ctx context.Context, id string, spec JobSpec, fuzzer fuzz.Fuzzer,
-	ctrl sim.Controller, rec telemetry.Recorder) ([]byte, error) {
+	rec telemetry.Recorder) ([]byte, error) {
+	ctrl, err := flock.New(flock.DefaultParams())
+	if err != nil {
+		return nil, err
+	}
 	mission, err := sim.NewMission(sim.DefaultMissionConfig(spec.SwarmSize, spec.Seed))
 	if err != nil {
 		return nil, err
@@ -977,8 +966,7 @@ func (e *Engine) runFuzz(ctx context.Context, id string, spec JobSpec, fuzzer fu
 		opts.Observer = atlasCol
 	}
 	if spec.Flightlog {
-		terms, _ := ctrl.(flightlog.TermSource)
-		arch, err := flightlog.NewArchive(e.store.FlightDir(id), terms)
+		arch, err := flightlog.NewArchive(e.store.FlightDir(id), ctrl)
 		if err != nil {
 			return nil, err
 		}
@@ -1026,9 +1014,8 @@ func (e *Engine) runFuzz(ctx context.Context, id string, spec JobSpec, fuzzer fu
 // with per-cell checkpoints inside the job directory, so interruptions
 // resume instead of restarting.
 func (e *Engine) runCampaign(ctx context.Context, id string, spec JobSpec, fuzzer fuzz.Fuzzer,
-	params flock.Params, rec telemetry.Recorder) ([]byte, error) {
+	rec telemetry.Recorder) ([]byte, error) {
 	cfg := spec.CampaignConfig()
-	cfg.Flock = params
 	cfg.Telemetry = rec
 	cfg.Log = e.log
 	cfg.Checkpoint = e.store.CheckpointDir(id)

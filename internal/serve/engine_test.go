@@ -293,7 +293,7 @@ func TestDrainRequeuesAndRestartResumes(t *testing.T) {
 // the job with the restart counted.
 func TestCrashRestartRequeuesRunningJob(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenStore(dir)
+	store, err := OpenStoreWith(StoreOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 
 	"swarmfuzz/internal/experiments"
 	"swarmfuzz/internal/fabric"
-	"swarmfuzz/internal/flock"
 	"swarmfuzz/internal/fuzz"
 	"swarmfuzz/internal/robust"
 	"swarmfuzz/internal/telemetry"
@@ -205,9 +204,6 @@ type CellRunnerOptions struct {
 	// Fuzzers maps spec fuzzer names to implementations; nil means the
 	// built-in registry (fuzz.ByName).
 	Fuzzers map[string]fuzz.Fuzzer
-	// Flock overrides the swarm-control parameters; nil means
-	// flock.DefaultParams.
-	Flock *flock.Params
 	// Telemetry records the worker's pipeline counters; Log its
 	// progress lines.
 	Telemetry telemetry.Recorder
@@ -240,10 +236,6 @@ func CellRunner(opts CellRunnerOptions) fabric.Runner {
 			return fabric.CellOutput{}, robust.Permanent(err)
 		}
 		cfg := spec.CampaignConfig()
-		cfg.Flock = flock.DefaultParams()
-		if opts.Flock != nil {
-			cfg.Flock = *opts.Flock
-		}
 		cfg.Telemetry = opts.Telemetry
 		cfg.Log = opts.Log
 		if spec.Atlas {

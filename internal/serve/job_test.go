@@ -1,9 +1,14 @@
 package serve_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
+	"swarmfuzz/internal/fuzz"
 	"swarmfuzz/internal/serve"
 )
 
@@ -105,4 +110,58 @@ func TestCacheable(t *testing.T) {
 			t.Errorf("%s spec claims cacheable", name)
 		}
 	}
+}
+
+// FuzzJobSpec decodes arbitrary bytes the way POST /v1/jobs does, then
+// normalizes and validates the spec. No input may panic; Normalize must
+// be idempotent; Hash and CacheKey must not change under normalization;
+// and CacheKey must ignore the identity and parallelism knobs.
+func FuzzJobSpec(f *testing.F) {
+	retired, err := os.ReadFile(filepath.Join("testdata", "spec_retired_knob.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(retired)
+	f.Add([]byte(`{"kind":"fuzz","swarm_size":5,"spoof_distance":10}`))
+	for _, spec := range []serve.JobSpec{
+		{Kind: "Fuzz", Fuzzer: "SwarmFuzz", SwarmSize: 5, SpoofDistance: 10, Seed: 1},
+		{Kind: serve.KindCampaign, SwarmSize: 5, SpoofDistance: 10, Missions: 3, BaseSeed: 1},
+		{Kind: serve.KindCampaign, SwarmSize: 5, SpoofDistance: 10, Missions: 3},
+	} {
+		data, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec serve.JobSpec
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&spec) != nil {
+			return
+		}
+		norm := spec
+		norm.Normalize()
+		_ = norm.Validate(fuzz.ByName)
+		again := norm
+		again.Normalize()
+		if !reflect.DeepEqual(again, norm) {
+			t.Fatalf("Normalize is not idempotent: %+v then %+v", norm, again)
+		}
+		if spec.Hash() != norm.Hash() {
+			t.Error("Hash differs between a spec and its normalized copy")
+		}
+		key := spec.CacheKey()
+		if key != norm.CacheKey() {
+			t.Error("CacheKey differs between a spec and its normalized copy")
+		}
+		knobs := spec
+		knobs.IdempotencyKey += "-other"
+		knobs.Workers++
+		knobs.SeedWorkers++
+		if knobs.CacheKey() != key {
+			t.Error("CacheKey depends on IdempotencyKey, Workers or SeedWorkers")
+		}
+	})
 }

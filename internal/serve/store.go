@@ -43,11 +43,10 @@ import (
 // All file IO goes through a chaos.FS so the fault-injection harness
 // can sit between the store and the disk; production uses chaos.OS().
 type Store struct {
-	dir   string
-	fs    chaos.FS
-	retry robust.Policy
-	rec   telemetry.Recorder
-	log   *telemetry.Logger
+	dir string
+	fs  chaos.FS
+	rec telemetry.Recorder
+	log *telemetry.Logger
 }
 
 // StoreOptions configure OpenStoreWith.
@@ -56,9 +55,6 @@ type StoreOptions struct {
 	Dir string
 	// FS is the filesystem the store runs on; nil means chaos.OS().
 	FS chaos.FS
-	// Retry is the write-retry policy; the zero value means
-	// DefaultStoreRetry.
-	Retry robust.Policy
 	// Telemetry receives serve_io_degraded and serve_store_quarantined;
 	// nil disables recording.
 	Telemetry telemetry.Recorder
@@ -66,21 +62,14 @@ type StoreOptions struct {
 	Log *telemetry.Logger
 }
 
-// DefaultStoreRetry is the store's write-retry policy: three quick
-// attempts, so a transient disk hiccup costs milliseconds and a real
-// outage surfaces fast enough for the engine to degrade the job.
-func DefaultStoreRetry() robust.Policy {
-	return robust.Policy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 100 * time.Millisecond}
-}
+// storeRetry is the store's write-retry policy: three quick attempts,
+// so a transient disk hiccup costs milliseconds and a real outage
+// surfaces fast enough for the engine to degrade the job.
+var storeRetry = robust.Policy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 100 * time.Millisecond}
 
-// OpenStore opens (creating as needed) the store rooted at dir with
-// production defaults.
-func OpenStore(dir string) (*Store, error) {
-	return OpenStoreWith(StoreOptions{Dir: dir})
-}
-
-// OpenStoreWith opens the store with explicit wiring — the engine
-// passes its fault injector, telemetry and logger through here.
+// OpenStoreWith opens (creating as needed) the store rooted at
+// opts.Dir; the engine passes its fault injector, telemetry and logger
+// through here.
 func OpenStoreWith(opts StoreOptions) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("serve: empty store directory")
@@ -88,15 +77,11 @@ func OpenStoreWith(opts StoreOptions) (*Store, error) {
 	if opts.FS == nil {
 		opts.FS = chaos.OS()
 	}
-	if opts.Retry.MaxAttempts == 0 {
-		opts.Retry = DefaultStoreRetry()
-	}
 	s := &Store{
-		dir:   opts.Dir,
-		fs:    opts.FS,
-		retry: opts.Retry,
-		rec:   telemetry.OrNop(opts.Telemetry),
-		log:   opts.Log,
+		dir: opts.Dir,
+		fs:  opts.FS,
+		rec: telemetry.OrNop(opts.Telemetry),
+		log: opts.Log,
 	}
 	if err := s.fs.MkdirAll(filepath.Join(opts.Dir, "jobs"), 0o755); err != nil {
 		return nil, fmt.Errorf("serve: open store: %w", err)
@@ -221,7 +206,7 @@ func (s *Store) writeJSONAtomic(path string, v any) error {
 // retries the failure counts as serve_io_degraded and surfaces to the
 // caller, which degrades the job instead of killing it.
 func (s *Store) writeFileAtomic(path string, data []byte) error {
-	_, _, err := robust.Retry(context.Background(), s.retry, func(context.Context) (struct{}, error) {
+	_, _, err := robust.Retry(context.Background(), storeRetry, func(context.Context) (struct{}, error) {
 		return struct{}{}, robust.Transient(s.writeFileOnce(path, data))
 	})
 	if err != nil {
@@ -309,7 +294,7 @@ func (s *Store) ReadReport(id string) ([]byte, error) {
 // as serve_io_degraded and must not fail the job, so the caller logs
 // and moves on.
 func (s *Store) AppendEvent(id string, data []byte) error {
-	_, _, err := robust.Retry(context.Background(), s.retry, func(context.Context) (struct{}, error) {
+	_, _, err := robust.Retry(context.Background(), storeRetry, func(context.Context) (struct{}, error) {
 		return struct{}{}, robust.Transient(s.appendEventOnce(id, data))
 	})
 	if err != nil {

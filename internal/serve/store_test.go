@@ -8,7 +8,7 @@ import (
 )
 
 func TestStoreRoundTrip(t *testing.T) {
-	store, err := OpenStore(t.TempDir())
+	store, err := OpenStoreWith(StoreOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestStoreRoundTrip(t *testing.T) {
 // job directory still loads, and the spec hashes like one that never
 // had the field.
 func TestStoreReadsSpecWithRetiredKnob(t *testing.T) {
-	store, err := OpenStore(t.TempDir())
+	store, err := OpenStoreWith(StoreOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestStoreReadsSpecWithRetiredKnob(t *testing.T) {
 }
 
 func TestStoreListSkipsForeignEntries(t *testing.T) {
-	store, err := OpenStore(t.TempDir())
+	store, err := OpenStoreWith(StoreOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestStoreListSkipsForeignEntries(t *testing.T) {
 }
 
 func TestStoreEventsSkipTornLines(t *testing.T) {
-	store, err := OpenStore(t.TempDir())
+	store, err := OpenStoreWith(StoreOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,26 +204,6 @@ func (r *Result) CollisionOf(drone int) *Collision {
 	return nil
 }
 
-// ObstacleCollisions returns the collisions with obstacles only.
-func (r *Result) ObstacleCollisions() []Collision {
-	cnt := 0
-	for _, c := range r.Collisions {
-		if c.Kind == KindObstacle {
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return nil
-	}
-	out := make([]Collision, 0, cnt)
-	for _, c := range r.Collisions {
-		if c.Kind == KindObstacle {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // RunOptions configure one mission run.
 type RunOptions struct {
 	// Controller computes each drone's velocity command. Required.

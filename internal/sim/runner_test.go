@@ -144,8 +144,12 @@ func TestRunObstacleCollision(t *testing.T) {
 	if res.MinClearance[0] > 0 {
 		t.Errorf("colliding drone has positive min clearance %v", res.MinClearance[0])
 	}
-	if len(res.ObstacleCollisions()) == 0 {
-		t.Error("ObstacleCollisions returned nothing")
+	hit := false
+	for _, c := range res.Collisions {
+		hit = hit || c.Kind == KindObstacle
+	}
+	if !hit {
+		t.Error("no obstacle collision recorded")
 	}
 }
 
@@ -171,8 +175,10 @@ func TestRunDroneCollision(t *testing.T) {
 			t.Errorf("collision kind %v, want drone", c.Kind)
 		}
 	}
-	if len(res.ObstacleCollisions()) != 0 {
-		t.Error("drone-drone collision misclassified as obstacle")
+	for _, c := range res.Collisions {
+		if c.Kind == KindObstacle {
+			t.Error("drone-drone collision misclassified as obstacle")
+		}
 	}
 }
 

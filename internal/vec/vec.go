@@ -35,15 +35,6 @@ func (v Vec3) Neg() Vec3 { return Vec3{-v.X, -v.Y, -v.Z} }
 // Dot returns the dot product v · w.
 func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
-// Cross returns the cross product v × w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		X: v.Y*w.Z - v.Z*w.Y,
-		Y: v.Z*w.X - v.X*w.Z,
-		Z: v.X*w.Y - v.Y*w.X,
-	}
-}
-
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
@@ -98,11 +89,6 @@ func (v Vec3) PerpXY() Vec3 {
 		return Zero
 	}
 	return Vec3{h.Y / n, -h.X / n, 0}
-}
-
-// Lerp returns the linear interpolation v + t*(w-v).
-func (v Vec3) Lerp(w Vec3, t float64) Vec3 {
-	return v.Add(w.Sub(v).Scale(t))
 }
 
 // IsFinite reports whether all components are finite numbers.
