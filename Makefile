@@ -22,12 +22,17 @@ metrics-lint:
 # batch-equiv pins the simulator's two decide paths to each other under
 # the race detector: the SoA batch kernel (flock's BatchCommands inside
 # sim.Stepper) and per-drone Command over PerfectBus rows must produce
-# bit-identical commands and run results. `race` already runs these
-# tests too; the named target exists so the equivalence contract has
-# its own CI handle and a fast local loop.
+# bit-identical commands and run results, receivers on either side of
+# the shill boundary included. It also pins the step's square-root-free
+# gates to the formulas they replace, bit for bit: ClampNorm's
+# squared-norm test against the ungated formula, and the clearance and
+# shill gates against the exact surface distance, down to ±1 ulp around
+# each boundary. `race` already runs these tests too; the named target
+# exists so the equivalence contract has its own CI handle and a fast
+# local loop.
 batch-equiv:
-	$(GO) test -race -run '^(TestBatchPathMatchesRowPath|TestBatchPathMatchesRowPathWithDroneCollisions|TestBatchStepperMatchesSequentialRuns|TestBatchStepperBudgetExhaustion|TestBatchCommandsMatchesCommand)$$' \
-		./internal/sim/ ./internal/flock/
+	$(GO) test -race -run '^(TestBatchPathMatchesRowPath|TestBatchPathMatchesRowPathWithDroneCollisions|TestBatchStepperMatchesSequentialRuns|TestBatchStepperBudgetExhaustion|TestBatchCommandsMatchesCommand|TestClampNormMatchesReference|TestObstacleGatesMatchExact)$$' \
+		./internal/sim/ ./internal/flock/ ./internal/vec/
 
 # check is the CI gate: vet plus metric-name hygiene plus the decide
 # paths' bit-identity pins plus the full test suite under the race
@@ -41,13 +46,16 @@ check: build vet metrics-lint batch-equiv race fabric-smoke cellbench-smoke
 # from a client or a torn disk, 10 s each. The flight-log and atlas
 # readers must never panic and must accept every prefix of an input
 # they accept (for the atlas, every prefix that keeps the header line).
-# JobSpec decode must never panic, Normalize must be idempotent, and
-# Hash and CacheKey must survive normalization. Minimization is capped
-# per input so the short budget goes to fuzzing, not to shrinking the
-# multi-kilobyte seed logs.
+# The span-trace reader must never panic, must read every prefix cut at
+# a newline as a prefix of the whole input's spans, and must read back
+# what the trace writer wrote. JobSpec decode must never panic,
+# Normalize must be idempotent, and Hash and CacheKey must survive
+# normalization. Minimization is capped per input so the short budget
+# goes to fuzzing, not to shrinking the multi-kilobyte seed logs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFlight$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/flightlog/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAtlas$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/atlas/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSpans$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/
 
 # serve-smoke boots a real swarmfuzzd on an ephemeral port, submits a

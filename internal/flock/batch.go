@@ -229,42 +229,54 @@ func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, scratch any
 
 // finishSoA assembles receiver i's command from the sweep accumulators
 // — the migration, attraction, friction, obstacle and altitude tail of
-// Terms, operation for operation.
+// Terms, operation for operation — and adds the terms up in Sum's
+// order without building a Terms value. One gate is the kernel's own:
+// an obstacle that Obstacle.SurfaceBeyond proves at least RShill away
+// is skipped before SurfaceDistance's square root, which is exactly
+// the obstacles Terms skips after taking it.
 func (c *Controller) finishSoA(pos, vel vec.Vec3, w *sim.World, sc *soaScratch, i int) vec.Vec3 {
-	var t Terms
-	t.Repulsion = sc.rep[i]
+	var migration, attraction, friction, obstacle vec.Vec3
 
 	toDest := w.Destination.Sub(pos).Horizontal()
 	if toDest.Norm() > w.DestRadius/2 {
-		t.Migration = toDest.Unit().Scale(c.p.VFlock)
+		migration = toDest.Unit().Scale(c.p.VFlock)
 	}
 
 	if sc.farDist[i] > c.p.RAtt {
 		farDir := sc.farRel[i].Scale(1 / sc.farDist[i])
-		t.Attraction = farDir.Scale(c.p.PAtt * (sc.farDist[i] - c.p.RAtt)).ClampNorm(c.p.VAttMax)
+		attraction = farDir.Scale(c.p.PAtt * (sc.farDist[i] - c.p.RAtt)).ClampNorm(c.p.VAttMax)
 	}
 	if sc.frictCnt[i] > 0 {
-		t.Friction = sc.frictSum[i].Scale(c.p.CFrict / float64(sc.frictCnt[i]))
+		friction = sc.frictSum[i].Scale(c.p.CFrict / float64(sc.frictCnt[i]))
 	}
 
 	for _, o := range w.Obstacles {
+		if o.SurfaceBeyond(pos, c.p.RShill) {
+			continue
+		}
 		s := o.SurfaceDistance(pos)
 		if s >= c.p.RShill {
 			continue
 		}
 		outward := o.OutwardNormal(pos)
 		if outward == vec.Zero {
-			outward = t.Migration.Neg().Unit()
+			outward = migration.Neg().Unit()
 		}
 		gain := c.p.PShill * (1 - s/c.p.RShill)
 		if s < 0 {
 			gain = c.p.PShill
 		}
 		shillVel := outward.Scale(c.p.VShill)
-		t.Obstacle = t.Obstacle.Add(shillVel.Sub(vel).Scale(gain))
+		obstacle = obstacle.Add(shillVel.Sub(vel).Scale(gain))
 	}
 
-	t.Altitude = vec.New(0, 0, c.p.KAlt*(w.Destination.Z-pos.Z))
+	altitude := vec.New(0, 0, c.p.KAlt*(w.Destination.Z-pos.Z))
 
-	return t.Sum().ClampNorm(c.p.VMax)
+	return migration.
+		Add(sc.rep[i]).
+		Add(attraction).
+		Add(friction).
+		Add(obstacle).
+		Add(altitude).
+		ClampNorm(c.p.VMax)
 }

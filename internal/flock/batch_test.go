@@ -1,6 +1,7 @@
 package flock
 
 import (
+	"math"
 	"testing"
 
 	"swarmfuzz/internal/comms"
@@ -50,6 +51,14 @@ func makeBatchFixture(src *rng.Source, n int, w *sim.World) *batchFixture {
 	}
 	copy(f.bc.Pos, pos)
 	copy(f.bc.Vel, vel)
+	f.buildRows()
+	return f
+}
+
+// buildRows derives the scalar Perceptions and neighbour rows from the
+// broadcast columns.
+func (f *batchFixture) buildRows() {
+	n := f.bc.N()
 	f.per = make([]sim.Perception, n)
 	f.nbr = make([][]comms.State, n)
 	for i := 0; i < n; i++ {
@@ -58,8 +67,8 @@ func makeBatchFixture(src *rng.Source, n int, w *sim.World) *batchFixture {
 		}
 		f.per[i] = sim.Perception{
 			ID:       i,
-			GPS:      gps.Reading{Position: pos[i], Time: f.bc.Time},
-			Velocity: vel[i],
+			GPS:      gps.Reading{Position: f.bc.Pos[i], Time: f.bc.Time},
+			Velocity: f.bc.Vel[i],
 			Time:     f.bc.Time,
 		}
 		for j := 0; j < n; j++ {
@@ -67,25 +76,64 @@ func makeBatchFixture(src *rng.Source, n int, w *sim.World) *batchFixture {
 				continue
 			}
 			f.nbr[i] = append(f.nbr[i], comms.State{
-				ID: j, Position: pos[j], Velocity: vel[j], Time: f.bc.Time,
+				ID: j, Position: f.bc.Pos[j], Velocity: f.bc.Vel[j], Time: f.bc.Time,
 			})
 		}
 	}
-	return f
+}
+
+// shillBoundary returns receiver positions on both sides of w's first
+// obstacle's RShill+Radius boundary, where Terms' exact shill test
+// flips, and of the padded bound at which finishSoA's SurfaceBeyond
+// gate flips, each stepped ±1..3 ulps in x: along the x axis from the
+// centre, where SurfaceDistance is exact, and along two diagonals. A
+// ring 2e-10 relative inside the boundary, where the shill term is
+// still large enough to move the command's bits, catches a gate padded
+// the wrong way.
+func shillBoundary(c *Controller, w *sim.World) []vec.Vec3 {
+	o := w.Obstacles[0]
+	edge := c.Params().RShill + o.Radius
+	gate := math.Sqrt(vec.PaddedSq(edge, 1e-9))
+	var out []vec.Vec3
+	for _, rho := range []float64{edge, gate, edge * (1 - 2e-10)} {
+		for _, dir := range [][2]float64{{1, 0}, {0.6, 0.8}, {-0.8, -0.6}} {
+			x, y := rho*dir[0], rho*dir[1]
+			for k := -3; k <= 3; k++ {
+				xk := x
+				for s := k; s != 0; {
+					if s > 0 {
+						xk, s = math.Nextafter(xk, math.Inf(1)), s-1
+					} else {
+						xk, s = math.Nextafter(xk, math.Inf(-1)), s+1
+					}
+				}
+				out = append(out, vec.New(o.Center.X+xk, o.Center.Y+y, 10))
+			}
+		}
+	}
+	return out
+}
+
+func sameBits(a, b vec.Vec3) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+		math.Float64bits(a.Z) == math.Float64bits(b.Z)
 }
 
 // TestBatchCommandsMatchesCommand pins the bit-identity contract of the
 // SoA path: for random layouts — obstacle proximity, crashed drones,
 // coincident fixes, far stragglers — BatchCommands writes, per active
 // drone, exactly the bits Command returns for the PerfectBus neighbour
-// row, and zeroes for inactive drones.
+// row, and zeroes for inactive drones. After the random layouts, one
+// receiver per layout sits on either side of the shill boundary or of
+// the kernel's padded shill gate (shillBoundary).
 func TestBatchCommandsMatchesCommand(t *testing.T) {
 	c := MustNew(DefaultParams())
 	w := testWorld()
 	src := rng.New(17)
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + int(src.Uniform(0, 60))
-		f := makeBatchFixture(src, n, w)
+	check := func(trial int, f *batchFixture) {
+		t.Helper()
+		n := f.bc.N()
 		cmds := make([]vec.Vec3, n)
 		c.BatchCommands(&f.bc, w, c.NewBatchScratch(n), cmds)
 		for i := 0; i < n; i++ {
@@ -93,12 +141,21 @@ func TestBatchCommandsMatchesCommand(t *testing.T) {
 			if f.bc.Active[i] {
 				want = c.Command(f.per[i], f.nbr[i], w)
 			}
-			got := cmds[i]
-			if got != want {
-				t.Fatalf("trial %d drone %d (active=%v): batch %v, scalar %v",
-					trial, i, f.bc.Active[i], got, want)
+			if got := cmds[i]; !sameBits(got, want) {
+				t.Fatalf("trial %d drone %d at %#v (active=%v): batch %#v, scalar %#v",
+					trial, i, f.bc.Pos[i], f.bc.Active[i], got, want)
 			}
 		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + int(src.Uniform(0, 60))
+		check(trial, makeBatchFixture(src, n, w))
+	}
+	for k, p := range shillBoundary(c, w) {
+		f := makeBatchFixture(src, 2+int(src.Uniform(0, 8)), w)
+		f.bc.Pos[0], f.bc.Active[0] = p, true
+		f.buildRows()
+		check(40+k, f)
 	}
 }
 

@@ -307,14 +307,12 @@ func evaluate(in Input, plan gps.SpoofPlan, victim int, prefix *sim.Trajectory, 
 		return evaluation{}, err
 	}
 	ev := evaluation{objective: res.MinClearance[victim]}
-	if col := res.CollisionOf(victim); col != nil && col.Kind == sim.KindObstacle {
-		ev.success = true
-	}
-	// The paper does not count collisions caused directly by the
-	// target drone; a drone-drone collision involving the victim also
-	// invalidates the run.
-	if col := res.CollisionOf(victim); col != nil && col.Kind == sim.KindDrone {
-		ev.success = false
+	// Only the victim's first collision counts, and only an obstacle
+	// hit is a success. The paper does not count collisions caused
+	// directly by the target drone; a drone-drone collision involving
+	// the victim also invalidates the run.
+	if col := res.CollisionOf(victim); col != nil {
+		ev.success = col.Kind == sim.KindObstacle
 	}
 	return ev, nil
 }

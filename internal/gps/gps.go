@@ -134,8 +134,12 @@ func (p SpoofPlan) Offset(migrationAxis vec.Vec3, t float64) vec.Vec3 {
 	if !p.Active(t) {
 		return vec.Zero
 	}
-	perp := migrationAxis.PerpXY()
-	return perp.Scale(float64(p.Direction) * p.Distance)
+	return p.shift(migrationAxis)
+}
+
+// shift is the offset Offset returns inside the attack window.
+func (p SpoofPlan) shift(migrationAxis vec.Vec3) vec.Vec3 {
+	return migrationAxis.PerpXY().Scale(float64(p.Direction) * p.Distance)
 }
 
 // Validate returns an error when the plan is not executable.
@@ -165,29 +169,28 @@ func (p SpoofPlan) String() string {
 // A nil Spoofer is valid and applies no attack.
 type Spoofer struct {
 	plan SpoofPlan
-	axis vec.Vec3
+	// off is the in-window offset, the same every step, so it is
+	// computed once.
+	off vec.Vec3
 }
 
 // NewSpoofer returns a Spoofer executing plan against a mission whose
 // horizontal migration axis is axis.
 func NewSpoofer(plan SpoofPlan, axis vec.Vec3) *Spoofer {
-	return &Spoofer{plan: plan, axis: axis}
+	return &Spoofer{plan: plan, off: plan.shift(axis)}
 }
 
 // Plan returns the plan the spoofer executes.
 func (sp *Spoofer) Plan() SpoofPlan { return sp.plan }
 
-// Apply perturbs the reading of the given drone at time t. Readings of
-// drones other than the plan's target pass through unchanged.
+// Apply adds the plan's offset at r.Time to the target drone's reading
+// and marks it Spoofed. Other drones' readings, and readings outside
+// the attack window or under a zero offset, pass through unmarked.
 func (sp *Spoofer) Apply(droneID int, r Reading) Reading {
-	if sp == nil || droneID != sp.plan.Target {
+	if sp == nil || droneID != sp.plan.Target || sp.off == vec.Zero || !sp.plan.Active(r.Time) {
 		return r
 	}
-	off := sp.plan.Offset(sp.axis, r.Time)
-	if off == vec.Zero {
-		return r
-	}
-	r.Position = r.Position.Add(off)
+	r.Position = r.Position.Add(sp.off)
 	r.Spoofed = true
 	return r
 }

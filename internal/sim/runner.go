@@ -487,14 +487,19 @@ func (s *Stepper) Step() (done bool, err error) {
 		s.forks.record(s)
 	}
 	n := len(s.bodies)
-	cfg := s.cfg
+	cfg := &s.cfg
 	s.stepsRun++
 	t := float64(s.step) * cfg.Dt
 
-	// (1) Sense: read GPS (with spoofing).
+	// (1) Sense: read GPS, then spoof the target's fix.
 	for i := 0; i < n; i++ {
 		if !s.bodies[i].Crashed {
-			s.readings[i] = s.spoofer.Apply(i, s.sensors[i].Read(s.bodies[i].Pos, t))
+			s.readings[i] = s.sensors[i].Read(s.bodies[i].Pos, t)
+		}
+	}
+	if sp := s.spoofer; sp != nil {
+		if i := sp.Plan().Target; !s.bodies[i].Crashed {
+			s.readings[i] = sp.Apply(i, s.readings[i])
 		}
 	}
 
@@ -540,9 +545,11 @@ func (s *Stepper) Step() (done bool, err error) {
 		}
 	}
 
-	// Collision detection on true positions.
+	// Collision detection on true positions. A drone whose clearance
+	// provably stays above its minimum so far skips the exact pass: it
+	// would neither lower the minimum nor collide.
 	for i := 0; i < n; i++ {
-		if s.bodies[i].Crashed {
+		if s.bodies[i].Crashed || clearanceHolds(&s.m.World, s.bodies[i].Pos, s.res.MinClearance[i], cfg.DroneRadius) {
 			continue
 		}
 		oi, d := s.m.World.NearestObstacle(s.bodies[i].Pos)
@@ -662,6 +669,29 @@ func (s *Stepper) decideRows() {
 		}, observations[obsIdx], &s.m.World)
 		obsIdx++
 	}
+}
+
+// clearanceHolds reports whether squared-distance bounds prove that
+// p's exact clearance, NearestObstacle's distance minus droneRadius,
+// is at least minClear > 0. Such a clearance can neither set a new
+// minimum nor be a collision, so the Stepper skips the pass and its
+// square roots. Every obstacle must satisfy Obstacle.SurfaceBeyond
+// with r = minClear+droneRadius: the rounded surface distance is then
+// > minClear+droneRadius by a wide margin, so subtracting droneRadius
+// rounds to ≥ minClear. Any doubt (minClear ≤ 0 or NaN, a near
+// obstacle) answers false and runs the exact pass. A world without
+// obstacles holds vacuously, as the exact pass would find +Inf.
+func clearanceHolds(w *World, p vec.Vec3, minClear, droneRadius float64) bool {
+	if !(minClear > 0) {
+		return false
+	}
+	r := minClear + droneRadius
+	for _, o := range w.Obstacles {
+		if !o.SurfaceBeyond(p, r) {
+			return false
+		}
+	}
+	return true
 }
 
 // pairScanNeeded reports whether this tick's drone-pair collision scan

@@ -22,6 +22,19 @@ func (o Obstacle) SurfaceDistance(p vec.Vec3) float64 {
 	return p.HorizontalDist(o.Center) - o.Radius
 }
 
+// SurfaceBeyond reports whether a squared-distance bound proves, for
+// r ≥ 0, that the rounded SurfaceDistance(p) ≥ r, without taking a
+// square root. dx²+dy² ≥ (r+Radius)²·(1+1e-9) puts the exact
+// horizontal distance ~5e-10·(r+Radius) beyond r+Radius. The roundings
+// of the squares, the bound, Hypot and the subtraction of Radius take
+// back at most a few ulps of that, so SurfaceDistance(p) ≥
+// r + 4e-10·(r+Radius). False means undecided, not closer; NaN inputs
+// always answer false (see vec.PaddedSq).
+func (o Obstacle) SurfaceBeyond(p vec.Vec3, r float64) bool {
+	dx, dy := p.X-o.Center.X, p.Y-o.Center.Y
+	return dx*dx+dy*dy >= vec.PaddedSq(r+o.Radius, 1e-9)
+}
+
 // OutwardNormal returns the horizontal unit vector pointing from the
 // obstacle axis toward p. For a point exactly on the axis it returns
 // the zero vector.

@@ -1,10 +1,13 @@
 package telemetry
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 func TestQuantile(t *testing.T) {
@@ -131,7 +134,10 @@ wait_count 1
 	}
 }
 
-func TestReadSpansRoundTrip(t *testing.T) {
+// spanStream is a two-span trace (a child "mission" inside a root
+// "job", IDs from base 10, trace "job-1") followed by a foreign record
+// and a torn trailing line.
+func spanStream() string {
 	var buf strings.Builder
 	tel := New(NewRegistry(), &buf)
 	clock := &FakeClock{T: time.Unix(100, 0), Step: time.Millisecond}
@@ -144,11 +150,14 @@ func TestReadSpansRoundTrip(t *testing.T) {
 	child.End()
 	root.End()
 
-	// A torn trailing line and a foreign record must be skipped.
 	buf.WriteString(`{"type":"progress","x":1}` + "\n")
 	buf.WriteString(`{"type":"span","id":`)
+	return buf.String()
+}
 
-	spans, err := ReadSpans(strings.NewReader(buf.String()))
+func TestReadSpansRoundTrip(t *testing.T) {
+	// The torn trailing line and the foreign record must be skipped.
+	spans, err := ReadSpans(strings.NewReader(spanStream()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,4 +179,53 @@ func TestReadSpansRoundTrip(t *testing.T) {
 			t.Errorf("span %q trace = %q, want job-1", s.Name, s.Trace)
 		}
 	}
+}
+
+// FuzzReadSpans feeds ReadSpans arbitrary bytes. It must never panic.
+// The spans read from any prefix that ends at a newline must be a
+// prefix of the spans read from the whole input: complete lines parse
+// the same wherever the stream is cut, and bad lines are skipped
+// wherever they sit (a retried job appends its spans after the torn
+// last line of a killed attempt). And a span the trace writer writes,
+// with a fuzzed name and ID, must read back equal.
+func FuzzReadSpans(f *testing.F) {
+	stream := []byte(spanStream())
+	nl := bytes.IndexByte(stream, '\n')
+	for _, cut := range []int{0, 1, nl, nl + 1, len(stream) / 2, len(stream) - 3, len(stream)} {
+		f.Add(stream, uint(cut), "mission", uint64(11))
+		f.Add(stream[:cut], uint(cut/2), "job", uint64(cut))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cut uint, name string, id uint64) {
+		all, err := ReadSpans(bytes.NewReader(data))
+		if err == nil {
+			k := cut % uint(len(data)+1)
+			end := bytes.LastIndexByte(data[:k], '\n') + 1
+			head, err := ReadSpans(bytes.NewReader(data[:end]))
+			if err != nil {
+				t.Fatalf("read the whole input but not its %d-byte prefix: %v", end, err)
+			}
+			if len(head) > len(all) {
+				t.Fatalf("%d-byte prefix read %d spans, the whole input %d", end, len(head), len(all))
+			}
+			for i := range head {
+				if !reflect.DeepEqual(head[i], all[i]) {
+					t.Fatalf("%d-byte prefix read span %d as %+v, the whole input as %+v", end, i, head[i], all[i])
+				}
+			}
+		}
+
+		if !utf8.ValidString(name) {
+			return // encoding/json rewrites invalid UTF-8, by design
+		}
+		ev := SpanEvent{Type: "span", Trace: "job-1", ID: id, Parent: id / 2, Name: name,
+			StartUS: int64(cut), EndUS: int64(cut) + 7, DurUS: 7, Attrs: map[string]any{name: "v"}}
+		var buf bytes.Buffer
+		if err := (&traceWriter{w: &buf}).write(ev); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadSpans(&buf)
+		if err != nil || len(got) != 1 || !reflect.DeepEqual(got[0], ev) {
+			t.Fatalf("wrote %+v, read back %+v (err %v)", ev, got, err)
+		}
+	})
 }

@@ -60,9 +60,10 @@ type SpanEvent struct {
 }
 
 // ReadSpans parses a JSONL trace stream back into span events. Lines
-// that do not parse, or whose type is not "span", are skipped — a
-// trace may end with a torn line after a crash, and skipping keeps the
-// prefix usable.
+// that do not parse, or whose type is not "span", are skipped wherever
+// they sit: a trace may end with a torn line after a crash, and a
+// retried job appends its spans after that torn line, so a bad line in
+// the middle of a served job's trace is expected, not corruption.
 func ReadSpans(r io.Reader) ([]SpanEvent, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)

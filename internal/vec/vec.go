@@ -64,15 +64,41 @@ func (v Vec3) Unit() Vec3 {
 
 // ClampNorm returns v unchanged if |v| <= max, otherwise v rescaled to
 // length max. A non-positive max yields the zero vector.
+//
+// Most calls clamp nothing, so the test runs on squares first:
+// v·v ≤ max²·(1−1e-9) proves that the rounded Norm is ≤ max (see
+// PaddedSq), and v is returned without a square root. Anything else,
+// NaN included, takes the exact comparison, so the result is bit for
+// bit that of comparing Norm with max.
 func (v Vec3) ClampNorm(max float64) Vec3 {
 	if max <= 0 {
 		return Zero
 	}
-	n := v.Norm()
+	d2 := v.Dot(v)
+	if d2 <= PaddedSq(max, -1e-9) {
+		return v
+	}
+	n := math.Sqrt(d2) // v.Norm(), reusing the dot product
 	if n <= max {
 		return v
 	}
 	return v.Scale(max / n)
+}
+
+// PaddedSq returns r²·(1+rel), the squared-distance gate for the
+// threshold r widened by the relative pad rel (±1e-9 at every call
+// site). With rel = +1e-9, a correctly rounded d2 ≥ PaddedSq(r, rel)
+// proves the rounded sqrt(d2) ≥ r; with rel = −1e-9, d2 ≤ PaddedSq
+// proves it ≤ r. The pad moves the root by ~5e-10 relative, about
+// 2·10⁶ ulps, against the two roundings of the bound and the one of
+// the root. That argument needs r² to be a normal float, so outside
+// 2^±500 it returns NaN, which fails every comparison and sends the
+// caller to its exact path.
+func PaddedSq(r, rel float64) float64 {
+	if !(r >= 0x1p-500 && r <= 0x1p500) {
+		return math.NaN()
+	}
+	return r * r * (1 + rel)
 }
 
 // Horizontal returns v with its Z component zeroed.

@@ -2,6 +2,7 @@ package vec
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -85,6 +86,99 @@ func TestClampNorm(t *testing.T) {
 	if got := v.ClampNorm(-1); got != Zero {
 		t.Errorf("ClampNorm(-1) = %v, want zero", got)
 	}
+}
+
+// clampNormReference is ClampNorm as it was before its squared-norm
+// gate: the formula the gated version must reproduce bit for bit.
+func clampNormReference(v Vec3, max float64) Vec3 {
+	if max <= 0 {
+		return Zero
+	}
+	n := v.Norm()
+	if n <= max {
+		return v
+	}
+	return v.Scale(max / n)
+}
+
+func sameBits(a, b Vec3) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+		math.Float64bits(a.Z) == math.Float64bits(b.Z)
+}
+
+// TestClampNormMatchesReference holds the gated ClampNorm to the
+// ungated formula on every kind of input the gate could misjudge:
+// norms at max and within ulps of it and of the gate's own threshold
+// max·√(1−1e-9), signed zeros, subnormal vectors and limits,
+// limits at the edges of PaddedSq's range, Inf and NaN components
+// and limits, and non-positive limits.
+func TestClampNormMatchesReference(t *testing.T) {
+	maxes := []float64{
+		1, 4, 6, 8, 0.3, 1e-3, 1e6, 1e300, 1e-300,
+		0x1p-500, 0x1p500, math.Nextafter(0x1p-500, 0), math.Nextafter(0x1p500, math.Inf(1)),
+		5e-324, 1e-310, math.SmallestNonzeroFloat64 * 3,
+		math.MaxFloat64, math.Inf(1), math.NaN(),
+		0, math.Copysign(0, -1), -1, math.Inf(-1),
+	}
+	rnd := rand.New(rand.NewSource(18))
+	dirs := []Vec3{New(1, 0, 0), New(0, -1, 0), New(0, 0, 1)}
+	for k := 0; k < 8; k++ {
+		dirs = append(dirs, New(rnd.NormFloat64(), rnd.NormFloat64(), rnd.NormFloat64()).Unit())
+	}
+	var cases []struct {
+		v   Vec3
+		max float64
+	}
+	add := func(v Vec3, max float64) {
+		cases = append(cases, struct {
+			v   Vec3
+			max float64
+		}{v, max})
+	}
+	// ulps returns x stepped k ulps up (k > 0) or down.
+	ulps := func(x float64, k int) float64 {
+		for ; k > 0; k-- {
+			x = math.Nextafter(x, math.Inf(1))
+		}
+		for ; k < 0; k++ {
+			x = math.Nextafter(x, math.Inf(-1))
+		}
+		return x
+	}
+	for _, max := range maxes {
+		norms := []float64{max, max * math.Sqrt(1-1e-9), max * 2, max / 2}
+		for _, norm := range norms {
+			for k := -3; k <= 3; k++ {
+				nk := ulps(norm, k)
+				for _, d := range dirs {
+					add(d.Scale(nk), max)
+				}
+			}
+		}
+		for k := 0; k < 200; k++ {
+			v := New(rnd.NormFloat64(), rnd.NormFloat64(), rnd.NormFloat64())
+			add(v.Scale(math.Abs(max)*math.Exp(rnd.NormFloat64())), max)
+		}
+		negZero := math.Copysign(0, -1)
+		tiny := math.SmallestNonzeroFloat64
+		for _, v := range []Vec3{
+			Zero, New(negZero, 0, negZero), New(negZero, negZero, negZero),
+			New(tiny, -tiny, 0), New(1e-310, 3e-312, -2e-309), New(0x1p-1022, 0, 0),
+			New(math.Inf(1), 0, 0), New(1, math.Inf(-1), 2), New(math.NaN(), 0, 0),
+			New(0, 0, math.NaN()), New(math.Inf(1), math.NaN(), 0),
+			New(1e200, 1e200, 0), New(math.MaxFloat64, 0, 0),
+		} {
+			add(v, max)
+		}
+	}
+	for _, c := range cases {
+		got, want := c.v.ClampNorm(c.max), clampNormReference(c.v, c.max)
+		if !sameBits(got, want) {
+			t.Fatalf("ClampNorm(%v, %v) = %#v, reference %#v", c.v, c.max, got, want)
+		}
+	}
+	t.Logf("%d cases", len(cases))
 }
 
 func TestPerpXY(t *testing.T) {
