@@ -43,40 +43,57 @@ batch-equiv:
 check: build vet metrics-lint batch-equiv race fabric-smoke cellbench-smoke
 
 # fuzz-smoke runs the native Go fuzz targets for inputs that can come
-# from a client or a torn disk, 10 s each. The flight-log and atlas
-# readers must never panic and must accept every prefix of an input
-# they accept (for the atlas, every prefix that keeps the header line).
-# The span-trace reader must never panic, must read every prefix cut at
-# a newline as a prefix of the whole input's spans, and must read back
-# what the trace writer wrote. JobSpec decode must never panic,
-# Normalize must be idempotent, and Hash and CacheKey must survive
-# normalization. Minimization is capped per input so the short budget
-# goes to fuzzing, not to shrinking the multi-kilobyte seed logs.
+# from a client, a worker or a torn disk, 10 s each. The flight-log and
+# atlas readers must never panic and must accept every prefix of an
+# input they accept (for the atlas, every prefix that keeps the header
+# line). The span-trace reader must never panic, must read every prefix
+# cut at a newline as a prefix of the whole input's spans, and must
+# read back what the trace writer wrote. JobSpec decode must never
+# panic, Normalize must be idempotent, and Hash and CacheKey must
+# survive normalization. The fabric's heartbeat, complete and fail
+# handlers must answer every body with 200, 400 or 410, and a body that
+# names no worker must never change the live-worker set. Checkpoint
+# load and cell import must never panic, must reject every strict
+# prefix of a valid checkpoint, must write no file when they reject,
+# and an accepted cell must re-encode to bytes that load back to the
+# same cell. Minimization is capped per input so the short budget goes
+# to fuzzing, not to shrinking the multi-kilobyte seed logs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFlight$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/flightlog/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAtlas$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/atlas/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSpans$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzFabricVerdict$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/fabric/
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/experiments/
 
-# serve-smoke boots a real swarmfuzzd on an ephemeral port, submits a
-# tiny fuzz job through the CLI client, and asserts it finishes with a
-# persisted report — the daemon/store/API/client end-to-end proof.
+# The four smoke targets run the real swarmfuzz and swarmfuzzd binaries
+# through the e2e package: its TestMain builds both once, each test
+# boots the daemons it needs on ephemeral ports, and every child
+# process is reaped when the test ends. `go test ./...` runs them too.
+
+# serve-smoke boots a real swarmfuzzd, submits a tiny fuzz job through
+# the CLI client, and asserts it finishes with a persisted report, then
+# checks stats, trace, atlas, dashboard and top on a small grid job —
+# the daemon/store/API/client end-to-end proof.
 serve-smoke:
-	./scripts/serve-smoke.sh
+	$(GO) test -count=1 -run '^TestServeSmoke$$' ./e2e/
 
 # chaos-smoke runs the same grid job on a healthy daemon and on one
 # under an injected fault schedule (torn write, ENOSPC, a watchdogged
 # stall) plus a pre-corrupted store, and requires byte-identical
-# reports with every failure visible on /metrics. Race-detector build.
+# reports with every failure visible on /metrics. Race-detector build
+# of the daemon.
 chaos-smoke:
-	./scripts/chaos-smoke.sh
+	$(GO) test -count=1 -run '^TestChaosSmoke$$' ./e2e/
 
 # atlas-smoke proves the search atlas end to end: the golden and
 # checkpoint-resume byte-identity pins, two identical CLI runs
 # diffing clean, and a served grid job whose artifact frames a
-# populated cell and whose XHTML page passes tools/xmlwf.
+# populated cell and whose XHTML page parses as strict XML.
 atlas-smoke:
-	./scripts/atlas-smoke.sh
+	$(GO) test -count=1 -run 'TestGridAtlas' ./internal/experiments/
+	$(GO) test -count=1 -run 'TestObserverParallelWalkByteIdentity|TestCollector' ./internal/fuzz/ ./internal/atlas/
+	$(GO) test -count=1 -run '^TestAtlasSmoke$$' ./e2e/
 
 # fabric-smoke proves the distributed campaign fabric with real
 # processes: a grid sharded across a coordinator and two workers — one
@@ -84,7 +101,7 @@ atlas-smoke:
 # single-node run, and resubmitting the identical spec must be served
 # from the content-addressed result cache without re-simulating.
 fabric-smoke:
-	./scripts/fabric-smoke.sh
+	$(GO) test -count=1 -run '^TestFabricSmoke$$' ./e2e/
 
 # cellbench-smoke runs cellbench's tests and one short traced pass of a
 # Table I cell, failing unless every mission's outputs match the stored

@@ -3,11 +3,11 @@
 // filesystem; chaos runs wrap it with an Injector that throws
 // scheduled IO errors (EIO, ENOSPC), torn/short writes and latency at
 // the store, and stalls at engine hook points — so every failure path
-// swarmfuzzd claims to survive can actually be exercised, in tests and
-// in the chaos-smoke script, and every chaos run is reproducible: the
-// schedule is a declarative ChaosSpec and the only randomness is a
-// seed-derived stream, so the same spec always injects the same faults
-// at the same operations.
+// swarmfuzzd claims to survive can actually be exercised, in unit
+// tests and end to end (TestChaosSmoke in e2e/), and every chaos run
+// is reproducible: the schedule is a declarative ChaosSpec and the
+// only randomness is a seed-derived stream, so the same spec always
+// injects the same faults at the same operations.
 package chaos
 
 import (

@@ -136,3 +136,78 @@ func TestImportCellDataRejectsBadPayloads(t *testing.T) {
 		t.Fatalf("round-trip failed: %v %v", got, err)
 	}
 }
+
+// FuzzCheckpoint feeds arbitrary bytes to LoadCheckpoint (as the n=3
+// d=10 cell's file) and to ImportCellData (as that cell's payload). No
+// input may panic; a rejected import writes no file; an accepted cell
+// re-encodes to a checkpoint that loads back to the same cell; and
+// every strict prefix of that checkpoint — a torn write — is rejected
+// by both functions.
+func FuzzCheckpoint(f *testing.F) {
+	cfg := fastConfig(2)
+	cfg.AtlasPath = "fuzz" // collect the Search summaries; RunCell writes nothing
+	cd, err := RunCell(context.Background(), cfg, fuzz.SwarmFuzz{}, 3, 10)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, n := range []int{len(cd.Cell), len(cd.Cell) - 1, len(cd.Cell) / 2, 1, 0} {
+		f.Add(cd.Cell[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		cell := loadAndImport(t, dir, data)
+		if cell == nil {
+			return
+		}
+		valid, err := EncodeCell(cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again := loadAndImport(t, dir, valid)
+		if again == nil {
+			t.Fatalf("re-encoded checkpoint rejected:\n%s", valid)
+		}
+		// Compared in the checkpoint encoding: omitempty folds empty
+		// and absent fields, which DeepEqual would tell apart.
+		if re, err := EncodeCell(again); err != nil || !bytes.Equal(re, valid) {
+			t.Fatalf("re-encoded cell loads back as a different cell (%v):\n%s\nwant:\n%s", err, re, valid)
+		}
+		for n := range valid {
+			if loadAndImport(t, dir, valid[:n]) != nil {
+				t.Fatalf("the %d-byte prefix of a %d-byte checkpoint was accepted", n, len(valid))
+			}
+		}
+	})
+}
+
+// loadAndImport writes data as the n=3 d=10 checkpoint under dir/load
+// and loads it, then imports data as that cell's payload into
+// dir/import, which it leaves empty. It returns the loaded cell, nil
+// when LoadCheckpoint rejects. A rejected import must write no file,
+// and only loadable data may import.
+func loadAndImport(t *testing.T, dir string, data []byte) *CampaignResult {
+	t.Helper()
+	load, imp := filepath.Join(dir, "load"), filepath.Join(dir, "import")
+	if err := os.MkdirAll(load, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(load, checkpointFile(3, 10)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cell, loadErr := LoadCheckpoint(load, 3, 10)
+	importErr := ImportCellData(imp, &CellData{SwarmSize: 3, SpoofDistance: 10, Cell: data, Atlas: []byte("{}\n")})
+	if importErr == nil {
+		if loadErr != nil {
+			t.Fatalf("ImportCellData accepted a checkpoint LoadCheckpoint rejects: %v", loadErr)
+		}
+		if err := os.RemoveAll(imp); err != nil {
+			t.Fatal(err)
+		}
+	} else if left, err := os.ReadDir(imp); !os.IsNotExist(err) {
+		t.Fatalf("rejected import (%v) left %v behind (%v)", importErr, left, err)
+	}
+	if loadErr != nil {
+		return nil
+	}
+	return cell
+}

@@ -367,17 +367,25 @@ func decodeFabricBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// requireWorker answers 400 when a request names no worker. It runs
+// before any handler touches the worker table: registering the empty
+// id would count a phantom live worker and postpone the desertion
+// check.
+func requireWorker(w http.ResponseWriter, worker, what string) bool {
+	if worker == "" {
+		writeFabricError(w, http.StatusBadRequest, "fabric: "+what+" needs a worker id")
+		return false
+	}
+	return true
+}
+
 type leaseRequest struct {
 	Worker string `json:"worker"`
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if !decodeFabricBody(w, r, &req) {
-		return
-	}
-	if req.Worker == "" {
-		writeFabricError(w, http.StatusBadRequest, "fabric: lease needs a worker id")
+	if !decodeFabricBody(w, r, &req) || !requireWorker(w, req.Worker, "lease") {
 		return
 	}
 	c.sweep() // a dead worker's unit must be re-grantable right now
@@ -430,7 +438,7 @@ type heartbeatRequest struct {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatRequest
-	if !decodeFabricBody(w, r, &req) {
+	if !decodeFabricBody(w, r, &req) || !requireWorker(w, req.Worker, "heartbeat") {
 		return
 	}
 	c.mu.Lock()
@@ -457,7 +465,7 @@ type completeRequest struct {
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req completeRequest
-	if !decodeFabricBody(w, r, &req) {
+	if !decodeFabricBody(w, r, &req) || !requireWorker(w, req.Worker, "complete") {
 		return
 	}
 	c.sweep()
@@ -508,7 +516,7 @@ type failRequest struct {
 
 func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 	var req failRequest
-	if !decodeFabricBody(w, r, &req) {
+	if !decodeFabricBody(w, r, &req) || !requireWorker(w, req.Worker, "fail") {
 		return
 	}
 	c.mu.Lock()

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -362,4 +364,77 @@ func TestRunJobEmpty(t *testing.T) {
 	if err := c.RunJob(context.Background(), "j1", nil, nil, func(CellDone) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A verdict that names no worker is refused before it touches the
+// worker table: it must not count a phantom live worker.
+func TestVerdictNeedsWorkerID(t *testing.T) {
+	c, ts := testFabric(t, Options{})
+	for _, ep := range []string{"heartbeat", "complete", "fail"} {
+		if code := postJSON(t, ts.URL+"/fabric/v1/"+ep, struct{}{}, nil); code != http.StatusBadRequest {
+			t.Errorf("%s without a worker id → %d, want 400", ep, code)
+		}
+	}
+	if n := c.LiveWorkers(); n != 0 {
+		t.Errorf("LiveWorkers = %d after worker-less verdicts, want 0", n)
+	}
+}
+
+// FuzzFabricVerdict posts arbitrary bodies to the heartbeat, complete
+// and fail handlers of a coordinator whose one unit is leased (lease
+// L1, worker w). No body may panic, every answer is 200, 400 or 410,
+// and a body that names no worker never changes the live-worker set.
+func FuzzFabricVerdict(f *testing.F) {
+	for _, seed := range []struct {
+		ep   uint8 // index into paths
+		body any
+	}{
+		{0, heartbeatRequest{Worker: "w", Lease: "L1"}},
+		{1, completeRequest{Worker: "alive", Lease: "L1", Output: CellOutput{Checkpoint: []byte("fresh")}}},
+		{1, completeRequest{Worker: "dead", Lease: "L9", Output: CellOutput{Checkpoint: []byte("stale")}}},
+		{2, failRequest{Worker: "w", Lease: "L1", Error: "sim wedged", Transient: true}},
+		{2, failRequest{Worker: "w", Lease: "L1", Error: "bad spec"}},
+		{0, struct{}{}}, {1, struct{}{}}, {2, struct{}{}},
+	} {
+		data, err := json.Marshal(seed.body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed.ep, data)
+	}
+	paths := []string{"/fabric/v1/heartbeat", "/fabric/v1/complete", "/fabric/v1/fail"}
+	f.Fuzz(func(t *testing.T, ep uint8, body []byte) {
+		c := NewCoordinator(Options{})
+		mux := http.NewServeMux()
+		c.Register(mux)
+		post := func(path string, body []byte) int {
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			return rec.Code
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := runJobAsync(c, ctx, "j1", []Cell{{3, 10}}, func(CellDone) error { return nil })
+		defer func() { cancel(); <-errc }()
+		for post("/fabric/v1/lease", []byte(`{"worker":"w"}`)) != http.StatusOK {
+			runtime.Gosched()
+		}
+
+		before := c.Status().Workers
+		path := paths[int(ep)%len(paths)]
+		switch code := post(path, body); code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusGone:
+		default:
+			t.Fatalf("%s → %d, want 200, 400 or 410", path, code)
+		}
+		// Decode the worker id the way the handlers do: the first JSON
+		// value, trailing bytes ignored.
+		var named struct {
+			Worker string `json:"worker"`
+		}
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&named) != nil || named.Worker == "" {
+			if after := c.Status().Workers; !reflect.DeepEqual(after, before) {
+				t.Fatalf("worker-less body changed the live workers from %v to %v", before, after)
+			}
+		}
+	})
 }

@@ -464,7 +464,7 @@ func (e *Engine) Drain(grace time.Duration) {
 // the property that makes client-side submit retries safe.
 func (e *Engine) Submit(spec JobSpec) (JobStatus, error) {
 	spec.Normalize()
-	if err := spec.Validate(e.resolveFuzzer); err != nil {
+	if err := spec.Validate(fuzzerResolver(e.opts.Fuzzers)); err != nil {
 		return JobStatus{}, err
 	}
 	e.mu.Lock()
@@ -699,16 +699,20 @@ func (e *Engine) Subscribe(id string) ([]Event, chan Event, func(), error) {
 	return all, live, cancel, nil
 }
 
-// resolveFuzzer maps a spec's fuzzer name to an implementation, using
-// the injected registry when present and the built-ins otherwise.
-func (e *Engine) resolveFuzzer(name string) (fuzz.Fuzzer, error) {
-	if e.opts.Fuzzers != nil {
-		if f, ok := e.opts.Fuzzers[strings.ToLower(name)]; ok {
+// fuzzerResolver maps spec fuzzer names to implementations through
+// the injected registry when it is non-nil and through the built-ins
+// (fuzz.ByName) otherwise. The engine and the fabric worker's
+// CellRunner both resolve through it.
+func fuzzerResolver(injected map[string]fuzz.Fuzzer) func(name string) (fuzz.Fuzzer, error) {
+	if injected == nil {
+		return fuzz.ByName
+	}
+	return func(name string) (fuzz.Fuzzer, error) {
+		if f, ok := injected[strings.ToLower(name)]; ok {
 			return f, nil
 		}
 		return nil, fmt.Errorf("serve: unknown fuzzer %q", name)
 	}
-	return fuzz.ByName(name)
 }
 
 // worker pulls job ids until the engine drains or force-stops.
@@ -925,7 +929,7 @@ func (e *Engine) execute(ctx context.Context, id string, spec JobSpec, rec *jobR
 		telemetry.KV("job", id), telemetry.KV("kind", spec.Kind), telemetry.KV("fuzzer", spec.Fuzzer))
 	defer span.End()
 	return robust.Guard(func() ([]byte, error) {
-		fuzzer, err := e.resolveFuzzer(spec.Fuzzer)
+		fuzzer, err := fuzzerResolver(e.opts.Fuzzers)(spec.Fuzzer)
 		if err != nil {
 			return nil, err
 		}

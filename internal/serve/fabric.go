@@ -8,7 +8,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 
 	"swarmfuzz/internal/experiments"
@@ -222,16 +221,7 @@ func CellRunner(opts CellRunnerOptions) fabric.Runner {
 			return fabric.CellOutput{}, robust.Permanent(fmt.Errorf("serve: decode unit spec: %w", err))
 		}
 		spec.Normalize()
-		var fuzzer fuzz.Fuzzer
-		var err error
-		if opts.Fuzzers != nil {
-			var ok bool
-			if fuzzer, ok = opts.Fuzzers[strings.ToLower(spec.Fuzzer)]; !ok {
-				err = fmt.Errorf("serve: unknown fuzzer %q", spec.Fuzzer)
-			}
-		} else {
-			fuzzer, err = fuzz.ByName(spec.Fuzzer)
-		}
+		fuzzer, err := fuzzerResolver(opts.Fuzzers)(spec.Fuzzer)
 		if err != nil {
 			return fabric.CellOutput{}, robust.Permanent(err)
 		}
