@@ -27,12 +27,16 @@ metrics-lint:
 # gates to the formulas they replace, bit for bit: ClampNorm's
 # squared-norm test against the ungated formula, and the clearance and
 # shill gates against the exact surface distance, down to ±1 ulp around
-# each boundary. `race` already runs these tests too; the named target
-# exists so the equivalence contract has its own CI handle and a fast
-# local loop.
+# each boundary. And it pins runs resumed from a clean run's fork
+# points, which read GPS noise from the trajectory's shared table, to
+# full runs that draw their own: with runs growing the table
+# concurrently, in either order across its chunk ends, on receivers
+# without noise or bias, and gps's table-side perceive step to Read.
+# `race` already runs these tests too; the named target exists so the
+# equivalence contract has its own CI handle and a fast local loop.
 batch-equiv:
-	$(GO) test -race -run '^(TestBatchPathMatchesRowPath|TestBatchPathMatchesRowPathWithDroneCollisions|TestBatchStepperMatchesSequentialRuns|TestBatchStepperBudgetExhaustion|TestBatchCommandsMatchesCommand|TestClampNormMatchesReference|TestObstacleGatesMatchExact)$$' \
-		./internal/sim/ ./internal/flock/ ./internal/vec/
+	$(GO) test -race -run '^(TestBatchPathMatchesRowPath|TestBatchPathMatchesRowPathWithDroneCollisions|TestBatchStepperMatchesSequentialRuns|TestBatchStepperBudgetExhaustion|TestBatchCommandsMatchesCommand|TestClampNormMatchesReference|TestObstacleGatesMatchExact|TestPrefixResumeConcurrent|TestNoiseTableOrderIndependence|TestPrefixResumeWithoutNoiseOrBias|TestPerceiveMatchesRead)$$' \
+		./internal/sim/ ./internal/flock/ ./internal/vec/ ./internal/gps/
 
 # check is the CI gate: vet plus metric-name hygiene plus the decide
 # paths' bit-identity pins plus the full test suite under the race

@@ -62,12 +62,23 @@ type Reading struct {
 	Spoofed bool
 }
 
-// Sensor models one drone's GPS receiver.
+// Sensor models one drone's GPS receiver: a Receiver plus the seeded
+// stream its per-fix noise is drawn from.
 type Sensor struct {
-	bias     vec.Vec3
+	rx       Receiver
 	noiseStd float64
 	src      *rng.Source
 }
+
+// Receiver is the fixed part of a GPS receiver: its constant bias and
+// whether its fixes carry noise.
+type Receiver struct {
+	bias  vec.Vec3
+	noisy bool
+}
+
+// Noise is the horizontal noise of one fix, in metres.
+type Noise struct{ X, Y float64 }
 
 // NewSensor returns a Sensor with the given constant bias magnitude and
 // per-fix Gaussian noise standard deviation (both in metres, horizontal
@@ -75,28 +86,38 @@ type Sensor struct {
 func NewSensor(biasMag, noiseStd float64, src *rng.Source) *Sensor {
 	angle := src.Uniform(0, 2*math.Pi)
 	bias := vec.New(biasMag*math.Cos(angle), biasMag*math.Sin(angle), 0)
-	return &Sensor{bias: bias, noiseStd: noiseStd, src: src}
+	return &Sensor{rx: Receiver{bias: bias, noisy: noiseStd > 0}, noiseStd: noiseStd, src: src}
 }
 
-// Draws returns the position of the sensor's noise stream: the
-// generator steps drawn so far, the bias direction included.
-func (s *Sensor) Draws() uint64 { return s.src.Draws() }
+// Receiver returns the sensor's bias and noise switch.
+func (s *Sensor) Receiver() Receiver { return s.rx }
 
-// AdvanceTo fast-forwards the noise stream to position n, as reported
-// by Draws on a sensor built from a source with the same seed. Later
-// readings then continue that sensor's noise sequence bit for bit.
-func (s *Sensor) AdvanceTo(n uint64) { s.src.AdvanceTo(n) }
+// Noise draws the next fix's noise from the sensor's stream. A
+// noise-free sensor draws nothing and returns the zero Noise, which
+// Perceive then ignores.
+func (s *Sensor) Noise() Noise {
+	if !s.rx.noisy {
+		return Noise{}
+	}
+	x := s.src.Gaussian(0, s.noiseStd)
+	return Noise{X: x, Y: s.src.Gaussian(0, s.noiseStd)}
+}
 
 // Read returns the perceived position for the given true position at
-// mission time t.
+// mission time t, drawing the fix's noise from the stream.
 func (s *Sensor) Read(truth vec.Vec3, t float64) Reading {
-	p := truth.Add(s.bias)
-	if s.noiseStd > 0 {
-		p = p.Add(vec.New(
-			s.src.Gaussian(0, s.noiseStd),
-			s.src.Gaussian(0, s.noiseStd),
-			0,
-		))
+	return s.rx.Perceive(truth, s.Noise(), t)
+}
+
+// Perceive returns the reading of truth at mission time t with noise n
+// as the fix's noise. The bias is added first, then the noise; a
+// receiver without noise skips the second add, so a −0 coordinate
+// stays −0. Given the Noise its sensor would draw next, Perceive
+// returns Read's reading bit for bit.
+func (r Receiver) Perceive(truth vec.Vec3, n Noise, t float64) Reading {
+	p := truth.Add(r.bias)
+	if r.noisy {
+		p = p.Add(vec.New(n.X, n.Y, 0))
 	}
 	return Reading{Position: p, Time: t}
 }

@@ -234,3 +234,47 @@ func TestPropOffsetPerpendicular(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPerceiveMatchesRead sweeps random receivers and true positions,
+// signed zeros included, and requires perceiving each fix with the
+// sensor's next Noise to equal Read's reading bit for bit.
+func TestPerceiveMatchesRead(t *testing.T) {
+	src := rng.New(21)
+	coord := func() float64 {
+		switch src.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		default:
+			return src.Uniform(-500, 500)
+		}
+	}
+	negZeros := 0
+	for trial := 0; trial < 300; trial++ {
+		biasMag := []float64{0, 0.4, src.Uniform(0, 5)}[trial%3]
+		noiseStd := []float64{0, 0.12, src.Uniform(0, 3)}[trial/3%3]
+		seed := src.Uint64()
+		read, split := NewSensor(biasMag, noiseStd, rng.New(seed)), NewSensor(biasMag, noiseStd, rng.New(seed))
+		rx := split.Receiver()
+		for k := 0; k < 20; k++ {
+			truth, at := vec.New(coord(), coord(), coord()), src.Uniform(0, 100)
+			want := read.Read(truth, at)
+			got := rx.Perceive(truth, split.Noise(), at)
+			for c, pair := range [][2]float64{{got.Position.X, want.Position.X}, {got.Position.Y, want.Position.Y}, {got.Position.Z, want.Position.Z}, {got.Time, want.Time}} {
+				if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+					t.Fatalf("trial %d fix %d component %d: Perceive %v, Read %v", trial, k, c, pair[0], pair[1])
+				}
+				if c < 3 && pair[1] == 0 && math.Signbit(pair[1]) {
+					negZeros++
+				}
+			}
+			if got.Spoofed || want.Spoofed {
+				t.Fatalf("trial %d fix %d: unspoofed fix marked spoofed", trial, k)
+			}
+		}
+	}
+	if negZeros == 0 {
+		t.Fatal("the sweep produced no −0 coordinate; it no longer covers signed zeros")
+	}
+}

@@ -212,10 +212,28 @@ func TestCommandOverrideRuns(t *testing.T) {
 	}
 }
 
+// warmStepAllocs steps st past its warm-up — the first steps size the
+// bus arena and collision grid — and returns what one more Step
+// allocates.
+func warmStepAllocs(t *testing.T, st *sim.Stepper) float64 {
+	t.Helper()
+	for i := 0; i < 5; i++ {
+		if _, err := st.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return testing.AllocsPerRun(100, func() {
+		if _, err := st.Step(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestStepperZeroAlloc pins that once warm, one simulation step
 // allocates nothing — on both decide paths, across swarm sizes on both
 // collision paths (brute force and spatial hash), with and without
-// trajectory recording.
+// trajectory recording, and on a spoofed run resumed from a prefix
+// whose noise table an earlier run already filled.
 func TestStepperZeroAlloc(t *testing.T) {
 	ctrl := flock.MustNew(flock.DefaultParams())
 	paths := []struct {
@@ -225,34 +243,40 @@ func TestStepperZeroAlloc(t *testing.T) {
 		{"batch", sim.RunOptions{Controller: ctrl}},
 		{"row", sim.RunOptions{Controller: rowController{ctrl}, Bus: comms.NewPerfectBus()}},
 	}
-	for _, path := range paths {
-		for _, n := range []int{5, 10, 50} {
+	for _, n := range []int{5, 10, 50} {
+		mission, err := sim.NewMission(sim.DefaultMissionConfig(n, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
 			for _, traj := range []bool{false, true} {
-				mission, err := sim.NewMission(sim.DefaultMissionConfig(n, 7))
-				if err != nil {
-					t.Fatal(err)
-				}
 				opts := path.opts
 				opts.RecordTrajectory = traj
 				st, err := sim.NewStepper(mission, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Warm up: first steps size the bus arena and collision grid.
-				for i := 0; i < 5; i++ {
-					if _, err := st.Step(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				allocs := testing.AllocsPerRun(100, func() {
-					if _, err := st.Step(); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if allocs != 0 {
+				if allocs := warmStepAllocs(t, st); allocs != 0 {
 					t.Errorf("%s path n=%d traj=%v: warm Step allocates %v objects/op, want 0", path.name, n, traj, allocs)
 				}
 			}
+		}
+
+		clean, err := sim.Run(mission, sim.RunOptions{Controller: ctrl, RecordTrajectory: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := &gps.SpoofPlan{Target: 0, Start: 10, Duration: 20, Direction: gps.Right, Distance: 10}
+		opts := sim.RunOptions{Controller: ctrl, Spoof: plan, Prefix: clean.Trajectory}
+		if _, err := sim.Run(mission, opts); err != nil { // fills the table through the run's end
+			t.Fatal(err)
+		}
+		st, err := sim.NewStepper(mission, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := warmStepAllocs(t, st); allocs != 0 {
+			t.Errorf("resumed run n=%d: warm Step allocates %v objects/op, want 0", n, allocs)
 		}
 	}
 }

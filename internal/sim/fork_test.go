@@ -3,7 +3,9 @@ package sim_test
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"swarmfuzz/internal/comms"
@@ -252,6 +254,155 @@ func TestPrefixValidation(t *testing.T) {
 		}
 		if runs := reg.Snapshot().Counters[telemetry.MSimRuns]; runs != 0 {
 			t.Errorf("%s: rejected run counted %d sims", tc.name, runs)
+		}
+	}
+}
+
+// TestPrefixResumeWithoutNoiseOrBias runs the fork check on missions
+// whose receivers have no noise, no bias, or neither: the shared noise
+// table must reproduce each fresh sensor, including the bias draw that
+// still leads every noisy stream.
+func TestPrefixResumeWithoutNoiseOrBias(t *testing.T) {
+	ctrl := flock.MustNew(flock.DefaultParams())
+	for _, gpsErr := range [][2]float64{{0.4, 0}, {0, 0.12}, {0, 0}} {
+		for seed := uint64(1); seed <= 2; seed++ {
+			cfg := sim.DefaultMissionConfig(5, seed)
+			cfg.GPSBias, cfg.GPSNoise = gpsErr[0], gpsErr[1]
+			m, err := sim.NewMission(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clean, err := sim.Run(m, sim.RunOptions{Controller: ctrl})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFork(t, m, ctrl, forkPlans(m, clean, int(seed), rng.New(seed+50)))
+		}
+	}
+}
+
+// TestPrefixResumeConcurrent resumes every fork plan from one fresh
+// clean trajectory at once, so the runs grow its shared noise table
+// concurrently (under -race, the detector watches the growth), and
+// requires each result to equal its full run bit for bit.
+func TestPrefixResumeConcurrent(t *testing.T) {
+	ctrl := flock.MustNew(flock.DefaultParams())
+	m, err := sim.NewMission(sim.DefaultMissionConfig(5, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := sim.Run(m, sim.RunOptions{Controller: ctrl, RecordTrajectory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := forkPlans(m, clean, 2, rng.New(33))
+	want := make([]*sim.Result, len(plans))
+	for i := range plans {
+		if want[i], err = sim.Run(m, sim.RunOptions{Controller: ctrl, Spoof: &plans[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]*sim.Result, len(plans))
+	errs := make([]error, len(plans))
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = sim.Run(m, sim.RunOptions{Controller: ctrl, Spoof: &plans[i], Prefix: clean.Trajectory})
+		}(i)
+	}
+	wg.Wait()
+	for i := range plans {
+		if errs[i] != nil {
+			t.Fatalf("%v: %v", &plans[i], errs[i])
+		}
+		requireBitIdentical(t, plans[i].String(), got[i], want[i])
+	}
+}
+
+// TestNoiseTableOrderIndependence resumes two runs from a fresh clean
+// trajectory in both orders and requires every run's state to equal a
+// full run's, whichever of the two filled the shared noise table. The
+// second run ends inside the table's last filled chunk, at its end,
+// past it, or past the clean run's end; complete runs that end before
+// and after the clean run do the same with whole results.
+func TestNoiseTableOrderIndependence(t *testing.T) {
+	ctrl := flock.MustNew(flock.DefaultParams())
+	m, err := sim.NewMission(sim.DefaultMissionConfig(5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func() *sim.Trajectory {
+		res, err := sim.Run(m, sim.RunOptions{Controller: ctrl, RecordTrajectory: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Trajectory
+	}
+	_, _, cleanSteps := countedRun(t, m, sim.RunOptions{Controller: ctrl})
+	long := &gps.SpoofPlan{Target: 0, Start: 5, Duration: 150, Direction: gps.Right, Distance: 60}
+	short := &gps.SpoofPlan{Target: 0, Start: 5, Duration: 150, Direction: gps.Right, Distance: 120}
+	longRes, _, longSteps := countedRun(t, m, sim.RunOptions{Controller: ctrl, Spoof: long})
+	shortRes, _, shortSteps := countedRun(t, m, sim.RunOptions{Controller: ctrl, Spoof: short})
+	const pastClean = 40
+	if !(shortSteps < cleanSteps && cleanSteps+pastClean < longSteps) {
+		t.Fatalf("run lengths short %d, clean %d, long %d: want short < clean < clean+%d < long", shortSteps, cleanSteps, longSteps, pastClean)
+	}
+
+	// stepped resumes (or, with prefix nil, fully runs) the long plan
+	// through step last and returns the state there.
+	stepped := func(prefix *sim.Trajectory, last int) ([]sim.Body, []gps.Reading) {
+		st, err := sim.NewStepper(m, sim.RunOptions{Controller: ctrl, Spoof: long, Prefix: prefix})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies, readings, err := sim.StepThrough(st, last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bodies, readings
+	}
+	c := sim.NoiseChunk
+	first := 10*c - 1 // the first run fills exactly ten chunks
+	seconds := []struct {
+		name string
+		last int
+	}{
+		{"inside the last filled chunk", 9*c + 17},
+		{"at the filled end", first},
+		{"past the filled end", first + 5},
+		{"past the clean run's end", int(cleanSteps) + pastClean},
+	}
+	for _, second := range seconds {
+		for _, order := range [][2]int{{first, second.last}, {second.last, first}} {
+			tr := record()
+			for _, last := range order {
+				gotBodies, gotReadings := stepped(tr, last)
+				wantBodies, wantReadings := stepped(nil, last)
+				if !reflect.DeepEqual(gotBodies, wantBodies) || !sameBits(reflect.ValueOf(gotBodies), reflect.ValueOf(wantBodies)) ||
+					!reflect.DeepEqual(gotReadings, wantReadings) || !sameBits(reflect.ValueOf(gotReadings), reflect.ValueOf(wantReadings)) {
+					t.Fatalf("%s, order %v: state after step %d differs from the full run's", second.name, order, last)
+				}
+			}
+			if got, want := sim.NoiseSteps(tr), (max(order[0], order[1])/c+1)*c; got != want {
+				t.Errorf("%s, order %v: table holds %d steps, want %d", second.name, order, got, want)
+			}
+		}
+	}
+
+	for _, order := range [][2]*gps.SpoofPlan{{long, short}, {short, long}} {
+		tr := record()
+		for _, plan := range order {
+			want := shortRes
+			if plan == long {
+				want = longRes
+			}
+			got, err := sim.Run(m, sim.RunOptions{Controller: ctrl, Spoof: plan, Prefix: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitIdentical(t, plan.String(), got, want)
 		}
 	}
 }

@@ -137,26 +137,24 @@ const forkEvery = 20
 
 // forkPoints are a clean run's state snapshots. Snapshot k is the state
 // at the start of step k·forkEvery, i.e. everything steps 0..k·forkEvery−1
-// produced: bodies, each sensor's noise-stream position and each
-// drone's obstacle clearance so far in flat [snapshot][drone] arrays,
-// plus the count of collisions recorded before the step.
+// produced: bodies and each drone's obstacle clearance so far in flat
+// [snapshot][drone] arrays, plus the count of collisions recorded
+// before the step. The runs resumed from them share one GPS noise
+// table.
 type forkPoints struct {
 	m      *Mission
 	bodies []Body
-	draws  []uint64
 	clear  []float64
 	ncoll  []int
 	// colls is a copy of the recording run's collision list, taken when
 	// the run finishes; snapshot k's collisions are colls[:ncoll[k]].
 	colls []Collision
+	noise noiseTable
 }
 
 // record appends the snapshot for the stepper's current step.
 func (fp *forkPoints) record(s *Stepper) {
 	fp.bodies = append(fp.bodies, s.bodies...)
-	for _, sen := range s.sensors {
-		fp.draws = append(fp.draws, sen.Draws())
-	}
 	fp.clear = append(fp.clear, s.res.MinClearance...)
 	fp.ncoll = append(fp.ncoll, len(s.res.Collisions))
 }
@@ -291,8 +289,14 @@ type Stepper struct {
 	spoofer *gps.Spoofer
 	flight  FlightRecorder
 
-	bodies  []Body
+	bodies []Body
+	// sensors stream a fresh run's GPS noise. A resumed run has none:
+	// it perceives through rx with noise read from the chunks of its
+	// prefix's shared table.
 	sensors []*gps.Sensor
+	noise   *noiseTable
+	rx      []gps.Receiver
+	chunks  [][]gps.Noise
 	res     *Result
 	traj    *Trajectory
 	forks   *forkPoints
@@ -361,7 +365,6 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 		spoofer:    spoofer,
 		flight:     opts.Flight,
 		bodies:     make([]Body, n),
-		sensors:    make([]*gps.Sensor, n),
 		published:  make([]comms.State, 0, n),
 		readings:   make([]gps.Reading, n),
 		cmds:       make([]vec.Vec3, n),
@@ -375,7 +378,12 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 	}
 	for i := 0; i < n; i++ {
 		s.bodies[i] = Body{Pos: m.Start[i]}
-		s.sensors[i] = gps.NewSensor(cfg.GPSBias, cfg.GPSNoise, rng.DeriveN(cfg.Seed, "gps", i))
+	}
+	if opts.Prefix == nil {
+		s.sensors = make([]*gps.Sensor, n)
+		for i := range s.sensors {
+			s.sensors[i] = gps.NewSensor(cfg.GPSBias, cfg.GPSNoise, rng.DeriveN(cfg.Seed, "gps", i))
+		}
 	}
 	if bc, ok := opts.Controller.(BatchController); ok {
 		if _, perfect := bus.(*comms.PerfectBus); perfect {
@@ -411,9 +419,9 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 		s.forks = &forkPoints{
 			m:      m,
 			bodies: make([]Body, 0, est*n),
-			draws:  make([]uint64, 0, est*n),
 			clear:  make([]float64, 0, est*n),
 			ncoll:  make([]int, 0, est),
+			noise:  noiseTable{m: m},
 		}
 		s.traj.forks = s.forks
 	}
@@ -427,7 +435,8 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 // reproduces a full run: every step before it must precede the spoof
 // window — tested with the very time expression Step hands to
 // SpoofPlan.Active — and its step must lie within this run's step
-// bound. Snapshot 0 is the initial state, so there is always one.
+// bound. Snapshot 0 is the initial state, so there is always one. The
+// run then reads its GPS noise from fp's table.
 func (s *Stepper) resume(fp *forkPoints, plan *gps.SpoofPlan) {
 	start := math.Inf(1)
 	if plan != nil {
@@ -437,19 +446,17 @@ func (s *Stepper) resume(fp *forkPoints, plan *gps.SpoofPlan) {
 		step := k * forkEvery
 		return step > s.steps || float64(step-1)*s.cfg.Dt >= start
 	}) - 1
-	if k <= 0 {
-		return
+	if k > 0 {
+		n := len(s.bodies)
+		copy(s.bodies, fp.bodies[k*n:(k+1)*n])
+		copy(s.res.MinClearance, fp.clear[k*n:(k+1)*n])
+		if c := fp.ncoll[k]; c > 0 {
+			s.res.Collisions = append([]Collision(nil), fp.colls[:c]...)
+		}
+		s.step = k * forkEvery
 	}
-	n := len(s.bodies)
-	copy(s.bodies, fp.bodies[k*n:(k+1)*n])
-	copy(s.res.MinClearance, fp.clear[k*n:(k+1)*n])
-	if c := fp.ncoll[k]; c > 0 {
-		s.res.Collisions = append([]Collision(nil), fp.colls[:c]...)
-	}
-	for i, sen := range s.sensors {
-		sen.AdvanceTo(fp.draws[k*n+i])
-	}
-	s.step = k * forkEvery
+	s.noise = &fp.noise
+	s.rx, s.chunks = s.noise.upTo(s.step)
 }
 
 // StepsRun returns the number of integration steps executed so far; a
@@ -492,11 +499,7 @@ func (s *Stepper) Step() (done bool, err error) {
 	t := float64(s.step) * cfg.Dt
 
 	// (1) Sense: read GPS, then spoof the target's fix.
-	for i := 0; i < n; i++ {
-		if !s.bodies[i].Crashed {
-			s.readings[i] = s.sensors[i].Read(s.bodies[i].Pos, t)
-		}
-	}
+	s.sense(t)
 	if sp := s.spoofer; sp != nil {
 		if i := sp.Plan().Target; !s.bodies[i].Crashed {
 			s.readings[i] = sp.Apply(i, s.readings[i])
@@ -614,6 +617,31 @@ func (s *Stepper) Step() (done bool, err error) {
 		return true, nil
 	}
 	return false, nil
+}
+
+// sense takes every active drone's GPS fix at time t: from its own
+// sensor on a fresh run, from the shared noise table on a resumed one,
+// growing the run's view of the table when the step passes its end.
+func (s *Stepper) sense(t float64) {
+	if s.noise == nil {
+		for i := range s.bodies {
+			if !s.bodies[i].Crashed {
+				s.readings[i] = s.sensors[i].Read(s.bodies[i].Pos, t)
+			}
+		}
+		return
+	}
+	c := s.step / noiseChunk
+	if c >= len(s.chunks) {
+		s.rx, s.chunks = s.noise.upTo(s.step)
+	}
+	n := len(s.bodies)
+	row := s.chunks[c][(s.step%noiseChunk)*n:][:n]
+	for i := range s.bodies {
+		if !s.bodies[i].Crashed {
+			s.readings[i] = s.rx[i].Perceive(s.bodies[i].Pos, row[i], t)
+		}
+	}
 }
 
 // decide fills the broadcast columns with every active drone's
