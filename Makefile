@@ -23,19 +23,22 @@ metrics-lint:
 # the race detector: the SoA batch kernel (flock's BatchCommands inside
 # sim.Stepper) and per-drone Command over PerfectBus rows must produce
 # bit-identical commands and run results, receivers on either side of
-# the shill boundary included. It also pins the step's square-root-free
-# gates to the formulas they replace, bit for bit: ClampNorm's
-# squared-norm test against the ungated formula, and the clearance and
-# shill gates against the exact surface distance, down to ±1 ulp around
-# each boundary. And it pins runs resumed from a clean run's fork
-# points, which read GPS noise from the trajectory's shared table, to
-# full runs that draw their own: with runs growing the table
-# concurrently, in either order across its chunk ends, on receivers
-# without noise or bias, and gps's table-side perceive step to Read.
+# the shill boundary and the migration cut-off at the destination
+# included. It also pins the step's square-root-free gates to the
+# formulas they replace, bit for bit: ClampNorm's squared-norm test
+# against the ungated formula, Body.Step with its limits built once per
+# run against the three-clamp formula, IsFinite's x-x test against
+# math's IsNaN and IsInf, and the clearance and shill gates against the
+# exact surface distance, down to ±1 ulp around each boundary. And it
+# pins runs resumed from a clean run's fork points, which read GPS
+# noise from the trajectory's shared table, to full runs that draw
+# their own: with runs growing the table concurrently, in either order
+# across its chunk ends, on receivers without noise or bias, and gps's
+# table-side perceive step to Read.
 # `race` already runs these tests too; the named target exists so the
 # equivalence contract has its own CI handle and a fast local loop.
 batch-equiv:
-	$(GO) test -race -run '^(TestBatchPathMatchesRowPath|TestBatchPathMatchesRowPathWithDroneCollisions|TestBatchStepperMatchesSequentialRuns|TestBatchStepperBudgetExhaustion|TestBatchCommandsMatchesCommand|TestClampNormMatchesReference|TestObstacleGatesMatchExact|TestPrefixResumeConcurrent|TestNoiseTableOrderIndependence|TestPrefixResumeWithoutNoiseOrBias|TestPerceiveMatchesRead)$$' \
+	$(GO) test -race -run '^(TestBatchPathMatchesRowPath|TestBatchPathMatchesRowPathWithDroneCollisions|TestBatchStepperMatchesSequentialRuns|TestBatchStepperBudgetExhaustion|TestBatchCommandsMatchesCommand|TestClampNormMatchesReference|TestIsFiniteMatchesMath|TestBodyStepMatchesClampFormula|TestObstacleGatesMatchExact|TestPrefixResumeConcurrent|TestNoiseTableOrderIndependence|TestPrefixResumeWithoutNoiseOrBias|TestPerceiveMatchesRead)$$' \
 		./internal/sim/ ./internal/flock/ ./internal/vec/ ./internal/gps/
 
 # check is the CI gate: vet plus metric-name hygiene plus the decide

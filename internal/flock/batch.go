@@ -10,39 +10,50 @@ import (
 
 var _ sim.BatchController = (*Controller)(nil)
 
-// soaBounds are the padded squared-radius gates of the SoA pair loop.
-// Invariants (correctly rounded sqrt, see BatchCommands): d2 ≥ repHi
-// proves dist ≥ RRep; d2 < frictLo proves dist < RFrict; d2 ≥ frictHi
-// proves dist ≥ RFrict. They hold for any radius ordering, so a
-// configuration with RRep > RFrict just routes every near pair through
-// the exact-compare branches.
+// soaBounds are the padded squared-radius gates of the SoA pair loop,
+// built once by New. Each bound is off by ±1e-9 relative, so e.g.
+// d2 ≥ r²·(1+1e-9) proves the correctly rounded sqrt(d2) ≥ r — the
+// padded root clears r by ~4.9e-10 relative ≈ 2e6 ulps, dwarfing the
+// one rounding step in r*r and one in the padding. Inside a band the
+// exact sqrt is computed and compared, so boundary pairs match the
+// scalar path bit for bit.
+//
+// Invariants: d2 ≥ repHi proves dist ≥ RRep; d2 < frictLo proves
+// dist < RFrict; d2 ≥ frictHi proves dist ≥ RFrict. They hold for any
+// radius ordering, so a configuration with RRep > RFrict just routes
+// every near pair through the exact-compare branches.
 type soaBounds struct {
 	repHi, frictLo, frictHi float64
 }
 
+func newSoaBounds(p Params) soaBounds {
+	return soaBounds{
+		repHi:   p.RRep * p.RRep * (1 + 1e-9),
+		frictLo: p.RFrict * p.RFrict * (1 - 1e-9),
+		frictHi: p.RFrict * p.RFrict * (1 + 1e-9),
+	}
+}
+
+// soaAcc is one receiver's accumulators in a BatchCommands sweep: the
+// repulsion sum, the friction sum and count, and the farthest
+// neighbour so far (relative position, rounded distance and squared
+// distance).
+type soaAcc struct {
+	rep, frictSum, farRel vec.Vec3
+	farDist, farD2        float64
+	frictCnt              int32
+}
+
 // soaScratch holds the per-receiver accumulators of one BatchCommands
-// sweep: repulsion sums, friction sums and counts, and the
-// farthest-neighbour running maxima. The caller owns it (see
-// NewBatchScratch), so the pass allocates nothing in steady state.
+// sweep. The caller owns it (see NewBatchScratch), so the pass
+// allocates nothing in steady state.
 type soaScratch struct {
-	rep      []vec.Vec3
-	frictSum []vec.Vec3
-	frictCnt []int32
-	farRel   []vec.Vec3
-	farDist  []float64
-	farD2    []float64
+	acc []soaAcc
 }
 
 // NewBatchScratch implements sim.BatchController.
 func (c *Controller) NewBatchScratch(n int) any {
-	return &soaScratch{
-		rep:      make([]vec.Vec3, n),
-		frictSum: make([]vec.Vec3, n),
-		frictCnt: make([]int32, n),
-		farRel:   make([]vec.Vec3, n),
-		farDist:  make([]float64, n),
-		farD2:    make([]float64, n),
-	}
+	return &soaScratch{acc: make([]soaAcc, n)}
 }
 
 // mirrorSub returns y.Sub(x) given d = x.Sub(y), bit for bit. For a
@@ -98,18 +109,7 @@ func mirrorSub(d, x, y vec.Vec3) vec.Vec3 {
 // a free by-product of the pair sweep that the Stepper uses to prove
 // the collision scan empty.
 func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, scratch any, cmds []vec.Vec3) float64 {
-	// Padded squared-radius gates: each bound is off by ±1e-9
-	// relative, so e.g. d2 ≥ r²·(1+1e-9) proves the correctly rounded
-	// sqrt(d2) ≥ r — the padded root clears r by ~4.9e-10 relative
-	// ≈ 2e6 ulps, dwarfing the one rounding step in r*r and one in
-	// the padding. Inside a band the exact sqrt is computed and
-	// compared, so boundary pairs match the scalar path bit for bit.
-	bnd := soaBounds{
-		repHi:   c.p.RRep * c.p.RRep * (1 + 1e-9),
-		frictLo: c.p.RFrict * c.p.RFrict * (1 - 1e-9),
-		frictHi: c.p.RFrict * c.p.RFrict * (1 + 1e-9),
-	}
-
+	bnd := &c.bnd
 	n := b.N()
 	sc := scratch.(*soaScratch)
 
@@ -118,28 +118,22 @@ func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, scratch any
 	// implies j in bounds and drop the per-pair bounds checks — a real
 	// cost at ~1.2k pairs per swarm-tick.
 	positions, velocities, act := b.Pos[:n], b.Vel[:n], b.Active[:n]
-	rep, frictSum, frictCnt := sc.rep[:n], sc.frictSum[:n], sc.frictCnt[:n]
-	farRel, farDist, farD2 := sc.farRel[:n], sc.farDist[:n], sc.farD2[:n]
-	clear(rep)
-	clear(frictSum)
-	clear(frictCnt)
-	clear(farRel)
-	clear(farDist)
-	clear(farD2)
+	acc := sc.acc[:n]
+	clear(acc)
 	for i := 0; i < n; i++ {
 		if !act[i] {
 			continue
 		}
 		pi, vi := positions[i], velocities[i]
-		// Row i's accumulators live in locals for the whole inner loop
+		// Row i's accumulators live in a local for the whole inner loop
 		// (they are only ever touched with first index i here) and are
-		// stored back once; receiver j's stay in the arrays.
-		repI, fsI, fcI := rep[i], frictSum[i], frictCnt[i]
-		farRelI, farDistI, farD2I := farRel[i], farDist[i], farD2[i]
+		// stored back once; receiver j's stay in the array.
+		ai := acc[i]
 		for j := i + 1; j < n; j++ {
 			if !act[j] {
 				continue
 			}
+			aj := &acc[j]
 			// rel is receiver i's view of j; receiver j's view is the
 			// mirror. dist is materialised lazily — Norm() is
 			// Sqrt(NormSq()), so Sqrt(d2) is the identical operation.
@@ -163,10 +157,10 @@ func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, scratch any
 						gain := -c.p.PRep * (c.p.RRep - dist)
 						inv := 1 / dist
 						dir := rel.Scale(inv)
-						repI = repI.Add(dir.Scale(gain))
+						ai.rep = ai.rep.Add(dir.Scale(gain))
 						relJI := mirrorSub(rel, pi, positions[j])
 						dirJI := relJI.Scale(inv)
-						rep[j] = rep[j].Add(dirJI.Scale(gain))
+						aj.rep = aj.rep.Add(dirJI.Scale(gain))
 					}
 					frict = dist < c.p.RFrict
 				} else if d2 < bnd.frictLo {
@@ -180,10 +174,10 @@ func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, scratch any
 				}
 				if frict {
 					dv := velocities[j].Sub(vi)
-					fsI = fsI.Add(dv)
-					fcI++
-					frictSum[j] = frictSum[j].Add(mirrorSub(dv, vi, velocities[j]))
-					frictCnt[j]++
+					ai.frictSum = ai.frictSum.Add(dv)
+					ai.frictCnt++
+					aj.frictSum = aj.frictSum.Add(mirrorSub(dv, vi, velocities[j]))
+					aj.frictCnt++
 				}
 			}
 			// Farthest-neighbour tracking for both endpoints. sqrt is
@@ -192,26 +186,25 @@ func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, scratch any
 			// would not have updated; only running-max candidates pay
 			// the sqrt, and the final strict comparison is on the
 			// rounded distances exactly as in Terms.
-			if d2 > farD2I {
+			if d2 > ai.farD2 {
 				if dist < 0 {
 					dist = math.Sqrt(d2)
 				}
-				if dist > farDistI {
-					farD2I, farDistI, farRelI = d2, dist, rel
+				if dist > ai.farDist {
+					ai.farD2, ai.farDist, ai.farRel = d2, dist, rel
 				}
 			}
-			if d2 > farD2[j] {
+			if d2 > aj.farD2 {
 				if dist < 0 {
 					dist = math.Sqrt(d2)
 				}
-				if dist > farDist[j] {
-					farD2[j], farDist[j] = d2, dist
-					farRel[j] = mirrorSub(rel, pi, positions[j])
+				if dist > aj.farDist {
+					aj.farD2, aj.farDist = d2, dist
+					aj.farRel = mirrorSub(rel, pi, positions[j])
 				}
 			}
 		}
-		rep[i], frictSum[i], frictCnt[i] = repI, fsI, fcI
-		farRel[i], farDist[i], farD2[i] = farRelI, farDistI, farD2I
+		acc[i] = ai
 	}
 
 	// Per-receiver tail: exactly the scalar Terms epilogue plus the
@@ -221,7 +214,7 @@ func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, scratch any
 			cmds[i] = vec.Zero
 			continue
 		}
-		cmds[i] = c.finishSoA(positions[i], velocities[i], w, sc, i)
+		cmds[i] = c.finishSoA(positions[i], velocities[i], w, &acc[i])
 	}
 
 	return minPairD2
@@ -234,20 +227,23 @@ func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, scratch any
 // an obstacle that Obstacle.SurfaceBeyond proves at least RShill away
 // is skipped before SurfaceDistance's square root, which is exactly
 // the obstacles Terms skips after taking it.
-func (c *Controller) finishSoA(pos, vel vec.Vec3, w *sim.World, sc *soaScratch, i int) vec.Vec3 {
+func (c *Controller) finishSoA(pos, vel vec.Vec3, w *sim.World, a *soaAcc) vec.Vec3 {
 	var migration, attraction, friction, obstacle vec.Vec3
 
+	// Unit is Scale(1/Norm) for a nonzero norm, so the gate's norm is
+	// reused. A zero norm passes the gate only if DestRadius < 0; Unit
+	// would return Zero, so migration stays zero.
 	toDest := w.Destination.Sub(pos).Horizontal()
-	if toDest.Norm() > w.DestRadius/2 {
-		migration = toDest.Unit().Scale(c.p.VFlock)
+	if nd := toDest.Norm(); nd > w.DestRadius/2 && nd != 0 {
+		migration = toDest.Scale(1 / nd).Scale(c.p.VFlock)
 	}
 
-	if sc.farDist[i] > c.p.RAtt {
-		farDir := sc.farRel[i].Scale(1 / sc.farDist[i])
-		attraction = farDir.Scale(c.p.PAtt * (sc.farDist[i] - c.p.RAtt)).ClampNorm(c.p.VAttMax)
+	if a.farDist > c.p.RAtt {
+		farDir := a.farRel.Scale(1 / a.farDist)
+		attraction = c.vAttMax.Clamp(farDir.Scale(c.p.PAtt * (a.farDist - c.p.RAtt)))
 	}
-	if sc.frictCnt[i] > 0 {
-		friction = sc.frictSum[i].Scale(c.p.CFrict / float64(sc.frictCnt[i]))
+	if a.frictCnt > 0 {
+		friction = a.frictSum.Scale(c.p.CFrict / float64(a.frictCnt))
 	}
 
 	for _, o := range w.Obstacles {
@@ -272,11 +268,10 @@ func (c *Controller) finishSoA(pos, vel vec.Vec3, w *sim.World, sc *soaScratch, 
 
 	altitude := vec.New(0, 0, c.p.KAlt*(w.Destination.Z-pos.Z))
 
-	return migration.
-		Add(sc.rep[i]).
+	return c.vMax.Clamp(migration.
+		Add(a.rep).
 		Add(attraction).
 		Add(friction).
 		Add(obstacle).
-		Add(altitude).
-		ClampNorm(c.p.VMax)
+		Add(altitude))
 }

@@ -15,8 +15,9 @@ import (
 // equivalents: per-receiver Perception and PerfectBus-ordered neighbour
 // rows (every active j ≠ i, ascending). Positions cluster tightly
 // enough that repulsion, attraction, friction and obstacle terms all
-// fire across the trials, and some drones are parked crashed or
-// coincident to hit the skip paths.
+// fire across the trials, some drones are parked crashed or
+// coincident to hit the skip paths, and in larger swarms a few sit at
+// the destination, on both sides of the migration cut-off.
 type batchFixture struct {
 	bc  comms.Broadcast
 	per []sim.Perception
@@ -48,6 +49,23 @@ func makeBatchFixture(src *rng.Source, n int, w *sim.World) *batchFixture {
 	// fires for most receivers.
 	if n >= 3 {
 		pos[n-2] = vec.New(src.Uniform(30, 60), src.Uniform(40, 70), 10)
+	}
+	// Receivers at the destination, where the migration term switches
+	// off: on it, inside DestRadius/2, and on the x axis through it at
+	// DestRadius/2 and 1 ulp either side, where the horizontal norm is
+	// exact (testWorld's destination has x = 0, so the offset is too).
+	if n >= 8 {
+		d, r := w.Destination, w.DestRadius/2
+		side := 1.0
+		if src.Uniform(0, 1) < 0.5 {
+			side = -1
+		}
+		for k, x := range []float64{
+			0, src.Uniform(-r/2, r/2), r, math.Nextafter(r, 0), math.Nextafter(r, math.Inf(1)),
+		} {
+			pos[1+k] = vec.New(d.X+side*x, d.Y, src.Uniform(8, 12))
+			f.bc.Active[1+k] = true
+		}
 	}
 	copy(f.bc.Pos, pos)
 	copy(f.bc.Vel, vel)
@@ -122,11 +140,12 @@ func sameBits(a, b vec.Vec3) bool {
 
 // TestBatchCommandsMatchesCommand pins the bit-identity contract of the
 // SoA path: for random layouts — obstacle proximity, crashed drones,
-// coincident fixes, far stragglers — BatchCommands writes, per active
-// drone, exactly the bits Command returns for the PerfectBus neighbour
-// row, and zeroes for inactive drones. After the random layouts, one
-// receiver per layout sits on either side of the shill boundary or of
-// the kernel's padded shill gate (shillBoundary).
+// coincident fixes, far stragglers, receivers at the destination —
+// BatchCommands writes, per active drone, exactly the bits Command
+// returns for the PerfectBus neighbour row, and zeroes for inactive
+// drones. After the random layouts, one receiver per layout sits on
+// either side of the shill boundary or of the kernel's padded shill
+// gate (shillBoundary).
 func TestBatchCommandsMatchesCommand(t *testing.T) {
 	c := MustNew(DefaultParams())
 	w := testWorld()

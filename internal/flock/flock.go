@@ -147,9 +147,13 @@ func (t Terms) Sum() vec.Vec3 {
 }
 
 // Controller implements sim.Controller with the flocking model. It is
-// stateless: one instance serves any number of drones.
+// immutable: one instance serves any number of drones and runs.
 type Controller struct {
 	p Params
+	// bnd, vMax and vAttMax are the batch kernel's gates and caps,
+	// built once from p.
+	bnd           soaBounds
+	vMax, vAttMax vec.Limit
 }
 
 var _ sim.Controller = (*Controller)(nil)
@@ -159,7 +163,12 @@ func New(p Params) (*Controller, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Controller{p: p}, nil
+	return &Controller{
+		p:       p,
+		bnd:     newSoaBounds(p),
+		vMax:    vec.NewLimit(p.VMax),
+		vAttMax: vec.NewLimit(p.VAttMax),
+	}, nil
 }
 
 // MustNew is New for parameters known to be valid; it panics otherwise.

@@ -62,16 +62,35 @@ type Body struct {
 	Crashed bool
 }
 
-// Step advances the body by dt seconds while tracking the commanded
-// velocity cmd. The velocity relaxes toward cmd with time constant
-// p.Tau, subject to p.MaxAccel, and is clamped to p.MaxSpeed. Crashed
-// bodies do not move.
-func (b *Body) Step(cmd vec.Vec3, p BodyParams, dt float64) {
+// StepLimits are a body's parameters and the integration step in the
+// form Body.Step consumes them: the speed and acceleration caps with
+// their norm gates built, and 1/Tau. A Stepper builds them once per
+// run instead of once per drone-step.
+type StepLimits struct {
+	speed, accel vec.Limit
+	invTau, dt   float64
+}
+
+// Limits returns p's StepLimits for an integration step of dt seconds.
+func (p BodyParams) Limits(dt float64) StepLimits {
+	return StepLimits{
+		speed:  vec.NewLimit(p.MaxSpeed),
+		accel:  vec.NewLimit(p.MaxAccel),
+		invTau: 1 / p.Tau,
+		dt:     dt,
+	}
+}
+
+// Step advances the body by one integration step of l while tracking
+// the commanded velocity cmd. The velocity relaxes toward cmd with
+// time constant Tau, subject to MaxAccel, and is clamped to MaxSpeed.
+// Crashed bodies do not move.
+func (b *Body) Step(cmd vec.Vec3, l *StepLimits) {
 	if b.Crashed {
 		return
 	}
-	cmd = cmd.ClampNorm(p.MaxSpeed)
-	accel := cmd.Sub(b.Vel).Scale(1 / p.Tau).ClampNorm(p.MaxAccel)
-	b.Vel = b.Vel.Add(accel.Scale(dt)).ClampNorm(p.MaxSpeed)
-	b.Pos = b.Pos.Add(b.Vel.Scale(dt))
+	cmd = l.speed.Clamp(cmd)
+	accel := l.accel.Clamp(cmd.Sub(b.Vel).Scale(l.invTau))
+	b.Vel = l.speed.Clamp(b.Vel.Add(accel.Scale(l.dt)))
+	b.Pos = b.Pos.Add(b.Vel.Scale(l.dt))
 }

@@ -288,6 +288,7 @@ type Stepper struct {
 	bus     comms.Bus
 	spoofer *gps.Spoofer
 	flight  FlightRecorder
+	limits  StepLimits
 
 	bodies []Body
 	// sensors stream a fresh run's GPS noise. A resumed run has none:
@@ -364,6 +365,7 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 		bus:        bus,
 		spoofer:    spoofer,
 		flight:     opts.Flight,
+		limits:     cfg.Body.Limits(cfg.Dt),
 		bodies:     make([]Body, n),
 		published:  make([]comms.State, 0, n),
 		readings:   make([]gps.Reading, n),
@@ -533,7 +535,7 @@ func (s *Stepper) Step() (done bool, err error) {
 	maxVelD2 := 0.0
 	for i := 0; i < n; i++ {
 		b := &s.bodies[i]
-		b.Step(s.cmds[i], cfg.Body, cfg.Dt)
+		b.Step(s.cmds[i], &s.limits)
 		if b.Crashed {
 			continue
 		}
@@ -744,6 +746,10 @@ func (s *Stepper) pairScanNeeded(minPairD2, maxErrD2, maxVelD2 float64) bool {
 // deterministic: identical mission, options and spoof plan yield an
 // identical result.
 func Run(m *Mission, opts RunOptions) (res *Result, err error) {
+	// The wall clock starts before NewStepper, so Stepper setup (sensor
+	// seeding, a resumed run's noise-table fill) is booked as sim time.
+	rec := telemetry.OrNop(opts.Telemetry)
+	wallStart := rec.Now()
 	st, err := NewStepper(m, opts)
 	if err != nil {
 		return nil, err
@@ -762,8 +768,6 @@ func Run(m *Mission, opts RunOptions) (res *Result, err error) {
 	// including runs later aborted by divergence or the step budget,
 	// whose integration work was still spent. fuzz mirrors sim_runs
 	// into Report.SimRuns, making this the single counting site.
-	rec := telemetry.OrNop(opts.Telemetry)
-	wallStart := rec.Now()
 	defer func() {
 		rec.Add(telemetry.MSimRuns, 1)
 		rec.Add(telemetry.MSimSteps, int64(st.StepsRun()))

@@ -8,6 +8,7 @@ import (
 	"swarmfuzz/internal/comms"
 	"swarmfuzz/internal/gps"
 	"swarmfuzz/internal/robust"
+	"swarmfuzz/internal/telemetry"
 	"swarmfuzz/internal/vec"
 )
 
@@ -62,6 +63,37 @@ func TestRunSpoofValidation(t *testing.T) {
 	outOfRange := &gps.SpoofPlan{Target: 5, Direction: gps.Right, Distance: 1, Duration: 1}
 	if _, err := Run(m, RunOptions{Controller: straightController{2}, Spoof: outOfRange}); err == nil {
 		t.Error("out-of-range spoof target accepted")
+	}
+}
+
+// TestRejectedRunRecordsNothing pins that a run rejected by
+// validation leaves no trace in telemetry: Run's wall clock starts
+// before NewStepper, but only a run that passes validation counts or
+// times itself.
+func TestRejectedRunRecordsNothing(t *testing.T) {
+	m, err := NewMission(smallConfig(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outOfRange := &gps.SpoofPlan{Target: 5, Direction: gps.Right, Distance: 1, Duration: 1}
+	for name, opts := range map[string]RunOptions{
+		"nil controller":     {},
+		"invalid spoof plan": {Controller: straightController{2}, Spoof: &gps.SpoofPlan{Target: -1, Direction: gps.Right}},
+		"spoof out of range": {Controller: straightController{2}, Spoof: outOfRange},
+		"prefix with bus":    {Controller: straightController{2}, Prefix: &Trajectory{}, Bus: comms.NewPerfectBus()},
+	} {
+		reg := telemetry.NewRegistry()
+		opts.Telemetry = telemetry.New(reg, nil)
+		if _, err := Run(m, opts); err == nil {
+			t.Fatalf("%s: run accepted", name)
+		}
+		snap := reg.Snapshot()
+		if runs, steps := snap.Counters[telemetry.MSimRuns], snap.Counters[telemetry.MSimSteps]; runs != 0 || steps != 0 {
+			t.Errorf("%s: sim_runs = %d, sim_steps = %d, want 0", name, runs, steps)
+		}
+		if h := snap.Histograms[telemetry.MSimWallSeconds]; h.Count != 0 {
+			t.Errorf("%s: sim_wall_seconds has %d samples, want 0", name, h.Count)
+		}
 	}
 }
 

@@ -63,26 +63,46 @@ func (v Vec3) Unit() Vec3 {
 }
 
 // ClampNorm returns v unchanged if |v| <= max, otherwise v rescaled to
+// length max. A non-positive max yields the zero vector. It is
+// NewLimit(max).Clamp(v); callers that clamp to the same max many
+// times build the Limit once.
+func (v Vec3) ClampNorm(max float64) Vec3 { return NewLimit(max).Clamp(v) }
+
+// Limit is a norm cap with its square-root-free gate precomputed: the
+// padded squared bound max²·(1−1e-9) that ClampNorm would otherwise
+// rebuild on every call.
+type Limit struct {
+	max, gate float64
+}
+
+// NewLimit returns the Limit that caps norms at max.
+func NewLimit(max float64) Limit {
+	return Limit{max: max, gate: PaddedSq(max, -1e-9)}
+}
+
+// Clamp returns v unchanged if |v| <= max, otherwise v rescaled to
 // length max. A non-positive max yields the zero vector.
 //
 // Most calls clamp nothing, so the test runs on squares first:
 // v·v ≤ max²·(1−1e-9) proves that the rounded Norm is ≤ max (see
-// PaddedSq), and v is returned without a square root. Anything else,
-// NaN included, takes the exact comparison, so the result is bit for
-// bit that of comparing Norm with max.
-func (v Vec3) ClampNorm(max float64) Vec3 {
-	if max <= 0 {
+// PaddedSq), and v is returned without a square root. The gate is NaN
+// for every max ≤ 0 (PaddedSq's range starts at 2^−500), so those take
+// the slow path too. Anything else, NaN included, takes the exact
+// comparison, so the result is bit for bit that of comparing Norm with
+// max.
+func (l Limit) Clamp(v Vec3) Vec3 {
+	d2 := v.Dot(v)
+	if d2 <= l.gate {
+		return v
+	}
+	if l.max <= 0 {
 		return Zero
 	}
-	d2 := v.Dot(v)
-	if d2 <= PaddedSq(max, -1e-9) {
-		return v
-	}
 	n := math.Sqrt(d2) // v.Norm(), reusing the dot product
-	if n <= max {
+	if n <= l.max {
 		return v
 	}
-	return v.Scale(max / n)
+	return v.Scale(l.max / n)
 }
 
 // PaddedSq returns r²·(1+rel), the squared-distance gate for the
@@ -117,11 +137,11 @@ func (v Vec3) PerpXY() Vec3 {
 	return Vec3{h.Y / n, -h.X / n, 0}
 }
 
-// IsFinite reports whether all components are finite numbers.
+// IsFinite reports whether all components are finite numbers. x−x is
+// exactly 0 for every finite x and NaN for ±Inf and NaN, so one
+// subtraction and one comparison per component decide it exactly.
 func (v Vec3) IsFinite() bool {
-	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&
-		!math.IsNaN(v.Y) && !math.IsInf(v.Y, 0) &&
-		!math.IsNaN(v.Z) && !math.IsInf(v.Z, 0)
+	return v.X-v.X == 0 && v.Y-v.Y == 0 && v.Z-v.Z == 0
 }
 
 // ApproxEqual reports whether v and w differ by at most tol in every

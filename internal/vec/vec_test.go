@@ -210,6 +210,51 @@ func TestIsFinite(t *testing.T) {
 	}
 }
 
+// TestIsFiniteMatchesMath holds IsFinite's x−x test to math's IsNaN
+// and IsInf on every class of float64 in every component: signed
+// zeros, subnormals, the largest finites, infinities, quiet and
+// signalling NaNs with several payloads and signs, and random bit
+// patterns.
+func TestIsFiniteMatchesMath(t *testing.T) {
+	vals := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.3,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-310, -0x1p-1023, 0x1p-1022,
+		math.MaxFloat64, -math.MaxFloat64, math.Nextafter(math.MaxFloat64, 0),
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	for _, bits := range []uint64{
+		0x7ff8000000000000, 0xfff8000000000000, 0x7ff0000000000001, 0xfff0000000000001,
+		0x7ff4000000000000, 0x7fffffffffffffff, 0xffffffffffffffff, 0x7ff8000000000001,
+	} {
+		vals = append(vals, math.Float64frombits(bits))
+	}
+	rnd := rand.New(rand.NewSource(21))
+	for k := 0; k < 2000; k++ {
+		vals = append(vals, math.Float64frombits(rnd.Uint64()))
+	}
+	// Bit patterns with an all-ones exponent are Inf or NaN; random
+	// draws hit one in 2048, so add some directly.
+	for k := 0; k < 50; k++ {
+		vals = append(vals, math.Float64frombits(rnd.Uint64()|0x7ff0000000000000))
+	}
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	for _, x := range vals {
+		for _, v := range []Vec3{New(x, 1, 2), New(-3, x, 0), New(0, 5e-324, x), New(x, x, x)} {
+			want := finite(v.X) && finite(v.Y) && finite(v.Z)
+			if got := v.IsFinite(); got != want {
+				t.Fatalf("IsFinite(%#016x in %v) = %v, want %v", math.Float64bits(x), v, got, want)
+			}
+		}
+	}
+	for k := 0; k < 2000; k++ {
+		v := New(vals[rnd.Intn(len(vals))], vals[rnd.Intn(len(vals))], vals[rnd.Intn(len(vals))])
+		want := finite(v.X) && finite(v.Y) && finite(v.Z)
+		if got := v.IsFinite(); got != want {
+			t.Fatalf("IsFinite(%v) = %v, want %v", v, got, want)
+		}
+	}
+}
+
 func TestMean(t *testing.T) {
 	if got := Mean(nil); got != Zero {
 		t.Errorf("Mean(nil) = %v, want zero", got)
