@@ -1,12 +1,17 @@
 GO ?= go
 
-.PHONY: build vet test race batch-equiv check metrics-lint fuzz-smoke serve-smoke chaos-smoke atlas-smoke fabric-smoke cellbench-smoke bench bench-compare
+.PHONY: build vet fmt test race batch-equiv check metrics-lint fuzz-smoke serve-smoke chaos-smoke atlas-smoke fabric-smoke cellbench-smoke bench bench-compare
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when any tracked Go file is not gofmt-formatted. Listing
+# the files through git keeps untracked build caches out of the check.
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 test:
 	$(GO) test ./...
@@ -41,13 +46,13 @@ batch-equiv:
 	$(GO) test -race -run '^(TestBatchPathMatchesRowPath|TestBatchPathMatchesRowPathWithDroneCollisions|TestBatchStepperMatchesSequentialRuns|TestBatchStepperBudgetExhaustion|TestBatchCommandsMatchesCommand|TestClampNormMatchesReference|TestIsFiniteMatchesMath|TestBodyStepMatchesClampFormula|TestObstacleGatesMatchExact|TestPrefixResumeConcurrent|TestNoiseTableOrderIndependence|TestPrefixResumeWithoutNoiseOrBias|TestPerceiveMatchesRead)$$' \
 		./internal/sim/ ./internal/flock/ ./internal/vec/ ./internal/gps/
 
-# check is the CI gate: vet plus metric-name hygiene plus the decide
-# paths' bit-identity pins plus the full test suite under the race
+# check is the CI gate: vet plus gofmt plus metric-name hygiene plus
+# the decide paths' bit-identity pins plus the full test suite under the race
 # detector (the campaign engine's worker pool and the serving daemon's
 # job queue must stay race-clean; `race` covers internal/serve too),
 # plus the multi-process fabric smoke, plus the campaign-cell
 # benchmark's output check against its stored references.
-check: build vet metrics-lint batch-equiv race fabric-smoke cellbench-smoke
+check: build vet fmt metrics-lint batch-equiv race fabric-smoke cellbench-smoke
 
 # fuzz-smoke runs the native Go fuzz targets for inputs that can come
 # from a client, a worker or a torn disk, 10 s each. The flight-log and

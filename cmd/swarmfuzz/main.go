@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"swarmfuzz/internal/atlas"
@@ -74,15 +73,15 @@ func withInterrupt(parent context.Context, log *telemetry.Logger) (context.Conte
 func run(ctx context.Context, args []string, log *telemetry.Logger) (err error) {
 	fs := flag.NewFlagSet("swarmfuzz", flag.ContinueOnError)
 	var (
-		n       = fs.Int("n", 5, "swarm size")
-		seed    = fs.Uint64("seed", 1, "mission seed")
-		dist    = fs.Float64("dist", 10, "GPS spoofing deviation d (m)")
-		name    = fs.String("fuzzer", "swarmfuzz", "fuzzer: swarmfuzz|r_fuzz|g_fuzz|s_fuzz")
-		maxIter = fs.Int("iters", 20, "max search iterations per seed")
-		timeout = fs.Duration("timeout", 0, "fuzzing deadline (0 = none)")
-		workers = fs.Int("seed-workers", 0, "speculative seed-search workers (0/1 = sequential; report is identical either way)")
-		flight  = fs.String("flightlog", "", "directory to write the mission's flight log into")
-		postmor = fs.Bool("postmortem", false, "render an HTML post-mortem next to the flight log (needs -flightlog)")
+		n         = fs.Int("n", 5, "swarm size")
+		seed      = fs.Uint64("seed", 1, "mission seed")
+		dist      = fs.Float64("dist", 10, "GPS spoofing deviation d (m)")
+		name      = fs.String("fuzzer", "swarmfuzz", "fuzzer: swarmfuzz|r_fuzz|g_fuzz|s_fuzz")
+		maxIter   = fs.Int("iters", 20, "max search iterations per seed")
+		timeout   = fs.Duration("timeout", 0, "fuzzing deadline (0 = none)")
+		workers   = fs.Int("seed-workers", 0, "speculative seed-search workers (0/1 = sequential; report is identical either way)")
+		flight    = fs.String("flightlog", "", "directory to write the mission's flight log into")
+		postmor   = fs.Bool("postmortem", false, "render an HTML post-mortem next to the flight log (needs -flightlog)")
 		atlasFile = fs.String("atlas", "", "file to write the search-atlas artifact into (per-seed convergence trails, JSONL)")
 	)
 	tf := telemetry.RegisterFlags(fs)
@@ -120,7 +119,7 @@ func run(ctx context.Context, args []string, log *telemetry.Logger) (err error) 
 		if aerr != nil {
 			return aerr
 		}
-		flog, flightPath, aerr := arch.Create(fmt.Sprintf("n%d_d%g_seed%d", *n, *dist, *seed))
+		flog, flightPath, aerr := arch.Create(flightlog.MissionName(*n, *dist, *seed))
 		if aerr != nil {
 			return aerr
 		}
@@ -136,7 +135,7 @@ func run(ctx context.Context, args []string, log *telemetry.Logger) (err error) 
 			if !*postmor {
 				return
 			}
-			html := strings.TrimSuffix(flightPath, ".flight.jsonl") + ".postmortem.html"
+			html := flightlog.PostmortemPath(flightPath)
 			if perr := flreport.GenerateFile(flightPath, html); perr != nil {
 				log.Warnf("post-mortem: %v", perr)
 				return

@@ -112,7 +112,7 @@ func run(args []string, log *telemetry.Logger) error {
 	if flog != nil {
 		log.Infof("flight log written to %s", flightPath)
 		if *postmor {
-			html := strings.TrimSuffix(flightPath, ".flight.jsonl") + ".postmortem.html"
+			html := flightlog.PostmortemPath(flightPath)
 			if err := flreport.GenerateFile(flightPath, html); err != nil {
 				return err
 			}

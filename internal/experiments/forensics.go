@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"swarmfuzz/internal/flightlog"
 	"swarmfuzz/internal/flightlog/report"
 	"swarmfuzz/internal/gps"
@@ -26,7 +23,7 @@ func recordForensics(cfg Config, ctrl sim.Controller, spoofDistance float64, mis
 		cfg.Log.Warnf("forensics seed %d: %v", o.Seed, err)
 		return
 	}
-	name := fmt.Sprintf("n%d_d%g_seed%d", mission.Config.NumDrones, spoofDistance, o.Seed)
+	name := flightlog.MissionName(mission.Config.NumDrones, spoofDistance, o.Seed)
 	log, path, err := arch.Create(name)
 	if err != nil {
 		cfg.Log.Warnf("forensics seed %d: %v", o.Seed, err)
@@ -75,7 +72,7 @@ func recordForensics(cfg Config, ctrl sim.Controller, spoofDistance float64, mis
 	cfg.Log.Debugf("forensics seed %d: flight log %s", o.Seed, path)
 
 	if cfg.Postmortem {
-		htmlPath := strings.TrimSuffix(path, ".flight.jsonl") + ".postmortem.html"
+		htmlPath := flightlog.PostmortemPath(path)
 		if err := report.GenerateFile(path, htmlPath); err != nil {
 			cfg.Log.Warnf("forensics seed %d: post-mortem: %v", o.Seed, err)
 			return

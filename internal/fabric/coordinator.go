@@ -46,15 +46,15 @@ type Coordinator struct {
 	rec  telemetry.Recorder
 	log  *telemetry.Logger
 
-	mu        sync.Mutex
-	queue     []*unit          // grant order; may hold entries for settled jobs, skipped at grant
-	units     map[string]*unit // unit id → live unit (pending or leased)
-	leases    map[string]*unit // lease token → leased unit
-	workers   map[string]time.Time
-	jobs      map[string]*fabJob
-	nextLease uint64
+	mu                                  sync.Mutex
+	queue                               []*unit          // grant order; may hold entries for settled jobs, skipped at grant
+	units                               map[string]*unit // unit id → live unit (pending or leased)
+	leases                              map[string]*unit // lease token → leased unit
+	workers                             map[string]time.Time
+	jobs                                map[string]*fabJob
+	nextLease                           uint64
 	granted, expired, completed, failed int64
-	lastContact time.Time
+	lastContact                         time.Time
 }
 
 // fabJob tracks one sharded grid job. onDone runs under the job mutex,

@@ -23,11 +23,13 @@ package flightlog
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 
 	"swarmfuzz/internal/comms"
@@ -357,11 +359,26 @@ func NewArchive(dir string, terms TermSource) (*Archive, error) {
 // Dir returns the archive directory.
 func (a *Archive) Dir() string { return a.dir }
 
+// flightExt is the file extension of every archived mission log.
+const flightExt = ".flight.jsonl"
+
+// MissionName is the archive name of a fuzzed mission's log: swarm
+// size n, spoof distance d in metres and mission seed.
+func MissionName(n int, d float64, seed uint64) string {
+	return fmt.Sprintf("n%d_d%g_seed%d", n, d, seed)
+}
+
+// PostmortemPath returns where the HTML post-mortem of the flight log
+// at flightPath goes: next to it, with the log's extension replaced.
+func PostmortemPath(flightPath string) string {
+	return strings.TrimSuffix(flightPath, flightExt) + ".postmortem.html"
+}
+
 // Create opens a new mission log named <name>.flight.jsonl inside the
 // archive, truncating any previous log of that name, and returns it
 // with its path. The caller must Close the log.
 func (a *Archive) Create(name string) (*MissionLog, string, error) {
-	path := filepath.Join(a.dir, name+".flight.jsonl")
+	path := filepath.Join(a.dir, name+flightExt)
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, "", err

@@ -341,6 +341,20 @@ func TestArchiveCreateAndReadBack(t *testing.T) {
 	}
 }
 
+// TestArchiveNames pins the file names the CLIs, the daemon and the
+// campaign forensics all derive from MissionName and PostmortemPath.
+func TestArchiveNames(t *testing.T) {
+	if got := MissionName(15, 7.5, 1003); got != "n15_d7.5_seed1003" {
+		t.Errorf("MissionName = %q", got)
+	}
+	if got := MissionName(5, 10, 3); got != "n5_d10_seed3" {
+		t.Errorf("MissionName = %q", got)
+	}
+	if got := PostmortemPath(filepath.Join("flights", "n5_d10_seed3.flight.jsonl")); got != filepath.Join("flights", "n5_d10_seed3.postmortem.html") {
+		t.Errorf("PostmortemPath = %q", got)
+	}
+}
+
 func TestReadFlightSkipsUnknownTypes(t *testing.T) {
 	in := strings.NewReader(
 		`{"type":"mission","n":2,"seed":1}` + "\n" +

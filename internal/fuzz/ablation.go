@@ -100,8 +100,7 @@ func fuzzWith(in Input, opts Options, name string, mkSeeds seedFn, search search
 	// add scheduling and channel overhead (on a single-core box,
 	// workers=4 measured ~5% slower than sequential). Results are
 	// byte-identical at any worker count, so clamping is observably
-	// safe; it propagates into both the seed walk and the per-iteration
-	// probe batches.
+	// safe.
 	opts.SeedWorkers = clampWorkers(opts.SeedWorkers)
 	rep := &Report{Fuzzer: name}
 	rec := reportRecorder{telemetry.OrNop(opts.Telemetry), rep}
@@ -143,11 +142,19 @@ func fuzzWith(in Input, opts Options, name string, mkSeeds seedFn, search search
 		defer func() { opts.Observer.EndSearch(rep.Found) }()
 	}
 
+	// next yields seed i's search outcome. The sequential walk searches
+	// inline; the speculative walk replays the outcome its worker pool
+	// buffered. Either way the commit below is the walk's only one.
+	next := func(i int) (int, *Finding, error) {
+		return search(in, seeds[i], cr, opts, rec, seedTrace(opts, seeds[i]), nil)
+	}
 	if opts.SeedWorkers > 1 && parallelizable && len(seeds) > 1 {
-		return parallelSeedWalk(in, opts, search, searchStage, cr, seeds, rep, rec)
+		var stop func()
+		next, stop = speculate(in, opts, search, cr, seeds, rec)
+		defer stop()
 	}
 
-	for _, seed := range seeds {
+	for i, seed := range seeds {
 		rep.SeedsTried++
 		span := rec.StartSpan(opts.TraceParent, searchStage,
 			telemetry.KV("target", seed.Target),
@@ -156,8 +163,7 @@ func fuzzWith(in Input, opts Options, name string, mkSeeds seedFn, search search
 		if opts.Observer != nil {
 			opts.Observer.SeedStart(seed)
 		}
-		trace := seedTrace(opts, seed)
-		iters, finding, err := search(in, seed, cr, opts, rec, trace, nil)
+		iters, finding, err := next(i)
 		rep.IterationsToFind += iters
 		rec.Add(telemetry.MSearchIters, int64(iters))
 		span.End(telemetry.KV("iters", iters), telemetry.KV("found", finding != nil))
@@ -266,16 +272,13 @@ func gradientSearch(in Input, seed svg.Seed, clean *cleanRun, opts Options, rec 
 
 // randomSearch samples (t_s, Δt) uniformly for up to MaxIterPerSeed
 // iterations. It draws from the shared mission stream, which is why
-// the random fuzzers are never run on the speculative walk; stop is
-// accepted for signature compatibility.
-func randomSearch(in Input, seed svg.Seed, clean *cleanRun, opts Options, rec telemetry.Recorder, trace searchTrace, stop func() bool) (int, *Finding, error) {
+// the random fuzzers are never run on the speculative walk and so
+// never need to poll stop.
+func randomSearch(in Input, seed svg.Seed, clean *cleanRun, opts Options, rec telemetry.Recorder, trace searchTrace, _ func() bool) (int, *Finding, error) {
 	horizon := clean.res.Duration
 	iters := 0
 	best := math.Inf(1)
 	for iter := 0; iter < opts.MaxIterPerSeed; iter++ {
-		if stop != nil && stop() {
-			return iters, nil, errSpeculationStopped
-		}
 		ts := clean.src.Uniform(0, horizon)
 		dt := clean.src.Uniform(0, math.Min(horizon-ts, 4*opts.InitDuration))
 		plan := gps.SpoofPlan{

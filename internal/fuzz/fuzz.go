@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"swarmfuzz/internal/flightlog"
 	"swarmfuzz/internal/gps"
@@ -87,11 +86,10 @@ type Options struct {
 	// seed walk sequentially. Higher values evaluate scheduled seeds
 	// concurrently but commit their results in schedule order, so the
 	// Report — seeds tried, first SPV, SimRuns accounting — is
-	// byte-identical to the sequential walk; it also enables parallel
-	// evaluation of the per-iteration finite-difference probes. The
-	// random-parameter fuzzers (R_Fuzz, S_Fuzz) draw their samples from
-	// one shared deterministic stream and therefore always run
-	// sequentially, whatever this is set to.
+	// byte-identical to the sequential walk. The random-parameter
+	// fuzzers (R_Fuzz, S_Fuzz) draw their samples from one shared
+	// deterministic stream and therefore always run sequentially,
+	// whatever this is set to.
 	SeedWorkers int
 	// Telemetry receives the pipeline's counters and trace spans; nil
 	// disables recording (the hot paths then pay one no-op interface
@@ -357,13 +355,19 @@ func searchSeed(in Input, seed svg.Seed, clean *sim.Result, opts Options, rec te
 	ts0 := math.Max(0, windowEnd-opts.InitDuration)
 	dt0 := opts.InitDuration
 
-	// evalPoint runs one attacked simulation, recording into r. The
-	// small-positive clamp below keeps the optimizer from declaring
+	// objective runs one attacked simulation. It polls stop before
+	// each simulation and keeps the first simulation error in simErr;
+	// once set, every later evaluation returns +Inf without simulating.
+	// The small-positive clamp below keeps the optimizer from declaring
 	// victory on an invalid collision (e.g. drone-drone): the victim's
 	// clearance went non-positive, but not the way an SPV requires.
-	evalPoint := func(ts, dt float64, r telemetry.Recorder) (float64, error) {
-		if stop != nil && stop() {
-			return math.Inf(1), errSpeculationStopped
+	var simErr error
+	objective := func(ts, dt float64) float64 {
+		if simErr == nil && stop != nil && stop() {
+			simErr = errSpeculationStopped
+		}
+		if simErr != nil {
+			return math.Inf(1)
 		}
 		plan := gps.SpoofPlan{
 			Target:    seed.Target,
@@ -372,86 +376,15 @@ func searchSeed(in Input, seed svg.Seed, clean *sim.Result, opts Options, rec te
 			Direction: seed.Direction,
 			Distance:  in.SpoofDistance,
 		}
-		ev, err := evaluate(in, plan, seed.Victim, clean.Trajectory, r)
-		if err != nil {
-			return math.Inf(1), err
-		}
-		if !ev.success && ev.objective <= 0 {
-			return 0.01, nil
-		}
-		return ev.objective, nil
-	}
-
-	var simErr error
-	objective := func(ts, dt float64) float64 {
-		if simErr != nil {
-			return math.Inf(1)
-		}
-		v, err := evalPoint(ts, dt, rec)
+		ev, err := evaluate(in, plan, seed.Victim, clean.Trajectory, rec)
 		if err != nil {
 			simErr = err
 			return math.Inf(1)
 		}
-		return v
-	}
-
-	// batch evaluates one descent iteration's candidate and probes as
-	// concurrent simulations (they are independent), then commits their
-	// values and telemetry in the sequential order with the sequential
-	// gate: probe results are consumed only if the candidate was
-	// positive and error-free, and nothing after the first error is
-	// committed. This keeps accounting identical to the lazy path.
-	var batch func(pts [][2]float64) []float64
-	if opts.SeedWorkers > 1 {
-		type pointEval struct {
-			v   float64
-			err error
-			buf *bufRecorder
+		if !ev.success && ev.objective <= 0 {
+			return 0.01
 		}
-		batch = func(pts [][2]float64) []float64 {
-			out := make([]float64, len(pts))
-			if simErr != nil {
-				for k := range out {
-					out[k] = math.Inf(1)
-				}
-				return out
-			}
-			evals := make([]pointEval, len(pts))
-			var wg sync.WaitGroup
-			for k := 1; k < len(pts); k++ {
-				wg.Add(1)
-				go func(k int) {
-					defer wg.Done()
-					buf := &bufRecorder{parent: rec}
-					v, err := evalPoint(pts[k][0], pts[k][1], buf)
-					evals[k] = pointEval{v: v, err: err, buf: buf}
-				}(k)
-			}
-			buf := &bufRecorder{parent: rec}
-			v, err := evalPoint(pts[0][0], pts[0][1], buf)
-			evals[0] = pointEval{v: v, err: err, buf: buf}
-			wg.Wait()
-
-			open := true
-			for k := range evals {
-				if !open {
-					out[k] = math.Inf(1)
-					continue
-				}
-				evals[k].buf.replay(rec)
-				if evals[k].err != nil {
-					simErr = evals[k].err
-					out[k] = math.Inf(1)
-					open = false
-					continue
-				}
-				out[k] = evals[k].v
-				if k == 0 && evals[k].v <= 0 {
-					open = false
-				}
-			}
-			return out
-		}
+		return ev.objective
 	}
 
 	// The landscape has flat plateaus away from the narrow collision
@@ -474,7 +407,6 @@ func searchSeed(in Input, seed svg.Seed, clean *sim.Result, opts Options, rec te
 		g := opts.Grad
 		g.MaxIters = budget
 		g.Horizon = horizon
-		g.Batch = batch
 		if trace != nil {
 			// The iterate trail numbers iterations across the whole
 			// multi-start schedule, matching the per-seed budget

@@ -83,6 +83,7 @@ func TestObserverStreamMatchesReport(t *testing.T) {
 // be identical between the sequential and speculative walks, and
 // across repeated runs.
 func TestObserverParallelWalkByteIdentity(t *testing.T) {
+	runPool(t)
 	for _, fx := range []struct {
 		n    int
 		seed uint64

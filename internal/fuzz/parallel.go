@@ -1,7 +1,6 @@
 package fuzz
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -34,14 +33,15 @@ func clampWorkers(requested int) int {
 // finding, the flight log's search trail, the trace's span order) is
 // defined by the walk order. The walk therefore separates *execution*
 // from *commitment*: workers record each seed's counters and search
-// trail into private buffers, and the driving goroutine commits
-// outcomes strictly in schedule order, discarding everything from
-// seeds scheduled after the first committed finding or error. Once
-// that commit point is known, later in-flight searches are cancelled
-// via the stop flag (their next simulation aborts), which is where the
-// wall-clock win comes from: seed k+1..k+W-1 ran while seed k was
-// still searching, and their speculative work is only kept when seed k
-// turned out not to crack.
+// trail into private buffers, and fuzzWith's commit loop — the same
+// one the sequential walk runs — takes the outcomes strictly in
+// schedule order, so everything from seeds scheduled after the first
+// committed finding or error is never replayed. Once that commit point
+// is known, later in-flight searches are cancelled via the stop flag
+// (their next simulation aborts), which is where the wall-clock win
+// comes from: seed k+1..k+W-1 ran while seed k was still searching,
+// and their speculative work is only kept when seed k turned out not
+// to crack.
 
 // recOp is one buffered telemetry mutation.
 type recOp struct {
@@ -112,17 +112,17 @@ type seedOutcome struct {
 	trail   []opt.Iterate
 }
 
-// parallelSeedWalk is the speculative counterpart of fuzzWith's
-// sequential seed loop. See the package comment above for the
-// commit-order contract.
-func parallelSeedWalk(in Input, opts Options, search searchFn, searchStage string, cr *cleanRun, seeds []svg.Seed, rep *Report, rec reportRecorder) (*Report, error) {
-	workers := opts.SeedWorkers
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
+// speculate starts the speculative worker pool over seeds. next(i)
+// waits for seed i's outcome and replays its buffered counters into
+// rec and its search trail into the flight log and observer, so the
+// caller's commit loop sees exactly what an inline search would have
+// produced; it must be called for i = 0, 1, … in order. stop cancels
+// the in-flight searches and waits for the pool to exit.
+func speculate(in Input, opts Options, search searchFn, cr *cleanRun, seeds []svg.Seed, rec telemetry.Recorder) (next func(i int) (int, *Finding, error), stop func()) {
+	workers := min(opts.SeedWorkers, len(seeds))
 
 	var stopFlag atomic.Bool
-	stop := func() bool { return stopFlag.Load() }
+	cancelled := func() bool { return stopFlag.Load() }
 	quit := make(chan struct{})
 	idxCh := make(chan int)
 	outcomes := make([]chan seedOutcome, len(seeds))
@@ -155,54 +155,27 @@ func parallelSeedWalk(in Input, opts Options, search searchFn, searchStage strin
 						out.trail = append(out.trail, it)
 					}
 				}
-				out.iters, out.finding, out.err = search(in, seeds[i], cr, opts, buf, trace, stop)
+				out.iters, out.finding, out.err = search(in, seeds[i], cr, opts, buf, trace, cancelled)
 				out.rec = buf
 				outcomes[i] <- out
 			}
 		}()
 	}
-	defer func() {
-		stopFlag.Store(true)
-		close(quit)
-		wg.Wait()
-	}()
 
-	for i, seed := range seeds {
+	next = func(i int) (int, *Finding, error) {
 		out := <-outcomes[i]
-		// Commit: exactly the sequential loop's mutations, in its order.
-		rep.SeedsTried++
-		span := rec.StartSpan(opts.TraceParent, searchStage,
-			telemetry.KV("target", seed.Target),
-			telemetry.KV("victim", seed.Victim),
-			telemetry.KV("direction", seed.Direction.String()))
-		if opts.Observer != nil {
-			opts.Observer.SeedStart(seed)
-		}
 		out.rec.replay(rec)
-		if trace := seedTrace(opts, seed); trace != nil {
+		if trace := seedTrace(opts, seeds[i]); trace != nil {
 			for _, it := range out.trail {
 				trace(it)
 			}
 		}
-		rep.IterationsToFind += out.iters
-		rec.Add(telemetry.MSearchIters, int64(out.iters))
-		span.End(telemetry.KV("iters", out.iters), telemetry.KV("found", out.finding != nil))
-		if opts.Observer != nil {
-			opts.Observer.SeedEnd(seed, out.iters, out.finding != nil, errString(out.err))
-		}
-		if out.err != nil {
-			rep.SeedErrors = append(rep.SeedErrors,
-				fmt.Sprintf("seed T%d-V%d: %v", seed.Target, seed.Victim, out.err))
-			return rep, fmt.Errorf("fuzz: seed T%d-V%d search failed: %w", seed.Target, seed.Victim, out.err)
-		}
-		if out.finding != nil {
-			rec.Add(telemetry.MSeedsCracked, 1)
-			rec.Set(telemetry.MBestObjective, out.finding.Objective)
-			rep.Found = true
-			rep.Findings = append(rep.Findings, *out.finding)
-			recordWitness(in, *out.finding, opts, rec)
-			return rep, nil
-		}
+		return out.iters, out.finding, out.err
 	}
-	return rep, nil
+	stop = func() {
+		stopFlag.Store(true)
+		close(quit)
+		wg.Wait()
+	}
+	return next, stop
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"swarmfuzz/internal/flightlog"
@@ -13,15 +15,26 @@ import (
 	"swarmfuzz/internal/telemetry"
 )
 
+// runPool raises GOMAXPROCS to 4 for the rest of the test. fuzzWith
+// clamps SeedWorkers to GOMAXPROCS, so without this a one-CPU machine
+// would compare the sequential walk with itself and never start the
+// speculative pool.
+func runPool(t *testing.T) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // runForEquivalence fuzzes one fixed-seed input and returns the
-// marshalled Report, the flight log bytes, and the work counters the
-// speculative walk must not distort.
-func runForEquivalence(t *testing.T, f Fuzzer, in Input, opts Options, workers int) (repJSON, flight []byte, simRuns, searchIters int64) {
+// marshalled Report, the flight log bytes, the trace's spans with
+// their timestamps zeroed, and the work counters the speculative walk
+// must not distort.
+func runForEquivalence(t *testing.T, f Fuzzer, in Input, opts Options, workers int) (repJSON, flight []byte, spans []telemetry.SpanEvent, simRuns, searchIters int64) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	var flightBuf bytes.Buffer
+	var flightBuf, traceBuf bytes.Buffer
 	log := flightlog.New(&flightBuf, nil)
-	opts.Telemetry = telemetry.New(reg, nil)
+	opts.Telemetry = telemetry.New(reg, &traceBuf)
 	opts.Flight = log
 	opts.SeedWorkers = workers
 	rep, err := f.Fuzz(in, opts)
@@ -35,7 +48,17 @@ func runForEquivalence(t *testing.T, f Fuzzer, in Input, opts Options, workers i
 	if err != nil {
 		t.Fatal(err)
 	}
-	return js, flightBuf.Bytes(),
+	spans, err = telemetry.ReadSpans(&traceBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) == 0 {
+		t.Fatalf("%s workers=%d: trace holds no spans", f.Name(), workers)
+	}
+	for i := range spans {
+		spans[i].StartUS, spans[i].EndUS, spans[i].DurUS = 0, 0, 0
+	}
+	return js, flightBuf.Bytes(), spans,
 		reg.Counter(telemetry.MSimRuns).Value(),
 		reg.Counter(telemetry.MSearchIters).Value()
 }
@@ -44,10 +67,12 @@ func runForEquivalence(t *testing.T, f Fuzzer, in Input, opts Options, workers i
 // property: for the gradient-guided fuzzers, the speculative walk at
 // Workers ∈ {1, 4} must reproduce the sequential walk byte-for-byte —
 // the full marshalled Report (seeds tried, iterations, SimRuns, the
-// first finding), the flight log stream, and the campaign-facing
+// first finding), the flight log stream, the trace's spans (ID,
+// parent, name and attributes, in order) and the campaign-facing
 // telemetry counters. Speculative simulations of cancelled seeds must
 // leave no trace anywhere.
 func TestParallelSeedSearchMatchesSequential(t *testing.T) {
+	runPool(t)
 	fixtures := []struct {
 		n    int
 		seed uint64
@@ -64,14 +89,17 @@ func TestParallelSeedSearchMatchesSequential(t *testing.T) {
 				opts.MaxIterPerSeed = 6
 				opts.MaxSeeds = 8
 
-				seqRep, seqFlight, seqRuns, seqIters := runForEquivalence(t, fz, in, opts, 0)
+				seqRep, seqFlight, seqSpans, seqRuns, seqIters := runForEquivalence(t, fz, in, opts, 0)
 				for _, workers := range []int{1, 4} {
-					parRep, parFlight, parRuns, parIters := runForEquivalence(t, fz, in, opts, workers)
+					parRep, parFlight, parSpans, parRuns, parIters := runForEquivalence(t, fz, in, opts, workers)
 					if !bytes.Equal(seqRep, parRep) {
 						t.Errorf("workers=%d: report differs\nseq: %s\npar: %s", workers, seqRep, parRep)
 					}
 					if !bytes.Equal(seqFlight, parFlight) {
 						t.Errorf("workers=%d: flight log differs (%d vs %d bytes)", workers, len(seqFlight), len(parFlight))
+					}
+					if !reflect.DeepEqual(seqSpans, parSpans) {
+						t.Errorf("workers=%d: trace spans differ\nseq: %+v\npar: %+v", workers, seqSpans, parSpans)
 					}
 					if seqRuns != parRuns || seqIters != parIters {
 						t.Errorf("workers=%d: counters differ: sim_runs %d vs %d, search_iters %d vs %d",
@@ -87,6 +115,7 @@ func TestParallelSeedSearchMatchesSequential(t *testing.T) {
 // actually cracks, so the byte-identity test above exercises the
 // cancellation and witness paths rather than only full resilient walks.
 func TestParallelWalkFindsSPV(t *testing.T) {
+	runPool(t)
 	found := false
 	for _, fx := range []struct {
 		n    int
@@ -118,6 +147,7 @@ func TestParallelWalkFindsSPV(t *testing.T) {
 // sequential walk does: same aborted-walk error, same SeedErrors, and
 // no commits from seeds scheduled after the failing one.
 func TestParallelWalkPropagatesSeedErrors(t *testing.T) {
+	runPool(t)
 	in := Input{Mission: testMission(t, 4, 4), Controller: testController(t), SpoofDistance: 10}
 	baseOpts := DefaultOptions()
 	baseOpts.MaxIterPerSeed = 2

@@ -46,19 +46,8 @@ type Options struct {
 	// Iterate carries the finite-difference gradient norm and the
 	// projected step the descent took from it, so it is emitted after
 	// the gradient probes (or immediately, with GradNorm < 0, when the
-	// iterate terminates the search). The sequential and batched paths
-	// produce identical Observe sequences.
+	// iterate terminates the search).
 	Observe func(Iterate)
-	// Batch, when non-nil, evaluates a whole iteration's points at
-	// once — pts[0] is the candidate, pts[1:] the finite-difference
-	// probes — and returns one value per point, enabling the caller to
-	// run the underlying simulations in parallel. It must agree with
-	// the Objective pointwise. pts[0] is the gate: when its value is
-	// non-positive the descent terminates without consuming the probe
-	// values, so implementations that care about side-effect ordering
-	// (telemetry accounting) must apply the same gate. The returned
-	// slice is read before the next Batch call and may be reused.
-	Batch func(pts [][2]float64) []float64
 }
 
 // Iterate is one structured record of the descent: the counted
@@ -140,21 +129,9 @@ func Minimize(f Objective, ts0, dt0 float64, opts Options) (Result, error) {
 	res := Result{TS: ts, DT: dt, Value: math.Inf(1)}
 
 	for iter := 0; iter < opts.MaxIters; iter++ {
-		// One iteration needs the candidate value and — unless the
-		// candidate terminates the descent — the two forward-difference
-		// probe values. The batched path computes all three up front
-		// (they are independent simulations); the sequential path
-		// evaluates lazily. Iteration/eval accounting is identical.
-		h := opts.FDStep
-		var v, vts, vdt float64
-		batched := opts.Batch != nil
-		if batched {
-			pts := [3][2]float64{{ts, dt}, {ts + h, dt}, {ts, dt + h}}
-			vals := opts.Batch(pts[:])
-			v, vts, vdt = vals[0], vals[1], vals[2]
-		} else {
-			v = f(ts, dt)
-		}
+		// The candidate is evaluated first; the two forward-difference
+		// probes only when it does not terminate the descent.
+		v := f(ts, dt)
 		res.Iters++
 		res.Evals++
 		accepted := v < res.Value
@@ -168,10 +145,9 @@ func Minimize(f Objective, ts0, dt0 float64, opts Options) (Result, error) {
 		}
 
 		// Forward-difference gradient probes.
-		if !batched {
-			vts = f(ts+h, dt)
-			vdt = f(ts, dt+h)
-		}
+		h := opts.FDStep
+		vts := f(ts+h, dt)
+		vdt := f(ts, dt+h)
 		res.Evals += 2
 		gts := (vts - v) / h
 		gdt := (vdt - v) / h

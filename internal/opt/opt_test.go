@@ -217,3 +217,85 @@ func TestPropMinimizeOnConvexBowls(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestObserveStreamMatchesResult runs the descent on several synthetic
+// objectives and checks the Observe stream against the Result: one
+// Iterate per counted iteration, numbered in order, the final accepted
+// iterate present, and a found collision reported by the last entry.
+// It also pins the lazy evaluation order: the probes are evaluated
+// only when the candidate does not terminate the descent, so every
+// objective call is one of Result.Evals.
+func TestObserveStreamMatchesResult(t *testing.T) {
+	objectives := map[string]Objective{
+		// Smooth bowl that crosses zero: the descent finds it.
+		"bowl": func(ts, dt float64) float64 {
+			return (ts-7)*(ts-7) + (dt-3)*(dt-3) - 1
+		},
+		// Always positive: the descent exhausts its budget or stalls.
+		"positive": func(ts, dt float64) float64 {
+			return 1 + math.Abs(ts-5) + math.Abs(dt-5)
+		},
+		// Non-positive immediately: the candidate ends iteration 0.
+		"instant": func(ts, dt float64) float64 {
+			return -1
+		},
+		// A probe (not the candidate) finds the collision first.
+		"probe-hit": func(ts, dt float64) float64 {
+			if ts >= 2.5 {
+				return -0.5
+			}
+			return 5 - ts
+		},
+	}
+	for name, f := range objectives {
+		for _, horizon := range []float64{0, 20} {
+			opts := DefaultOptions()
+			opts.Horizon = horizon
+			var obs []Iterate
+			opts.Observe = func(it Iterate) { obs = append(obs, it) }
+			calls := 0
+			counted := func(ts, dt float64) float64 {
+				calls++
+				return f(ts, dt)
+			}
+			res, err := Minimize(counted, 2, 4, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if calls != res.Evals {
+				t.Errorf("%s (horizon %g): %d objective calls for %d evals", name, horizon, calls, res.Evals)
+			}
+			if len(obs) != res.Iters {
+				t.Fatalf("%s (horizon %g): %d observations for %d iterations", name, horizon, len(obs), res.Iters)
+			}
+
+			// The observed iterations count 0..Iters-1 in order, and the
+			// final accepted iterate — the one Result reports — appears in
+			// the stream. For a found collision it is specifically the
+			// LAST entry.
+			found := -1
+			for i, it := range obs {
+				if it.Iter != i {
+					t.Errorf("%s: observation %d carries iteration %d", name, i, it.Iter)
+				}
+				if it.Accepted && it.TS == res.TS && it.DT == res.DT && it.Value == res.Value {
+					found = i
+				}
+			}
+			if found < 0 {
+				t.Errorf("%s: final accepted iterate (%g,%g)=%g never observed", name, res.TS, res.DT, res.Value)
+			}
+			last := obs[len(obs)-1]
+			if res.Found {
+				if !last.Accepted || last.TS != res.TS || last.DT != res.DT || last.Value != res.Value {
+					t.Errorf("%s: last observation %+v does not match result %+v", name, last, res)
+				}
+				if last.GradNorm != -1 || last.StepSize != 0 {
+					t.Errorf("%s: terminating observation should carry GradNorm=-1 StepSize=0, got %+v", name, last)
+				}
+			} else if last.GradNorm < 0 {
+				t.Errorf("%s: non-terminating last observation missing gradient norm: %+v", name, last)
+			}
+		}
+	}
+}

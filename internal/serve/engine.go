@@ -974,7 +974,7 @@ func (e *Engine) runFuzz(ctx context.Context, id string, spec JobSpec, fuzzer fu
 		if err != nil {
 			return nil, err
 		}
-		name := fmt.Sprintf("n%d_d%g_seed%d", spec.SwarmSize, spec.SpoofDistance, spec.Seed)
+		name := flightlog.MissionName(spec.SwarmSize, spec.SpoofDistance, spec.Seed)
 		flog, path, err := arch.Create(name)
 		if err != nil {
 			return nil, err
@@ -1050,7 +1050,7 @@ func (e *Engine) runCampaign(ctx context.Context, id string, spec JobSpec, fuzze
 // writePostmortem renders the HTML post-mortem next to a flight log,
 // degrading failures to a warning: forensics never fail a job.
 func writePostmortem(log *telemetry.Logger, id, flightPath string) {
-	html := strings.TrimSuffix(flightPath, ".flight.jsonl") + ".postmortem.html"
+	html := flightlog.PostmortemPath(flightPath)
 	if err := flreport.GenerateFile(flightPath, html); err != nil {
 		log.Warnf("job %s: post-mortem: %v", id, err)
 	}
