@@ -39,12 +39,14 @@ metrics-lint:
 # noise from the trajectory's shared table, to full runs that draw
 # their own: with runs growing the table concurrently, in either order
 # across its chunk ends, on receivers without noise or bias, and gps's
-# table-side perceive step to Read.
+# table-side perceive step to Read. Finally it pins svg's t_clo, now
+# computed from recorded positions, to the mean-distance series the
+# simulator used to record, bit for bit, on collision-free clean runs.
 # `race` already runs these tests too; the named target exists so the
 # equivalence contract has its own CI handle and a fast local loop.
 batch-equiv:
-	$(GO) test -race -run '^(TestBatchPathMatchesRowPath|TestBatchPathMatchesRowPathWithDroneCollisions|TestBatchStepperMatchesSequentialRuns|TestBatchStepperBudgetExhaustion|TestBatchCommandsMatchesCommand|TestClampNormMatchesReference|TestIsFiniteMatchesMath|TestBodyStepMatchesClampFormula|TestObstacleGatesMatchExact|TestPrefixResumeConcurrent|TestNoiseTableOrderIndependence|TestPrefixResumeWithoutNoiseOrBias|TestPerceiveMatchesRead)$$' \
-		./internal/sim/ ./internal/flock/ ./internal/vec/ ./internal/gps/
+	$(GO) test -race -run '^(TestBatchPathMatchesRowPath|TestBatchPathMatchesRowPathWithDroneCollisions|TestBatchStepperMatchesSequentialRuns|TestBatchCommandsMatchesCommand|TestClampNormMatchesReference|TestIsFiniteMatchesMath|TestBodyStepMatchesClampFormula|TestObstacleGatesMatchExact|TestPrefixResumeConcurrent|TestNoiseTableOrderIndependence|TestPrefixResumeWithoutNoiseOrBias|TestPerceiveMatchesRead|TestTCloMatchesRecordedSeries)$$' \
+		./internal/sim/ ./internal/flock/ ./internal/vec/ ./internal/gps/ ./internal/svg/
 
 # check is the CI gate: vet plus gofmt plus metric-name hygiene plus
 # the decide paths' bit-identity pins plus the full test suite under the race

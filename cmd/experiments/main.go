@@ -32,9 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"swarmfuzz/internal/atlas"
@@ -44,7 +42,7 @@ import (
 
 func main() {
 	log := telemetry.NewLogger(os.Stderr, telemetry.LevelInfo)
-	ctx, stop := withInterrupt(context.Background(), log)
+	ctx, stop := telemetry.WithInterrupt(context.Background(), log)
 	defer stop()
 	if err := run(ctx, os.Args[1:], log); err != nil {
 		if errors.Is(err, context.Canceled) {
@@ -54,22 +52,6 @@ func main() {
 		log.Errorf("experiments: %s", strings.TrimPrefix(err.Error(), "experiments: "))
 		os.Exit(1)
 	}
-}
-
-// withInterrupt returns a context cancelled by the first SIGINT or
-// SIGTERM; a second signal terminates the process immediately.
-func withInterrupt(parent context.Context, log *telemetry.Logger) (context.Context, func()) {
-	ctx, cancel := context.WithCancel(parent)
-	ch := make(chan os.Signal, 2)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-ch
-		log.Warnf("interrupt: finishing gracefully — ^C again to kill")
-		cancel()
-		<-ch
-		os.Exit(130)
-	}()
-	return ctx, func() { signal.Stop(ch); cancel() }
 }
 
 func run(ctx context.Context, args []string, log *telemetry.Logger) (err error) {

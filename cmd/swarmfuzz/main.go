@@ -27,8 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"swarmfuzz/internal/atlas"
 	"swarmfuzz/internal/flightlog"
@@ -42,7 +40,7 @@ import (
 
 func main() {
 	log := telemetry.NewLogger(os.Stderr, telemetry.LevelInfo)
-	ctx, stop := withInterrupt(context.Background(), log)
+	ctx, stop := telemetry.WithInterrupt(context.Background(), log)
 	defer stop()
 	if err := run(ctx, os.Args[1:], log); err != nil {
 		if errors.Is(err, context.Canceled) {
@@ -52,22 +50,6 @@ func main() {
 		log.Errorf("swarmfuzz: %v", err)
 		os.Exit(1)
 	}
-}
-
-// withInterrupt returns a context cancelled by the first SIGINT or
-// SIGTERM; a second signal terminates the process immediately.
-func withInterrupt(parent context.Context, log *telemetry.Logger) (context.Context, func()) {
-	ctx, cancel := context.WithCancel(parent)
-	ch := make(chan os.Signal, 2)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-ch
-		log.Warnf("interrupt: finishing gracefully — ^C again to kill")
-		cancel()
-		<-ch
-		os.Exit(130)
-	}()
-	return ctx, func() { signal.Stop(ch); cancel() }
 }
 
 func run(ctx context.Context, args []string, log *telemetry.Logger) (err error) {
@@ -115,11 +97,7 @@ func run(ctx context.Context, args []string, log *telemetry.Logger) (err error) 
 	opts.SeedWorkers = *workers
 	opts.Telemetry = tel.Rec
 	if *flight != "" {
-		arch, aerr := flightlog.NewArchive(*flight, ctrl)
-		if aerr != nil {
-			return aerr
-		}
-		flog, flightPath, aerr := arch.Create(flightlog.MissionName(*n, *dist, *seed))
+		flog, flightPath, aerr := flightlog.Create(*flight, flightlog.MissionName(*n, *dist, *seed), ctrl)
 		if aerr != nil {
 			return aerr
 		}

@@ -43,11 +43,9 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"swarmfuzz/internal/chaos"
@@ -59,7 +57,7 @@ import (
 
 func main() {
 	log := telemetry.NewLogger(os.Stderr, telemetry.LevelInfo)
-	ctx, stop := withInterrupt(context.Background(), log)
+	ctx, stop := telemetry.WithInterrupt(context.Background(), log)
 	defer stop()
 
 	args := os.Args[1:]
@@ -105,22 +103,6 @@ func main() {
 		log.Errorf("swarmfuzzd: %v", err)
 		os.Exit(1)
 	}
-}
-
-// withInterrupt returns a context cancelled by the first SIGINT or
-// SIGTERM; a second signal terminates the process immediately.
-func withInterrupt(parent context.Context, log *telemetry.Logger) (context.Context, func()) {
-	ctx, cancel := context.WithCancel(parent)
-	ch := make(chan os.Signal, 2)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-ch
-		log.Warnf("interrupt: draining gracefully — ^C again to kill")
-		cancel()
-		<-ch
-		os.Exit(130)
-	}()
-	return ctx, func() { signal.Stop(ch); cancel() }
 }
 
 // runServe is the daemon proper. With coordinate set it also mounts

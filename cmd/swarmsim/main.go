@@ -89,11 +89,7 @@ func run(args []string, log *telemetry.Logger) error {
 		flightPath string
 	)
 	if *flight != "" {
-		arch, err := flightlog.NewArchive(*flight, ctrl)
-		if err != nil {
-			return err
-		}
-		flog, flightPath, err = arch.Create(fmt.Sprintf("n%d_seed%d", *n, *seed))
+		flog, flightPath, err = flightlog.Create(*flight, fmt.Sprintf("n%d_seed%d", *n, *seed), ctrl)
 		if err != nil {
 			return err
 		}

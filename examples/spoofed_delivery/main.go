@@ -27,11 +27,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	arch, err := flightlog.NewArchive(".", controller)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	// Scan mission seeds until SwarmFuzz finds an SPV.
 	for seed := uint64(1); seed < 200; seed++ {
 		mission, err := sim.NewMission(sim.DefaultMissionConfig(5, seed))
@@ -41,7 +36,7 @@ func main() {
 		// The flight log is the mission's black box: SwarmFuzz records
 		// the clean run, the vulnerability graphs, the search trail,
 		// and a witness run of any finding into it.
-		flog, flightPath, err := arch.Create("spoofed_delivery")
+		flog, flightPath, err := flightlog.Create(".", "spoofed_delivery", controller)
 		if err != nil {
 			log.Fatal(err)
 		}

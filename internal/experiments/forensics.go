@@ -18,13 +18,8 @@ import (
 func recordForensics(cfg Config, ctrl sim.Controller, spoofDistance float64, mission *sim.Mission, o MissionOutcome) {
 	rec := telemetry.OrNop(cfg.Telemetry)
 	terms, _ := ctrl.(flightlog.TermSource)
-	arch, err := flightlog.NewArchive(cfg.FlightDir, terms)
-	if err != nil {
-		cfg.Log.Warnf("forensics seed %d: %v", o.Seed, err)
-		return
-	}
 	name := flightlog.MissionName(mission.Config.NumDrones, spoofDistance, o.Seed)
-	log, path, err := arch.Create(name)
+	log, path, err := flightlog.Create(cfg.FlightDir, name, terms)
 	if err != nil {
 		cfg.Log.Warnf("forensics seed %d: %v", o.Seed, err)
 		return

@@ -95,7 +95,7 @@ func (l *MissionLog) Err() error {
 }
 
 // Close flushes the log and releases the underlying file when the log
-// owns one (Archive.Create). It returns the first error encountered
+// owns one (Create). It returns the first error encountered
 // over the log's lifetime.
 func (l *MissionLog) Close() error {
 	l.mu.Lock()
@@ -341,24 +341,6 @@ func (r *runRecorder) EndFlight(res *sim.Result, err error) {
 	r.log.write(&rec)
 }
 
-// Archive manages a directory of flight logs, one file per mission.
-type Archive struct {
-	dir   string
-	terms TermSource
-}
-
-// NewArchive creates (if necessary) the directory and returns an
-// Archive whose logs decompose commands through terms (may be nil).
-func NewArchive(dir string, terms TermSource) (*Archive, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return &Archive{dir: dir, terms: terms}, nil
-}
-
-// Dir returns the archive directory.
-func (a *Archive) Dir() string { return a.dir }
-
 // flightExt is the file extension of every archived mission log.
 const flightExt = ".flight.jsonl"
 
@@ -374,16 +356,20 @@ func PostmortemPath(flightPath string) string {
 	return strings.TrimSuffix(flightPath, flightExt) + ".postmortem.html"
 }
 
-// Create opens a new mission log named <name>.flight.jsonl inside the
-// archive, truncating any previous log of that name, and returns it
-// with its path. The caller must Close the log.
-func (a *Archive) Create(name string) (*MissionLog, string, error) {
-	path := filepath.Join(a.dir, name+flightExt)
+// Create opens a new mission log named <name>.flight.jsonl inside dir,
+// creating dir if necessary and truncating any previous log of that
+// name, and returns it with its path. The log decomposes commands
+// through terms (may be nil). The caller must Close the log.
+func Create(dir, name string, terms TermSource) (*MissionLog, string, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, "", err
+	}
+	path := filepath.Join(dir, name+flightExt)
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, "", err
 	}
-	l := New(f, a.terms)
+	l := New(f, terms)
 	l.c = f
 	return l, path, nil
 }

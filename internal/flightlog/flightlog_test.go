@@ -314,12 +314,8 @@ func TestWriteErrorsAreSticky(t *testing.T) {
 func TestArchiveCreateAndReadBack(t *testing.T) {
 	dir := t.TempDir()
 	ctrl := testController(t)
-	arch, err := NewArchive(filepath.Join(dir, "flights"), ctrl)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m := testMission(t, 3, 1)
-	log, path, err := arch.Create("n3_seed1")
+	log, path, err := Create(filepath.Join(dir, "flights"), "n3_seed1", ctrl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,7 +162,7 @@ type EventRecord struct {
 }
 
 // RunEndRecord closes one run with its outcome. Err is set when the
-// run aborted (divergence, step budget) instead of producing a result.
+// run aborted on divergence instead of producing a result.
 type RunEndRecord struct {
 	Type         string    `json:"type"`
 	Run          string    `json:"run"`

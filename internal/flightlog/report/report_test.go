@@ -139,11 +139,7 @@ func TestSpoofedDeliveryPostmortem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, err := flightlog.NewArchive(t.TempDir(), ctrl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log, flightPath, err := arch.Create("spoofed_delivery")
+	log, flightPath, err := flightlog.Create(t.TempDir(), "spoofed_delivery", ctrl)
 	if err != nil {
 		t.Fatal(err)
 	}

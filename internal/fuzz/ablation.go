@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"swarmfuzz/internal/gps"
+	"swarmfuzz/internal/metrics"
 	"swarmfuzz/internal/opt"
 	"swarmfuzz/internal/rng"
 	"swarmfuzz/internal/sim"
@@ -117,7 +118,7 @@ func fuzzWith(in Input, opts Options, name string, mkSeeds seedFn, search search
 		return rep, err
 	}
 	span.End(telemetry.KV("duration_s", clean.Duration))
-	rep.VDO = minOf(clean.MinClearance)
+	rep.VDO, _ = metrics.VDO(clean.MinClearance)
 
 	cr := &cleanRun{
 		res: clean,

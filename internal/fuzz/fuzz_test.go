@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -227,6 +228,13 @@ func TestEvaluateTargetCollisionNotSuccess(t *testing.T) {
 	if ev.objective <= 0 {
 		t.Errorf("clean-safe run has non-positive objective %v", ev.objective)
 	}
+	clean, err := sim.Run(m, sim.RunOptions{Controller: in.Controller})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(ev.objective) != math.Float64bits(clean.MinClearance[1]) {
+		t.Errorf("no-op objective %v, clean run's clearance %v", ev.objective, clean.MinClearance[1])
+	}
 }
 
 func TestApproachTime(t *testing.T) {
@@ -261,15 +269,6 @@ func TestFindingString(t *testing.T) {
 	want := "SPV{spoof{target=2 t_s=10.00s Δt=5.00s θ=left d=10.0m} victim=3 f=-0.50m iters=4}"
 	if got != want {
 		t.Errorf("String = %q, want %q", got, want)
-	}
-}
-
-func TestMinOf(t *testing.T) {
-	if got := minOf([]float64{3, 1, 2}); got != 1 {
-		t.Errorf("minOf = %v, want 1", got)
-	}
-	if got := minOf([]float64{5}); got != 5 {
-		t.Errorf("minOf single = %v, want 5", got)
 	}
 }
 

@@ -53,13 +53,3 @@ func scheduleSeeds(in Input, clean *sim.Result, opts Options, rec telemetry.Reco
 	}
 	return svg.ScheduleK(graphs, clean.MinClearance, cfg.PageRank, opts.TargetsPerVictim)
 }
-
-func minOf(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}

@@ -26,8 +26,8 @@ import (
 // errors.Is.
 var (
 	// ErrDiverged reports a simulation whose state left the realm of
-	// finite numbers or whose step budget ran out: its trajectory is
-	// garbage and must not be aggregated.
+	// finite numbers: its trajectory is garbage and must not be
+	// aggregated.
 	ErrDiverged = errors.New("robust: simulation diverged")
 	// ErrDeadline reports a call that exceeded its per-mission
 	// deadline. Deadline misses are classified transient: they depend

@@ -970,12 +970,8 @@ func (e *Engine) runFuzz(ctx context.Context, id string, spec JobSpec, fuzzer fu
 		opts.Observer = atlasCol
 	}
 	if spec.Flightlog {
-		arch, err := flightlog.NewArchive(e.store.FlightDir(id), ctrl)
-		if err != nil {
-			return nil, err
-		}
 		name := flightlog.MissionName(spec.SwarmSize, spec.SpoofDistance, spec.Seed)
-		flog, path, err := arch.Create(name)
+		flog, path, err := flightlog.Create(e.store.FlightDir(id), name, ctrl)
 		if err != nil {
 			return nil, err
 		}

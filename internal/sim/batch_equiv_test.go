@@ -1,13 +1,11 @@
 package sim_test
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
 	"swarmfuzz/internal/flock"
 	"swarmfuzz/internal/gps"
-	"swarmfuzz/internal/robust"
 	"swarmfuzz/internal/sim"
 )
 
@@ -64,23 +62,5 @@ func TestBatchStepperMatchesSequentialRuns(t *testing.T) {
 				requireBitIdentical(t, label+" vs sim.Run", got, want)
 			}
 		})
-	}
-}
-
-// TestBatchStepperBudgetExhaustion pins the step-budget contract on
-// the batch decide path: a budget-capped mission that cannot complete
-// fails with an error wrapping robust.ErrDiverged, with the same text
-// and after the same number of steps as on the row path.
-func TestBatchStepperBudgetExhaustion(t *testing.T) {
-	ctrl := flock.MustNew(flock.DefaultParams())
-	for i, m := range equivMissions(t, 5, 31, 3) {
-		res, err := sim.Run(m, sim.RunOptions{Controller: ctrl, StepBudget: 10})
-		if !errors.Is(err, robust.ErrDiverged) {
-			t.Fatalf("mission %d: err = %v, want an error wrapping ErrDiverged", i, err)
-		}
-		if res != nil {
-			t.Errorf("mission %d: Result non-nil after failure", i)
-		}
-		requireSamePaths(t, fmt.Sprintf("mission %d budget", i), m, ctrl, sim.RunOptions{StepBudget: 10})
 	}
 }

@@ -57,7 +57,7 @@ type FlightRecorder interface {
 	// order, as it happens.
 	RecordCollision(c Collision)
 	// EndFlight is called exactly once when the run ends: with the
-	// result on success, or with a nil result and the failure
-	// (divergence, exhausted step budget) otherwise.
+	// result on success, or with a nil result and the divergence
+	// failure otherwise.
 	EndFlight(res *Result, err error)
 }

@@ -1,7 +1,7 @@
 package sim_test
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -12,7 +12,6 @@ import (
 	"swarmfuzz/internal/flock"
 	"swarmfuzz/internal/gps"
 	"swarmfuzz/internal/rng"
-	"swarmfuzz/internal/robust"
 	"swarmfuzz/internal/sim"
 	"swarmfuzz/internal/telemetry"
 	"swarmfuzz/internal/vec"
@@ -166,33 +165,45 @@ func TestPrefixResumeAfterCollision(t *testing.T) {
 	checkFork(t, m, ctrl, forkPlans(m, clean, 3, rng.New(7)))
 }
 
-// TestPrefixResumeRespectsStepBudget caps a resumed run's steps below
-// the fork points its spoof plan would otherwise allow: it must fork
-// no later than the budget and fail exactly as the full run does.
-func TestPrefixResumeRespectsStepBudget(t *testing.T) {
+// TestNoOpPlansReproduceCleanRun pins two plans that cannot act: a
+// zero spoofing distance over the whole run, and a window that opens
+// one Dt after the clean run has ended. Each must reproduce the
+// unrecorded clean run's result bit for bit, run fresh and resumed
+// from the clean trajectory.
+func TestNoOpPlansReproduceCleanRun(t *testing.T) {
 	ctrl := flock.MustNew(flock.DefaultParams())
-	m, err := sim.NewMission(sim.DefaultMissionConfig(5, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, err := sim.Run(m, sim.RunOptions{Controller: ctrl, RecordTrajectory: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const budget = 3*sim.ForkEvery + 7
-	plan := &gps.SpoofPlan{Target: 1, Start: clean.Duration / 2, Duration: 5, Direction: gps.Left, Distance: 10}
-	for _, prefix := range []*sim.Trajectory{nil, clean.Trajectory} {
-		reg := telemetry.NewRegistry()
-		_, err := sim.Run(m, sim.RunOptions{Controller: ctrl, Spoof: plan, StepBudget: budget, Prefix: prefix, Telemetry: telemetry.New(reg, nil)})
-		if !errors.Is(err, robust.ErrDiverged) {
-			t.Fatalf("prefix=%v: err = %v, want the exhausted step budget", prefix != nil, err)
-		}
-		want := int64(budget + 1)
-		if prefix != nil {
-			want -= 3 * sim.ForkEvery
-		}
-		if got := reg.Snapshot().Counters[telemetry.MSimSteps]; got != want {
-			t.Errorf("prefix=%v: %d steps, want %d", prefix != nil, got, want)
+	for _, n := range []int{3, 5, 15} {
+		for seed := uint64(1); seed <= 2; seed++ {
+			m, err := sim.NewMission(sim.DefaultMissionConfig(n, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			clean, err := sim.Run(m, sim.RunOptions{Controller: ctrl})
+			if err != nil {
+				t.Fatal(err)
+			}
+			recorded, err := sim.Run(m, sim.RunOptions{Controller: ctrl, RecordTrajectory: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			target := int(seed) % n
+			plans := []struct {
+				name string
+				plan gps.SpoofPlan
+			}{
+				{"zero distance", gps.SpoofPlan{Target: target, Start: 0, Duration: clean.Duration, Direction: gps.Right, Distance: 0}},
+				{"window after the end", gps.SpoofPlan{Target: target, Start: clean.Duration + m.Config.Dt, Duration: 10, Direction: gps.Left, Distance: 10}},
+			}
+			for _, tc := range plans {
+				for _, prefix := range []*sim.Trajectory{nil, recorded.Trajectory} {
+					label := fmt.Sprintf("n=%d seed=%d %s, resumed=%v", n, seed, tc.name, prefix != nil)
+					got, err := sim.Run(m, sim.RunOptions{Controller: ctrl, Spoof: &tc.plan, Prefix: prefix})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					requireBitIdentical(t, label, got, clean)
+				}
+			}
 		}
 	}
 }

@@ -111,9 +111,9 @@ type Collision struct {
 	Pos vec.Vec3
 }
 
-// Trajectory is the recorded clean-run information SwarmFuzz needs to
-// build the SVG: true drone positions over time and the mean
-// inter-drone distance series used to find t_clo.
+// Trajectory is a run's recorded state: true drone positions and
+// velocities at every sample step. The SVG's t_clo and every other
+// analysis is derived from it downstream.
 type Trajectory struct {
 	// Times holds the sample times.
 	Times []float64
@@ -121,9 +121,6 @@ type Trajectory struct {
 	Positions [][]vec.Vec3
 	// Velocities holds, per sample, the true velocity of every drone.
 	Velocities [][]vec.Vec3
-	// MeanInterDist holds, per sample, the mean pairwise inter-drone
-	// distance of active drones.
-	MeanInterDist []float64
 
 	// forks holds the resumable state of an unspoofed run (see
 	// RunOptions.Prefix); nil for a spoofed recording.
@@ -157,20 +154,6 @@ func (fp *forkPoints) record(s *Stepper) {
 	fp.bodies = append(fp.bodies, s.bodies...)
 	fp.clear = append(fp.clear, s.res.MinClearance...)
 	fp.ncoll = append(fp.ncoll, len(s.res.Collisions))
-}
-
-// ClosestSample returns the index of the sample with the smallest mean
-// inter-drone distance (t_clo in the paper), or -1 for an empty
-// trajectory.
-func (t *Trajectory) ClosestSample() int {
-	best := -1
-	bestVal := 0.0
-	for i, v := range t.MeanInterDist {
-		if best == -1 || v < bestVal {
-			best, bestVal = i, v
-		}
-	}
-	return best
 }
 
 // Result summarises one mission run.
@@ -213,11 +196,6 @@ type RunOptions struct {
 	// RecordTrajectory enables trajectory recording (needed for the
 	// initial test-run; skipped during fuzzing iterations for speed).
 	RecordTrajectory bool
-	// StepBudget, when positive, caps the number of integration steps.
-	// A run that exhausts the budget before completing returns an
-	// error wrapping robust.ErrDiverged instead of a garbage
-	// trajectory. 0 means the MaxTime/Dt bound only.
-	StepBudget int
 	// Telemetry receives the run's counters (sim_runs, sim_steps) and
 	// its wall-time histogram sample; nil disables recording.
 	Telemetry telemetry.Recorder
@@ -318,14 +296,12 @@ type Stepper struct {
 	bc      comms.Broadcast
 	scratch any
 
-	steps        int
-	budgetCapped bool
-	stepBudget   int
-	step         int
-	stepsRun     int
-	tEnd         float64
-	done         bool
-	err          error
+	steps    int
+	step     int
+	stepsRun int
+	tEnd     float64
+	done     bool
+	err      error
 }
 
 // NewStepper validates opts and returns a Stepper ready to run m. It
@@ -359,19 +335,19 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 
 	n := cfg.NumDrones
 	s := &Stepper{
-		m:          m,
-		cfg:        cfg,
-		ctrl:       opts.Controller,
-		bus:        bus,
-		spoofer:    spoofer,
-		flight:     opts.Flight,
-		limits:     cfg.Body.Limits(cfg.Dt),
-		bodies:     make([]Body, n),
-		published:  make([]comms.State, 0, n),
-		readings:   make([]gps.Reading, n),
-		cmds:       make([]vec.Vec3, n),
-		stepBudget: opts.StepBudget,
-		tEnd:       cfg.MaxTime,
+		m:         m,
+		cfg:       cfg,
+		ctrl:      opts.Controller,
+		bus:       bus,
+		spoofer:   spoofer,
+		flight:    opts.Flight,
+		limits:    cfg.Body.Limits(cfg.Dt),
+		bodies:    make([]Body, n),
+		published: make([]comms.State, 0, n),
+		readings:  make([]gps.Reading, n),
+		cmds:      make([]vec.Vec3, n),
+		steps:     int(cfg.MaxTime / cfg.Dt),
+		tEnd:      cfg.MaxTime,
 		bc: comms.Broadcast{
 			Pos:    make([]vec.Vec3, n),
 			Vel:    make([]vec.Vec3, n),
@@ -400,22 +376,16 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 		s.res.MinClearance[i] = d - cfg.DroneRadius
 	}
 	if opts.RecordTrajectory {
-		est := int(cfg.MaxTime/cfg.Dt)/cfg.SampleEvery + 2
+		est := s.steps/cfg.SampleEvery + 2
 		s.traj = &Trajectory{
-			Times:         make([]float64, 0, est),
-			Positions:     make([][]vec.Vec3, 0, est),
-			Velocities:    make([][]vec.Vec3, 0, est),
-			MeanInterDist: make([]float64, 0, est),
+			Times:      make([]float64, 0, est),
+			Positions:  make([][]vec.Vec3, 0, est),
+			Velocities: make([][]vec.Vec3, 0, est),
 		}
 		s.posFlat = make([]vec.Vec3, 0, est*n)
 		s.velFlat = make([]vec.Vec3, 0, est*n)
 	}
 
-	s.steps = int(cfg.MaxTime / cfg.Dt)
-	if opts.StepBudget > 0 && opts.StepBudget < s.steps {
-		s.steps = opts.StepBudget
-		s.budgetCapped = true
-	}
 	if s.traj != nil && spoofer == nil {
 		est := s.steps/forkEvery + 1
 		s.forks = &forkPoints{
@@ -436,17 +406,17 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 // resume restores the latest snapshot of fp from which this run
 // reproduces a full run: every step before it must precede the spoof
 // window — tested with the very time expression Step hands to
-// SpoofPlan.Active — and its step must lie within this run's step
-// bound. Snapshot 0 is the initial state, so there is always one. The
-// run then reads its GPS noise from fp's table.
+// SpoofPlan.Active. Every snapshot lies within this run's step bound,
+// since fp was recorded on the same mission. Snapshot 0 is the initial
+// state, so there is always one. The run then reads its GPS noise from
+// fp's table.
 func (s *Stepper) resume(fp *forkPoints, plan *gps.SpoofPlan) {
 	start := math.Inf(1)
 	if plan != nil {
 		start = plan.Start
 	}
 	k := sort.Search(len(fp.ncoll), func(k int) bool {
-		step := k * forkEvery
-		return step > s.steps || float64(step-1)*s.cfg.Dt >= start
+		return float64(k*forkEvery-1)*s.cfg.Dt >= start
 	}) - 1
 	if k > 0 {
 		n := len(s.bodies)
@@ -485,8 +455,8 @@ func (s *Stepper) finish() {
 }
 
 // Step advances the simulation one tick. It returns done=true when the
-// run has ended — mission complete, time or step budget exhausted, or
-// a divergence error — and the terminal error, if any. Calling Step
+// run has ended — mission complete, MaxTime reached, or a divergence
+// error — and the terminal error, if any. Calling Step
 // after done re-returns the terminal state.
 func (s *Stepper) Step() (done bool, err error) {
 	if s.done {
@@ -596,7 +566,6 @@ func (s *Stepper) Step() (done bool, err error) {
 		s.traj.Times = append(s.traj.Times, t)
 		s.traj.Positions = append(s.traj.Positions, s.posFlat[mark:len(s.posFlat):len(s.posFlat)])
 		s.traj.Velocities = append(s.traj.Velocities, s.velFlat[mark:len(s.velFlat):len(s.velFlat)])
-		s.traj.MeanInterDist = append(s.traj.MeanInterDist, meanInterDistance(s.bodies))
 	}
 
 	// Completion: every active drone has crossed the arrival plane.
@@ -609,12 +578,6 @@ func (s *Stepper) Step() (done bool, err error) {
 
 	s.step++
 	if s.step > s.steps {
-		if s.budgetCapped && !s.res.Completed {
-			s.done = true
-			s.err = fmt.Errorf("sim: step budget %d exhausted before completion: %w",
-				s.stepBudget, robust.ErrDiverged)
-			return true, s.err
-		}
 		s.finish()
 		return true, nil
 	}
@@ -756,17 +719,16 @@ func Run(m *Mission, opts RunOptions) (res *Result, err error) {
 	}
 
 	// The flight recorder only observes runs that passed validation, and
-	// its EndFlight fires exactly once on every exit — success,
-	// divergence abort or exhausted step budget — with the same values
-	// the caller receives.
+	// its EndFlight fires exactly once on every exit — success or
+	// divergence abort — with the same values the caller receives.
 	if opts.Flight != nil {
 		opts.Flight.BeginFlight(m, opts.Spoof)
 		defer func() { opts.Flight.EndFlight(res, err) }()
 	}
 
 	// Every run that passes validation counts as one simulation —
-	// including runs later aborted by divergence or the step budget,
-	// whose integration work was still spent. fuzz mirrors sim_runs
+	// including runs later aborted by divergence, whose integration
+	// work was still spent. fuzz mirrors sim_runs
 	// into Report.SimRuns, making this the single counting site.
 	defer func() {
 		rec.Add(telemetry.MSimRuns, 1)
@@ -803,24 +765,4 @@ func allArrived(bodies []Body, m *Mission) bool {
 		}
 	}
 	return anyActive
-}
-
-func meanInterDistance(bodies []Body) float64 {
-	sum, cnt := 0.0, 0
-	for i := range bodies {
-		if bodies[i].Crashed {
-			continue
-		}
-		for j := i + 1; j < len(bodies); j++ {
-			if bodies[j].Crashed {
-				continue
-			}
-			sum += bodies[i].Pos.Dist(bodies[j].Pos)
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return sum / float64(cnt)
 }

@@ -230,8 +230,7 @@ func TestRunTrajectoryRecording(t *testing.T) {
 	if traj == nil || len(traj.Times) == 0 {
 		t.Fatal("no trajectory recorded")
 	}
-	if len(traj.Positions) != len(traj.Times) || len(traj.Velocities) != len(traj.Times) ||
-		len(traj.MeanInterDist) != len(traj.Times) {
+	if len(traj.Positions) != len(traj.Times) || len(traj.Velocities) != len(traj.Times) {
 		t.Fatal("trajectory slices length mismatch")
 	}
 	for i := 1; i < len(traj.Times); i++ {
@@ -239,13 +238,11 @@ func TestRunTrajectoryRecording(t *testing.T) {
 			t.Fatalf("times not monotone at %d", i)
 		}
 	}
-	for _, d := range traj.MeanInterDist {
-		if d <= 0 {
-			t.Fatalf("non-positive mean inter-distance %v", d)
+	for s := range traj.Times {
+		if len(traj.Positions[s]) != cfg.NumDrones || len(traj.Velocities[s]) != cfg.NumDrones {
+			t.Fatalf("sample %d holds %d positions and %d velocities, want %d each",
+				s, len(traj.Positions[s]), len(traj.Velocities[s]), cfg.NumDrones)
 		}
-	}
-	if traj.ClosestSample() < 0 {
-		t.Error("ClosestSample failed on recorded trajectory")
 	}
 	// Without the flag, no trajectory is recorded.
 	res2, err := Run(m, RunOptions{Controller: straightController{2}})
@@ -309,13 +306,6 @@ func TestCollisionKindString(t *testing.T) {
 	}
 }
 
-func TestTrajectoryClosestSampleEmpty(t *testing.T) {
-	traj := &Trajectory{}
-	if got := traj.ClosestSample(); got != -1 {
-		t.Errorf("empty ClosestSample = %d, want -1", got)
-	}
-}
-
 func vecNew(x, y, z float64) vec.Vec3 { return vec.New(x, y, z) }
 
 func meanVec(vs []vec.Vec3) vec.Vec3 { return vec.Mean(vs) }
@@ -339,25 +329,5 @@ func TestRunDivergenceGuard(t *testing.T) {
 	_, err = Run(m, RunOptions{Controller: nanController{after: 1}})
 	if !errors.Is(err, robust.ErrDiverged) {
 		t.Fatalf("err = %v, want robust.ErrDiverged", err)
-	}
-}
-
-func TestRunStepBudget(t *testing.T) {
-	m, err := NewMission(smallConfig(2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A budget too small for the mission must refuse instead of
-	// returning a truncated result.
-	if _, err := Run(m, RunOptions{Controller: straightController{speed: 2}, StepBudget: 3}); !errors.Is(err, robust.ErrDiverged) {
-		t.Fatalf("err = %v, want robust.ErrDiverged", err)
-	}
-	// A generous budget must not change the result.
-	res, err := Run(m, RunOptions{Controller: straightController{speed: 2}, StepBudget: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Error("mission must complete under a generous step budget")
 	}
 }

@@ -8,10 +8,11 @@
 //
 // The SVG is built from the clean run's recorded state at t_clo, the
 // time of minimum mean inter-drone distance, where mutual influence is
-// strongest. Malicious influence is detected exactly as the paper
-// describes: re-evaluate drone i's flocking command with drone j's
-// broadcast position displaced by the spoofing offset, and test
-// whether the command change points toward the obstacle.
+// strongest; the package derives t_clo from the recorded positions.
+// Malicious influence is detected exactly as the paper describes:
+// re-evaluate drone i's flocking command with drone j's broadcast
+// position displaced by the spoofing offset, and test whether the
+// command change points toward the obstacle.
 package svg
 
 import (
@@ -40,18 +41,23 @@ type Snapshot struct {
 // trajectory recording.
 var ErrNoTrajectory = errors.New("svg: clean run has no recorded trajectory")
 
-// ClosestSnapshot extracts the snapshot at t_clo — the sample with the
-// minimum mean inter-drone distance — from a recorded trajectory.
+// ClosestSnapshot extracts the snapshot at t_clo — the first sample
+// with the minimum mean inter-drone distance — from a recorded
+// trajectory. The mean is taken over every drone, so the trajectory
+// must come from a run without obstacle collisions: a crashed drone's
+// frozen position would count as a swarm member. SwarmFuzz rejects
+// unsafe missions before it builds an SVG.
 func ClosestSnapshot(traj *sim.Trajectory) (Snapshot, error) {
 	if traj == nil || len(traj.Times) == 0 {
 		return Snapshot{}, ErrNoTrajectory
 	}
-	i := traj.ClosestSample()
-	return Snapshot{
-		Time:       traj.Times[i],
-		Positions:  traj.Positions[i],
-		Velocities: traj.Velocities[i],
-	}, nil
+	best, bestVal := -1, 0.0
+	for s, ps := range traj.Positions {
+		if v := meanPairDist(ps); best == -1 || v < bestVal {
+			best, bestVal = s, v
+		}
+	}
+	return snapshotAt(traj, best), nil
 }
 
 // ClosestSnapshotNearObstacle extracts the t_clo snapshot restricted
@@ -61,31 +67,53 @@ func ClosestSnapshot(traj *sim.Trajectory) (Snapshot, error) {
 // during the obstacle squeeze; our dynamics are tightest at arrival,
 // so the restriction recovers the paper's intent — probe influence
 // where the obstacle geometry is relevant (see DESIGN.md). If no
-// sample falls in the window, the global t_clo is used.
+// sample falls in the window, the global t_clo is used. Like
+// ClosestSnapshot, it requires a trajectory without obstacle
+// collisions.
 func ClosestSnapshotNearObstacle(traj *sim.Trajectory, m *sim.Mission, window float64) (Snapshot, error) {
 	if traj == nil || len(traj.Times) == 0 {
 		return Snapshot{}, ErrNoTrajectory
 	}
 	ob := m.Obstacle()
 	best, bestVal := -1, math.Inf(1)
-	for s := range traj.Times {
-		centroid := vec.Mean(traj.Positions[s])
-		along := centroid.Sub(ob.Center).Dot(m.Axis)
+	for s, ps := range traj.Positions {
+		along := vec.Mean(ps).Sub(ob.Center).Dot(m.Axis)
 		if math.Abs(along) > window {
 			continue
 		}
-		if traj.MeanInterDist[s] < bestVal {
-			best, bestVal = s, traj.MeanInterDist[s]
+		if v := meanPairDist(ps); v < bestVal {
+			best, bestVal = s, v
 		}
 	}
 	if best < 0 {
 		return ClosestSnapshot(traj)
 	}
+	return snapshotAt(traj, best), nil
+}
+
+// snapshotAt returns sample s of traj.
+func snapshotAt(traj *sim.Trajectory, s int) Snapshot {
 	return Snapshot{
-		Time:       traj.Times[best],
-		Positions:  traj.Positions[best],
-		Velocities: traj.Velocities[best],
-	}, nil
+		Time:       traj.Times[s],
+		Positions:  traj.Positions[s],
+		Velocities: traj.Velocities[s],
+	}
+}
+
+// meanPairDist is the mean distance over all drone pairs i < j, summed
+// in that order; 0 for fewer than two drones.
+func meanPairDist(ps []vec.Vec3) float64 {
+	sum, cnt := 0.0, 0
+	for i := range ps {
+		for j := i + 1; j < len(ps); j++ {
+			sum += ps[i].Dist(ps[j])
+			cnt++
+		}
+	}
+	if cnt == 0 {
+		return 0
+	}
+	return sum / float64(cnt)
 }
 
 // Config parameterises SVG construction.

@@ -33,15 +33,17 @@ func testSnapshot(positions ...vec.Vec3) Snapshot {
 var northAxis = vec.New(0, 1, 0)
 
 func TestClosestSnapshot(t *testing.T) {
+	// Two drones on the x axis, 10, 4 and 6 m apart at samples 0-2.
 	traj := &sim.Trajectory{
 		Times: []float64{0, 1, 2},
 		Positions: [][]vec.Vec3{
-			{vec.New(0, 0, 0)}, {vec.New(1, 0, 0)}, {vec.New(2, 0, 0)},
+			{vec.New(0, 0, 0), vec.New(10, 0, 0)},
+			{vec.New(1, 0, 0), vec.New(5, 0, 0)},
+			{vec.New(2, 0, 0), vec.New(8, 0, 0)},
 		},
 		Velocities: [][]vec.Vec3{
-			{vec.Zero}, {vec.Zero}, {vec.Zero},
+			{vec.Zero, vec.Zero}, {vec.Zero, vec.Zero}, {vec.Zero, vec.Zero},
 		},
-		MeanInterDist: []float64{10, 4, 6},
 	}
 	snap, err := ClosestSnapshot(traj)
 	if err != nil {

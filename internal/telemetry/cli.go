@@ -1,12 +1,15 @@
 package telemetry
 
 import (
+	"context"
 	"flag"
 	"io"
 	"net/http"
 	"os"
+	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"syscall"
 )
 
 // Flags bundles the observability flags shared by the pipeline's
@@ -174,4 +177,21 @@ func (s *Session) Close() error {
 		}
 	}
 	return first
+}
+
+// WithInterrupt returns a context cancelled by the first SIGINT or
+// SIGTERM, which log warns about; a second signal exits the process
+// with status 130. The returned func stops listening and cancels.
+func WithInterrupt(parent context.Context, log *Logger) (context.Context, func()) {
+	ctx, cancel := context.WithCancel(parent)
+	ch := make(chan os.Signal, 2)
+	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-ch
+		log.Warnf("interrupt: finishing gracefully — ^C again to kill")
+		cancel()
+		<-ch
+		os.Exit(130)
+	}()
+	return ctx, func() { signal.Stop(ch); cancel() }
 }
