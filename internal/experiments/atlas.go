@@ -58,12 +58,6 @@ func buildCellFragment(swarmSize int, spoofDistance float64, missionStreams [][]
 	return frag.Bytes(), nil
 }
 
-// writeCellFragment atomically persists a cell's fragment into the
-// checkpoint directory (temp file + rename, like SaveCheckpoint).
-func writeCellFragment(dir string, swarmSize int, spoofDistance float64, data []byte) error {
-	return writeFileAtomic(dir, atlasFragmentFile(swarmSize, spoofDistance), data, "atlas fragment")
-}
-
 // readCellFragment loads a resumed cell's persisted fragment. The
 // fragment is written before its checkpoint, so a checkpoint hit with
 // no fragment means the checkpoint predates atlas recording — the

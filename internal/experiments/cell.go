@@ -2,81 +2,52 @@ package experiments
 
 // Cell-level entry points for the distributed campaign fabric. A grid
 // job's unit of work has always been the per-cell checkpoint file:
-// RunCell computes one cell and hands back exactly the bytes
-// SaveCheckpoint would persist (plus the cell's atlas fragment when
-// collection is on), and ImportCellData writes a remotely computed
-// cell into a checkpoint directory exactly as a local Grid run would
-// have. A subsequent Grid over that directory resumes every imported
-// cell, and resumed grids are pinned byte-identical to uninterrupted
-// ones — which is what makes a fabric-sharded run's tables, report and
-// atlas artifact byte-identical to a single-node run.
+// RunCell computes one cell and hands back exactly the bytes Grid
+// would persist for it (plus the cell's atlas fragment when collection
+// is on), and ImportCellData commits a remotely computed cell into a
+// checkpoint directory exactly as a local Grid run would have. A
+// subsequent Grid over that directory resumes every imported cell,
+// and resumed grids are pinned byte-identical to uninterrupted ones —
+// which is what makes a fabric-sharded run's tables, report and atlas
+// artifact byte-identical to a single-node run.
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 
 	"swarmfuzz/internal/fuzz"
 )
 
-// CellData is the wire form of one completed grid cell.
-type CellData struct {
-	// SwarmSize and SpoofDistance identify the cell.
-	SwarmSize     int     `json:"swarm_size"`
-	SpoofDistance float64 `json:"spoof_distance"`
-	// Cell is the checkpoint encoding of the CampaignResult — the
-	// exact bytes SaveCheckpoint persists (EncodeCell).
-	Cell []byte `json:"cell"`
-	// Atlas is the cell's search-atlas fragment; nil when collection
-	// was disabled.
-	Atlas []byte `json:"atlas,omitempty"`
-}
-
 // RunCell computes one (swarmSize, spoofDistance) grid cell and
-// returns it in wire form. Atlas collection follows cfg.AtlasPath the
-// same way RunCampaign does — any non-empty value enables it — but
-// RunCell never writes the path: the fragment rides back in the
-// returned CellData instead of touching the filesystem.
-func RunCell(ctx context.Context, cfg Config, fuzzer fuzz.Fuzzer, swarmSize int, spoofDistance float64) (*CellData, error) {
+// returns its checkpoint encoding and its atlas fragment (nil when
+// collection is off). Atlas collection follows cfg.AtlasPath the same
+// way RunCampaign does — any non-empty value enables it — but RunCell
+// never writes the path: the fragment is returned instead.
+func RunCell(ctx context.Context, cfg Config, fuzzer fuzz.Fuzzer, swarmSize int, spoofDistance float64) (checkpoint, atlas []byte, err error) {
 	cell, err := RunCampaign(ctx, cfg, fuzzer, swarmSize, spoofDistance)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	data, err := EncodeCell(cell)
+	checkpoint, err = EncodeCell(cell)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &CellData{
-		SwarmSize:     swarmSize,
-		SpoofDistance: spoofDistance,
-		Cell:          data,
-		Atlas:         cell.atlasFragment,
-	}, nil
+	return checkpoint, cell.atlasFragment, nil
 }
 
-// ImportCellData merges a remotely computed cell into a checkpoint
-// directory exactly as Grid would have written it: the atlas fragment
-// first, then the cell checkpoint, both atomically — preserving the
-// checkpoint-exists-implies-fragment-exists invariant resume relies
-// on. The payload is validated (decodes, identifies the right cell)
-// before anything is written, and the checkpoint bytes land verbatim,
-// so the byte-identity contract holds end to end.
-func ImportCellData(dir string, cd *CellData) error {
-	var cell CampaignResult
-	if err := json.Unmarshal(cd.Cell, &cell); err != nil {
-		return fmt.Errorf("experiments: import cell n=%d d=%g: %w", cd.SwarmSize, cd.SpoofDistance, err)
+// ImportCellData commits a remotely computed cell into a checkpoint
+// directory exactly as Grid would have. The payload must decode as the
+// named cell and hold at least one mission outcome; nothing is written
+// otherwise. The checkpoint bytes land verbatim, so the byte-identity
+// contract holds end to end.
+func ImportCellData(dir string, swarmSize int, spoofDistance float64, checkpoint, atlas []byte) error {
+	cell, err := decodeCell(checkpoint, swarmSize, spoofDistance)
+	if err == nil && len(cell.Outcomes) == 0 {
+		err = errors.New("payload has no mission outcomes")
 	}
-	if cell.SwarmSize != cd.SwarmSize || cell.SpoofDistance != cd.SpoofDistance {
-		return fmt.Errorf("experiments: import cell: payload is for n=%d d=%g, want n=%d d=%g",
-			cell.SwarmSize, cell.SpoofDistance, cd.SwarmSize, cd.SpoofDistance)
+	if err != nil {
+		return fmt.Errorf("experiments: import cell n=%d d=%g: %w", swarmSize, spoofDistance, err)
 	}
-	if len(cell.Outcomes) == 0 {
-		return fmt.Errorf("experiments: import cell n=%d d=%g: payload has no mission outcomes", cd.SwarmSize, cd.SpoofDistance)
-	}
-	if cd.Atlas != nil {
-		if err := writeCellFragment(dir, cd.SwarmSize, cd.SpoofDistance, cd.Atlas); err != nil {
-			return err
-		}
-	}
-	return writeFileAtomic(dir, checkpointFile(cd.SwarmSize, cd.SpoofDistance), cd.Cell, "checkpoint")
+	return commitCell(dir, swarmSize, spoofDistance, checkpoint, atlas)
 }

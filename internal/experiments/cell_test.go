@@ -10,36 +10,33 @@ import (
 	"swarmfuzz/internal/fuzz"
 )
 
-// RunCell must hand back exactly the bytes SaveCheckpoint would
-// persist for the same cell — that equivalence is what lets a
-// coordinator import a remote cell verbatim.
+// RunCell must hand back exactly the bytes Grid persists for the same
+// cell — that equivalence is what lets a coordinator import a remote
+// cell verbatim.
 func TestRunCellMatchesCheckpointBytes(t *testing.T) {
 	cfg := fastConfig(2)
-	cd, err := RunCell(context.Background(), cfg, fuzz.RFuzz{}, 3, 10)
+	checkpoint, atlas, err := RunCell(context.Background(), cfg, fuzz.RFuzz{}, 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cd.SwarmSize != 3 || cd.SpoofDistance != 10 {
-		t.Fatalf("cell identity = n%d d%g", cd.SwarmSize, cd.SpoofDistance)
+	if _, err := decodeCell(checkpoint, 3, 10); err != nil {
+		t.Fatalf("cell identity: %v", err)
 	}
-	if cd.Atlas != nil {
+	if atlas != nil {
 		t.Fatal("atlas fragment present without AtlasPath")
 	}
 
-	cell, err := RunCampaign(context.Background(), cfg, fuzz.RFuzz{}, 3, 10)
+	gridCfg := cfg
+	gridCfg.Checkpoint = t.TempDir()
+	if _, err := Grid(context.Background(), gridCfg, fuzz.RFuzz{}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(gridCfg.Checkpoint, checkpointFile(3, 10)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := SaveCheckpoint(dir, cell); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(filepath.Join(dir, checkpointFile(3, 10)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(cd.Cell, want) {
-		t.Fatal("RunCell bytes differ from SaveCheckpoint bytes")
+	if !bytes.Equal(checkpoint, want) {
+		t.Fatal("RunCell bytes differ from the checkpoint Grid saved")
 	}
 }
 
@@ -58,29 +55,34 @@ func TestImportCellDataGridByteIdentity(t *testing.T) {
 	// written).
 	workCfg := cfg
 	workCfg.AtlasPath = "fabric"
-	var imported []*CellData
+	type remoteCell struct {
+		n                 int
+		d                 float64
+		checkpoint, atlas []byte
+	}
+	var imported []remoteCell
 	for _, d := range cfg.SpoofDistances {
 		for _, n := range cfg.SwarmSizes {
-			cd, err := RunCell(ctx, workCfg, fuzz.SwarmFuzz{}, n, d)
+			checkpoint, atlas, err := RunCell(ctx, workCfg, fuzz.SwarmFuzz{}, n, d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cd.Atlas == nil {
+			if atlas == nil {
 				t.Fatalf("cell n%d d%g: no atlas fragment", n, d)
 			}
-			imported = append(imported, cd)
+			imported = append(imported, remoteCell{n, d, checkpoint, atlas})
 		}
 	}
 
 	// "Coordinator" side: import them all, then run the grid over the
 	// checkpoint directory — every cell resumes.
 	dir := t.TempDir()
-	for _, cd := range imported {
-		if err := ImportCellData(dir, cd); err != nil {
+	for _, rc := range imported {
+		if err := ImportCellData(dir, rc.n, rc.d, rc.checkpoint, rc.atlas); err != nil {
 			t.Fatal(err)
 		}
-		if !HasCheckpoint(dir, cd.SwarmSize, cd.SpoofDistance) {
-			t.Fatalf("cell n%d d%g: no checkpoint after import", cd.SwarmSize, cd.SpoofDistance)
+		if !HasCheckpoint(dir, rc.n, rc.d) {
+			t.Fatalf("cell n%d d%g: no checkpoint after import", rc.n, rc.d)
 		}
 	}
 	mergeCfg := cfg
@@ -118,7 +120,7 @@ func TestImportCellDataGridByteIdentity(t *testing.T) {
 // ImportCellData validates payloads before touching the directory.
 func TestImportCellDataRejectsBadPayloads(t *testing.T) {
 	dir := t.TempDir()
-	if err := ImportCellData(dir, &CellData{SwarmSize: 3, SpoofDistance: 10, Cell: []byte("{not json")}); err == nil {
+	if err := ImportCellData(dir, 3, 10, []byte("{not json"), nil); err == nil {
 		t.Fatal("undecodable cell accepted")
 	}
 	cell := &CampaignResult{SwarmSize: 5, SpoofDistance: 10, Outcomes: []MissionOutcome{{VDO: 1}}}
@@ -126,10 +128,10 @@ func TestImportCellDataRejectsBadPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ImportCellData(dir, &CellData{SwarmSize: 3, SpoofDistance: 10, Cell: data}); err == nil {
+	if err := ImportCellData(dir, 3, 10, data, nil); err == nil {
 		t.Fatal("mislabelled cell accepted")
 	}
-	if err := ImportCellData(dir, &CellData{SwarmSize: 5, SpoofDistance: 10, Cell: data}); err != nil {
+	if err := ImportCellData(dir, 5, 10, data, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := LoadCheckpoint(dir, 5, 10); err != nil || got == nil || got.SwarmSize != 5 {
@@ -146,12 +148,12 @@ func TestImportCellDataRejectsBadPayloads(t *testing.T) {
 func FuzzCheckpoint(f *testing.F) {
 	cfg := fastConfig(2)
 	cfg.AtlasPath = "fuzz" // collect the Search summaries; RunCell writes nothing
-	cd, err := RunCell(context.Background(), cfg, fuzz.SwarmFuzz{}, 3, 10)
+	checkpoint, _, err := RunCell(context.Background(), cfg, fuzz.SwarmFuzz{}, 3, 10)
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, n := range []int{len(cd.Cell), len(cd.Cell) - 1, len(cd.Cell) / 2, 1, 0} {
-		f.Add(cd.Cell[:n])
+	for _, n := range []int{len(checkpoint), len(checkpoint) - 1, len(checkpoint) / 2, 1, 0} {
+		f.Add(checkpoint[:n])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -195,7 +197,7 @@ func loadAndImport(t *testing.T, dir string, data []byte) *CampaignResult {
 		t.Fatal(err)
 	}
 	cell, loadErr := LoadCheckpoint(load, 3, 10)
-	importErr := ImportCellData(imp, &CellData{SwarmSize: 3, SpoofDistance: 10, Cell: data, Atlas: []byte("{}\n")})
+	importErr := ImportCellData(imp, 3, 10, data, []byte("{}\n"))
 	if importErr == nil {
 		if loadErr != nil {
 			t.Fatalf("ImportCellData accepted a checkpoint LoadCheckpoint rejects: %v", loadErr)

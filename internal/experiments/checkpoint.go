@@ -21,7 +21,7 @@ func checkpointFile(swarmSize int, spoofDistance float64) string {
 }
 
 // EncodeCell renders a cell in the checkpoint encoding — the exact
-// bytes SaveCheckpoint persists. The fabric ships cells between
+// bytes a checkpoint file holds. The fabric ships cells between
 // machines in this encoding so an imported cell is indistinguishable
 // from a locally checkpointed one.
 func EncodeCell(cell *CampaignResult) ([]byte, error) {
@@ -57,14 +57,18 @@ func writeFileAtomic(dir, name string, data []byte, what string) error {
 	return nil
 }
 
-// SaveCheckpoint atomically persists a completed cell into dir,
-// creating the directory as needed.
-func SaveCheckpoint(dir string, cell *CampaignResult) error {
-	data, err := EncodeCell(cell)
-	if err != nil {
-		return err
+// commitCell persists a finished cell into dir: its atlas fragment
+// (when non-nil) first, then its checkpoint, each atomically. A
+// checkpoint that exists therefore implies its fragment exists, which
+// resume relies on. Grid's save path and ImportCellData both commit
+// through here.
+func commitCell(dir string, swarmSize int, spoofDistance float64, checkpoint, fragment []byte) error {
+	if fragment != nil {
+		if err := writeFileAtomic(dir, atlasFragmentFile(swarmSize, spoofDistance), fragment, "atlas fragment"); err != nil {
+			return err
+		}
 	}
-	return writeFileAtomic(dir, checkpointFile(cell.SwarmSize, cell.SpoofDistance), data, "checkpoint")
+	return writeFileAtomic(dir, checkpointFile(swarmSize, spoofDistance), checkpoint, "checkpoint")
 }
 
 // HasCheckpoint reports whether dir already holds the cell's
@@ -88,13 +92,24 @@ func LoadCheckpoint(dir string, swarmSize int, spoofDistance float64) (*Campaign
 	if err != nil {
 		return nil, fmt.Errorf("experiments: read checkpoint: %w", err)
 	}
+	cell, err := decodeCell(data, swarmSize, spoofDistance)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: checkpoint %s: %w", path, err)
+	}
+	return cell, nil
+}
+
+// decodeCell decodes a cell from the checkpoint encoding and checks
+// that it is the (swarmSize, spoofDistance) cell. LoadCheckpoint and
+// ImportCellData both decode through here.
+func decodeCell(data []byte, swarmSize int, spoofDistance float64) (*CampaignResult, error) {
 	var cell CampaignResult
 	if err := json.Unmarshal(data, &cell); err != nil {
-		return nil, fmt.Errorf("experiments: decode checkpoint %s: %w", path, err)
+		return nil, fmt.Errorf("decode: %w", err)
 	}
 	if cell.SwarmSize != swarmSize || cell.SpoofDistance != spoofDistance {
-		return nil, fmt.Errorf("experiments: checkpoint %s is for n=%d d=%g, want n=%d d=%g",
-			path, cell.SwarmSize, cell.SpoofDistance, swarmSize, spoofDistance)
+		return nil, fmt.Errorf("holds n=%d d=%g, want n=%d d=%g",
+			cell.SwarmSize, cell.SpoofDistance, swarmSize, spoofDistance)
 	}
 	return &cell, nil
 }

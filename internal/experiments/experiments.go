@@ -22,6 +22,7 @@ import (
 	"swarmfuzz/internal/atlas"
 	"swarmfuzz/internal/flock"
 	"swarmfuzz/internal/fuzz"
+	"swarmfuzz/internal/gps"
 	"swarmfuzz/internal/metrics"
 	"swarmfuzz/internal/robust"
 	"swarmfuzz/internal/sim"
@@ -129,6 +130,20 @@ type MissionOutcome struct {
 	// It is persisted in checkpoints so resumed cells aggregate exactly
 	// like fresh ones.
 	Search *atlas.MissionSearch `json:",omitempty"`
+}
+
+// SpoofPlan rebuilds the finding's spoof plan from the outcome's
+// test-run tuple at spoof distance d, the cell's. It is meaningful only
+// when Found; callers validate it, since an outcome checkpointed before
+// the tuple was recorded (or from a stub fuzzer) carries none.
+func (o MissionOutcome) SpoofPlan(spoofDistance float64) gps.SpoofPlan {
+	return gps.SpoofPlan{
+		Target:    o.Target,
+		Start:     o.Start,
+		Duration:  o.Duration,
+		Direction: gps.Direction(o.Direction),
+		Distance:  spoofDistance,
+	}
 }
 
 // CampaignResult aggregates one (swarm size, spoof distance) cell.
@@ -474,17 +489,12 @@ func Grid(ctx context.Context, cfg Config, fuzzer fuzz.Fuzzer) ([]*CampaignResul
 				return out, err
 			}
 			if cfg.Checkpoint != "" {
-				// Persist the atlas fragment first: checkpoint-exists must
-				// imply fragment-exists, or a resume could silently drop the
-				// cell's search records.
-				if cfg.AtlasPath != "" {
-					if err := writeCellFragment(cfg.Checkpoint, n, d, cell.atlasFragment); err != nil {
-						return out, err
-					}
-				}
 				span := rec.StartSpan(0, "checkpoint_save",
 					telemetry.KV("swarm_size", n), telemetry.KV("spoof_distance", d))
-				err := SaveCheckpoint(cfg.Checkpoint, cell)
+				data, err := EncodeCell(cell)
+				if err == nil {
+					err = commitCell(cfg.Checkpoint, n, d, data, cell.atlasFragment)
+				}
 				span.End()
 				if err != nil {
 					return out, err

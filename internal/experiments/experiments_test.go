@@ -1,12 +1,22 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"swarmfuzz/internal/flightlog"
+	"swarmfuzz/internal/flock"
 	"swarmfuzz/internal/fuzz"
+	"swarmfuzz/internal/robust"
+	"swarmfuzz/internal/sim"
+	"swarmfuzz/internal/telemetry"
 )
 
 // fastConfig returns a tiny campaign for tests.
@@ -143,6 +153,147 @@ func TestRunnerTable3Fast(t *testing.T) {
 		if !strings.Contains(out, name) {
 			t.Errorf("Table III output missing %s:\n%s", name, out)
 		}
+	}
+}
+
+// With the grid cached and holding the 5-drone, 10 m cell, Table III
+// takes SwarmFuzz's column from it and runs only the other three
+// fuzzers' campaigns.
+func TestRunnerTable3ReusesGridCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	cfg := fastConfig(1)
+	cfg.SwarmSizes = []int{5}
+	reg := telemetry.NewRegistry()
+	cfg.Telemetry = telemetry.New(reg, nil)
+	r := NewRunner(cfg, io.Discard, "")
+	if err := r.Table1(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	before := reg.Counter(telemetry.MMissionsPlanned).Value()
+	if err := r.Table3(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter(telemetry.MMissionsPlanned).Value() - before; got != 3 {
+		t.Errorf("Table III planned %d missions, want 3 (one per campaign of R_Fuzz, G_Fuzz, S_Fuzz)", got)
+	}
+}
+
+// Table III archives each fuzzer's flight logs in a subdirectory named
+// after it, so no fuzzer's n5_d10 logs overwrite another's or the
+// grid's. Every mission degrades under a 1 ns deadline, and each
+// degraded mission gets a flight log.
+func TestRunnerTable3FlightLogsPerFuzzer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	cfg := fastConfig(1)
+	cfg.FlightDir = t.TempDir()
+	cfg.MissionTimeout = time.Nanosecond
+	cfg.Retry = robust.Policy{MaxAttempts: 1}
+	name := flightlog.MissionName(5, 10, cfg.BaseSeed) + ".flight.jsonl"
+	root := filepath.Join(cfg.FlightDir, name)
+	sentinel := []byte("grid log\n")
+	if err := os.WriteFile(root, sentinel, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewRunner(cfg, io.Discard, "").Table3(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []string{"swarmfuzz", "r_fuzz", "g_fuzz", "s_fuzz"} {
+		if _, err := os.Stat(filepath.Join(cfg.FlightDir, sub, name)); err != nil {
+			t.Errorf("%s: %v", sub, err)
+		}
+	}
+	if got, err := os.ReadFile(root); err != nil || !bytes.Equal(got, sentinel) {
+		t.Errorf("root flight log overwritten (now %d bytes, %v)", len(got), err)
+	}
+}
+
+// crackingConfig is a one-mission 5-drone, 10 m campaign whose only
+// mission, seed 2, SwarmFuzz cracks with the paper's options.
+func crackingConfig() Config {
+	cfg := DefaultConfig(1)
+	cfg.BaseSeed = 2
+	cfg.SwarmSizes = []int{5}
+	cfg.SpoofDistances = []float64{10}
+	return cfg
+}
+
+// The plan an outcome rebuilds from its checkpointed tuple is the plan
+// of the fuzzer's first finding, with its victim.
+func TestOutcomeSpoofPlanMatchesFinding(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	cfg := crackingConfig()
+	mission, err := sim.NewMission(sim.DefaultMissionConfig(5, cfg.BaseSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := flock.New(flock.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := fuzz.SwarmFuzz{}.Fuzz(fuzz.Input{Mission: mission, Controller: ctrl, SpoofDistance: 10}, cfg.Fuzz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Found {
+		t.Fatal("fixture mission not cracked")
+	}
+	cell, err := RunCampaign(context.Background(), cfg, fuzz.SwarmFuzz{}, 5, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := EncodeCell(cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cell, err = decodeCell(data, 5, 10); err != nil {
+		t.Fatal(err)
+	}
+	o := cell.Outcomes[0]
+	if o.Seed != cfg.BaseSeed || !o.Found {
+		t.Fatalf("outcome = %+v, want seed %d cracked", o, cfg.BaseSeed)
+	}
+	want := rep.Findings[0]
+	plan := o.SpoofPlan(10)
+	if plan != want.Plan || o.Victim != want.Victim {
+		t.Errorf("outcome rebuilds %v victim %d, finding is %v victim %d", plan, o.Victim, want.Plan, want.Victim)
+	}
+	if err := plan.Validate(); err != nil {
+		t.Error(err)
+	}
+}
+
+// Fig. 5 drawn from the cached grid's recorded finding renders what
+// fuzzing the seed stream from scratch renders.
+func TestRunnerFig5FromGridMatchesScan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	ctx := context.Background()
+	cfg := crackingConfig()
+	var scan, fromGrid strings.Builder
+	if err := NewRunner(cfg, &scan, "").Fig5(ctx); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(cfg, &fromGrid, "")
+	if err := r.Table1(ctx); err != nil {
+		t.Fatal(err)
+	}
+	fromGrid.Reset()
+	if err := r.Fig5(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(scan.String(), "Fig 5e") {
+		t.Fatalf("scan found no SPV:\n%s", scan.String())
+	}
+	if scan.String() != fromGrid.String() {
+		t.Errorf("Fig. 5 from the grid differs from the scan:\n--- scan ---\n%s--- grid ---\n%s",
+			scan.String(), fromGrid.String())
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"swarmfuzz/internal/flightlog"
 	"swarmfuzz/internal/flightlog/report"
-	"swarmfuzz/internal/gps"
 	"swarmfuzz/internal/sim"
 	"swarmfuzz/internal/telemetry"
 )
@@ -37,16 +36,9 @@ func recordForensics(cfg Config, ctrl sim.Controller, spoofDistance float64, mis
 		log.Note("degraded", o.Err)
 	}
 	if o.Found {
-		plan := gps.SpoofPlan{
-			Target:    o.Target,
-			Start:     o.Start,
-			Duration:  o.Duration,
-			Direction: gps.Direction(o.Direction),
-			Distance:  spoofDistance,
-		}
-		// Outcomes from checkpoints written before the finding tuple was
-		// recorded (or from stub fuzzers) may lack a valid plan; skip
-		// the witness rather than record a bogus run.
+		plan := o.SpoofPlan(spoofDistance)
+		// An outcome without a valid plan gets no witness rather than a
+		// bogus run.
 		if err := plan.Validate(); err != nil {
 			log.Note("witness_skipped", err.Error())
 		} else {

@@ -16,6 +16,7 @@ import (
 	"swarmfuzz/internal/fuzz"
 	"swarmfuzz/internal/gps"
 	"swarmfuzz/internal/robust"
+	"swarmfuzz/internal/telemetry"
 )
 
 // stubFuzzer is a scriptable fuzz.Fuzzer for fault-isolation tests:
@@ -159,7 +160,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			{Seed: 4, VDO: 2.5, Err: "panic: boom", Retries: 1},
 		},
 	}
-	if err := SaveCheckpoint(dir, cell); err != nil {
+	data, err := EncodeCell(cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := commitCell(dir, 7, 5, data, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadCheckpoint(dir, 7, 5)
@@ -174,7 +179,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	// A file holding the wrong configuration must not load silently.
 	wrong := filepath.Join(dir, checkpointFile(8, 5))
-	data, err := os.ReadFile(filepath.Join(dir, checkpointFile(7, 5)))
+	data, err = os.ReadFile(filepath.Join(dir, checkpointFile(7, 5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,6 +292,44 @@ func TestRunnerTablesByteIdenticalAfterResume(t *testing.T) {
 	if !bytes.Equal(fresh.Bytes(), resumed.Bytes()) {
 		t.Errorf("resumed table differs from fresh table:\n--- fresh ---\n%s--- resumed ---\n%s",
 			fresh.String(), resumed.String())
+	}
+
+	// Table III checkpoints each fuzzer's cell in a subdirectory named
+	// after it. A rerun over that directory loads all four cells, fuzzes
+	// nothing and renders the fresh table byte for byte.
+	var fresh3, saved3, resumed3 bytes.Buffer
+	if err := NewRunner(cfg, &fresh3, "").Table3(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ckpt3 := cfg
+	ckpt3.Checkpoint = t.TempDir()
+	if err := NewRunner(ckpt3, &saved3, "").Table3(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"swarmfuzz", "r_fuzz", "g_fuzz", "s_fuzz"} {
+		if !HasCheckpoint(filepath.Join(ckpt3.Checkpoint, name), 5, 10) {
+			t.Errorf("no Table III checkpoint under %s/", name)
+		}
+	}
+	if HasCheckpoint(ckpt3.Checkpoint, 5, 10) {
+		t.Error("Table III wrote a cell into the grid's checkpoint directory")
+	}
+	reg := telemetry.NewRegistry()
+	ckpt3.Telemetry = telemetry.New(reg, nil)
+	if err := NewRunner(ckpt3, &resumed3, "").Table3(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter(telemetry.MCheckpointLoads).Value(); got != 4 {
+		t.Errorf("checkpoint_loads = %d on the Table III rerun, want 4", got)
+	}
+	if got := reg.Counter(telemetry.MMissionsPlanned).Value(); got != 0 {
+		t.Errorf("missions_planned = %d on the Table III rerun, want 0", got)
+	}
+	for _, got := range []*bytes.Buffer{&saved3, &resumed3} {
+		if !bytes.Equal(fresh3.Bytes(), got.Bytes()) {
+			t.Errorf("checkpointed Table III differs from fresh:\n--- fresh ---\n%s--- got ---\n%s",
+				fresh3.String(), got.String())
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"swarmfuzz/internal/flock"
 	"swarmfuzz/internal/fuzz"
@@ -124,7 +125,7 @@ func (r *Runner) Table3(ctx context.Context) error {
 	iters := []string{"Avg. iterations"}
 	errored := 0
 	for _, f := range fuzzers {
-		cell, err := RunCampaign(ctx, r.cfg, f, 5, 10)
+		cell, err := r.comparisonCell(ctx, f)
 		if err != nil {
 			return err
 		}
@@ -141,6 +142,37 @@ func (r *Runner) Table3(ctx context.Context) error {
 		fmt.Fprintf(r.w, "errored missions: %d (degraded outcomes, counted as not found)\n", errored)
 	}
 	return nil
+}
+
+// comparisonCell returns fuzzer f's Table III cell: 5 drones, 10 m.
+// SwarmFuzz's is the cached grid's cell when the grid holds it. Any
+// other runs through Grid restricted to that configuration, with its
+// checkpoints and flight logs in a subdirectory named after the
+// fuzzer, so each fuzzer resumes on its own and none overwrites
+// another's files. The atlas is the SwarmFuzz grid's artifact, so
+// collection is off here.
+func (r *Runner) comparisonCell(ctx context.Context, f fuzz.Fuzzer) (*CampaignResult, error) {
+	if _, ok := f.(fuzz.SwarmFuzz); ok {
+		if cell := CellFor(r.grid, 5, 10); cell != nil {
+			return cell, nil
+		}
+	}
+	cfg := r.cfg
+	cfg.SwarmSizes = []int{5}
+	cfg.SpoofDistances = []float64{10}
+	cfg.AtlasPath = ""
+	sub := strings.ToLower(f.Name())
+	if cfg.Checkpoint != "" {
+		cfg.Checkpoint = filepath.Join(cfg.Checkpoint, sub)
+	}
+	if cfg.FlightDir != "" {
+		cfg.FlightDir = filepath.Join(cfg.FlightDir, sub)
+	}
+	cells, err := Grid(ctx, cfg, f)
+	if err != nil {
+		return nil, err
+	}
+	return cells[0], nil
 }
 
 // Fig5 demonstrates the convexity of the objective f(t_s, Δt) (paper
@@ -275,21 +307,44 @@ func (r *Runner) Fig7(ctx context.Context) error {
 	return nil
 }
 
-// findExampleSPV returns an SPV with its mission for Fig. 5,
-// preferring the 5-drone/10 m seeds the cached campaign grid already
-// cracked over re-fuzzing the seed stream from scratch. It also
-// reports how many missions were scanned, so a miss can say what was
-// searched.
+// findExampleSPV returns an SPV with its mission for Fig. 5. The
+// cached campaign grid recorded each cracked 5-drone/10 m mission's
+// finding tuple, so its first valid one rebuilds the finding without
+// fuzzing again. Without such a crack it fuzzes the seed stream from
+// scratch and also reports how many missions it scanned, so a miss can
+// say what was searched.
 func (r *Runner) findExampleSPV(ctx context.Context) (*fuzz.Finding, *sim.Mission, int, error) {
+	if cell := CellFor(r.grid, 5, 10); cell != nil {
+		for _, o := range cell.Outcomes {
+			if !o.Found {
+				continue
+			}
+			plan := o.SpoofPlan(10)
+			if plan.Validate() != nil {
+				continue
+			}
+			mission, err := sim.NewMission(sim.DefaultMissionConfig(5, o.Seed))
+			if err != nil {
+				return nil, nil, 0, err
+			}
+			return &fuzz.Finding{Plan: plan, Victim: o.Victim, Objective: o.Objective}, mission, 0, nil
+		}
+	}
+
 	ctrl, err := flock.New(flock.DefaultParams())
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	scanned := 0
-	try := func(seed uint64) (*fuzz.Finding, *sim.Mission, error) {
+	limit := uint64(r.cfg.Missions) * 10
+	for seed := r.cfg.BaseSeed; seed < r.cfg.BaseSeed+limit; seed++ {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, scanned, err
+		}
+		scanned++
 		mission, err := sim.NewMission(sim.DefaultMissionConfig(5, seed))
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, scanned, err
 		}
 		rep, err := fuzz.SwarmFuzz{}.Fuzz(fuzz.Input{
 			Mission:       mission,
@@ -297,44 +352,13 @@ func (r *Runner) findExampleSPV(ctx context.Context) (*fuzz.Finding, *sim.Missio
 			SpoofDistance: 10,
 		}, r.cfg.Fuzz)
 		if errors.Is(err, fuzz.ErrUnsafeMission) {
-			return nil, nil, nil // unsafe mission: skip, like the campaign
+			continue // unsafe mission: skip, like the campaign
 		}
 		if err != nil {
-			return nil, nil, err
-		}
-		if rep.Found {
-			return &rep.Findings[0], mission, nil
-		}
-		return nil, nil, nil
-	}
-
-	// The cached grid already knows which seeds crack: replaying one
-	// of them re-derives the full finding in a handful of iterations.
-	if cell := CellFor(r.grid, 5, 10); cell != nil {
-		for _, o := range cell.Outcomes {
-			if !o.Found {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, nil, scanned, err
-			}
-			scanned++
-			f, m, err := try(o.Seed)
-			if f != nil || err != nil {
-				return f, m, scanned, err
-			}
-		}
-	}
-
-	limit := uint64(r.cfg.Missions) * 10
-	for seed := r.cfg.BaseSeed; seed < r.cfg.BaseSeed+limit; seed++ {
-		if err := ctx.Err(); err != nil {
 			return nil, nil, scanned, err
 		}
-		scanned++
-		f, m, err := try(seed)
-		if f != nil || err != nil {
-			return f, m, scanned, err
+		if rep.Found {
+			return &rep.Findings[0], mission, scanned, nil
 		}
 	}
 	return nil, nil, scanned, nil

@@ -24,9 +24,6 @@ type Options struct {
 	// that keeps killing workers eventually fails the job instead of
 	// cycling forever.
 	MaxAttempts int
-	// WorkerWindow is the liveness window for LiveWorkers/Status
-	// (default 3×LeaseTTL).
-	WorkerWindow time.Duration
 	// NoWorkerGrace fails a sharded job transiently when no worker has
 	// contacted the coordinator for this long (default 1m) — the
 	// engine's retry then falls back to local execution.
@@ -99,9 +96,6 @@ func NewCoordinator(opts Options) *Coordinator {
 	}
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 3
-	}
-	if opts.WorkerWindow <= 0 {
-		opts.WorkerWindow = 3 * opts.LeaseTTL
 	}
 	if opts.NoWorkerGrace <= 0 {
 		opts.NoWorkerGrace = time.Minute
@@ -263,10 +257,10 @@ func (c *Coordinator) checkDeserted(j *fabJob, start time.Time) {
 	}
 }
 
-// LiveWorkers counts workers seen within the liveness window. The
-// engine shards a grid only when this is positive.
+// LiveWorkers counts workers seen within the liveness window, three
+// lease TTLs. The engine shards a grid only when this is positive.
 func (c *Coordinator) LiveWorkers() int {
-	cutoff := c.now().Add(-c.opts.WorkerWindow)
+	cutoff := c.now().Add(-3 * c.opts.LeaseTTL)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
@@ -282,7 +276,7 @@ func (c *Coordinator) LiveWorkers() int {
 
 // Status snapshots the coordinator for GET /fabric/v1/status.
 func (c *Coordinator) Status() Status {
-	cutoff := c.now().Add(-c.opts.WorkerWindow)
+	cutoff := c.now().Add(-3 * c.opts.LeaseTTL)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := Status{
@@ -318,7 +312,7 @@ func (c *Coordinator) gaugesLocked() {
 		}
 	}
 	c.rec.Set(MUnitsPending, float64(pending))
-	cutoff := c.now().Add(-c.opts.WorkerWindow)
+	cutoff := c.now().Add(-3 * c.opts.LeaseTTL)
 	live := 0
 	for _, seen := range c.workers {
 		if !seen.Before(cutoff) {

@@ -29,9 +29,7 @@ type WorkerOptions struct {
 	// Poll is the idle re-poll interval when no work is available
 	// (default 500ms).
 	Poll time.Duration
-	// HTTP overrides the transport; Telemetry counts completed units;
-	// Log receives lease events.
-	HTTP      *http.Client
+	// Telemetry counts completed units; Log receives lease events.
 	Telemetry telemetry.Recorder
 	Log       *telemetry.Logger
 }
@@ -46,6 +44,9 @@ type Worker struct {
 	rec  telemetry.Recorder
 	log  *telemetry.Logger
 }
+
+// workerHTTP is every worker's client to its coordinator.
+var workerHTTP = &http.Client{Timeout: 30 * time.Second}
 
 // errLeaseGone marks a 410 from the coordinator: the lease lapsed and
 // the unit no longer belongs to this worker.
@@ -71,9 +72,6 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	}
 	if opts.Poll <= 0 {
 		opts.Poll = 500 * time.Millisecond
-	}
-	if opts.HTTP == nil {
-		opts.HTTP = &http.Client{Timeout: 30 * time.Second}
 	}
 	return &Worker{
 		opts: opts,
@@ -222,7 +220,7 @@ func (w *Worker) post(ctx context.Context, path string, body, out any) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.opts.HTTP.Do(req)
+	resp, err := workerHTTP.Do(req)
 	if err != nil {
 		return err
 	}

@@ -76,9 +76,13 @@ type seedFn func(in Input, clean *cleanRun, opts Options, rec telemetry.Recorder
 // cancelled.
 type searchFn func(in Input, seed svg.Seed, clean *cleanRun, opts Options, rec telemetry.Recorder, trace searchTrace, stop func() bool) (iters int, f *Finding, err error)
 
+// randSeed is mixed into each mission's seed to derive the random
+// fuzzers' sampling stream.
+const randSeed = 1
+
 // cleanRun bundles the initial test result with the RNG used by the
-// random strategies, so randomness flows deterministically from
-// Options.RandSeed per mission.
+// random strategies, so randomness flows deterministically from the
+// mission seed.
 type cleanRun struct {
 	res *sim.Result
 	src *rng.Source
@@ -122,7 +126,7 @@ func fuzzWith(in Input, opts Options, name string, mkSeeds seedFn, search search
 
 	cr := &cleanRun{
 		res: clean,
-		src: rng.Derive(opts.RandSeed^in.Mission.Config.Seed, "fuzz/"+name),
+		src: rng.Derive(randSeed^in.Mission.Config.Seed, "fuzz/"+name),
 	}
 	span = rec.StartSpan(opts.TraceParent, "seed_scheduling")
 	seeds, err := mkSeeds(in, cr, opts, rec)
@@ -281,7 +285,7 @@ func randomSearch(in Input, seed svg.Seed, clean *cleanRun, opts Options, rec te
 	best := math.Inf(1)
 	for iter := 0; iter < opts.MaxIterPerSeed; iter++ {
 		ts := clean.src.Uniform(0, horizon)
-		dt := clean.src.Uniform(0, math.Min(horizon-ts, 4*opts.InitDuration))
+		dt := clean.src.Uniform(0, math.Min(horizon-ts, 4*initDuration))
 		plan := gps.SpoofPlan{
 			Target:    seed.Target,
 			Start:     ts,

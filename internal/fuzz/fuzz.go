@@ -62,25 +62,12 @@ type Options struct {
 	// MaxSeeds caps the number of seeds tried per mission; 0 means all
 	// scheduled seeds.
 	MaxSeeds int
-	// Grad parameterises the gradient descent (learning rate, finite
-	// difference step). MaxIters and Horizon are overridden per seed.
-	Grad opt.Options
 	// SVGThreshold is the minimum inward command change for an SVG
 	// edge.
 	SVGThreshold float64
 	// TargetsPerVictim is how many candidate targets the scheduler
 	// pairs with each (victim, direction), ranked by influence.
 	TargetsPerVictim int
-	// ApproachLead anchors the initial guess: the initial attack
-	// window ends when the swarm's leading drone is this many metres
-	// (along-track) from the obstacle in the clean run. Successful
-	// SPVs distort the formation *before* obstacle avoidance begins;
-	// the squeezed formation then collides during its natural passage.
-	ApproachLead float64
-	// InitDuration is the initial Δt guess in seconds.
-	InitDuration float64
-	// RandSeed drives the random fuzzers' sampling.
-	RandSeed uint64
 	// SeedWorkers bounds the speculative seed-search worker pool for
 	// the gradient-guided fuzzers (SwarmFuzz, G_Fuzz). 0 or 1 runs the
 	// seed walk sequentially. Higher values evaluate scheduled seeds
@@ -142,17 +129,25 @@ type SearchObserver interface {
 
 // DefaultOptions returns the paper's parameterisation.
 func DefaultOptions() Options {
-	g := opt.DefaultOptions()
 	return Options{
 		MaxIterPerSeed:   20,
-		Grad:             g,
 		SVGThreshold:     0.05,
 		TargetsPerVictim: 2,
-		ApproachLead:     25,
-		InitDuration:     12,
-		RandSeed:         1,
 	}
 }
+
+// The initial guess of every seed's parameter search.
+const (
+	// approachLead anchors it: the initial attack window ends when the
+	// swarm's leading drone is this many metres (along-track) from the
+	// obstacle in the clean run. Successful SPVs distort the formation
+	// *before* obstacle avoidance begins; the squeezed formation then
+	// collides during its natural passage.
+	approachLead = 25
+	// initDuration is the initial Δt guess in seconds. The random
+	// fuzzers draw Δt below four times it.
+	initDuration = 12
+)
 
 // Validate returns an error when the options are unusable.
 func (o Options) Validate() error {
@@ -165,18 +160,10 @@ func (o Options) Validate() error {
 	if o.TargetsPerVictim < 1 {
 		return fmt.Errorf("fuzz: targets per victim %d must be >= 1", o.TargetsPerVictim)
 	}
-	if o.InitDuration <= 0 {
-		return fmt.Errorf("fuzz: bad initial duration %v", o.InitDuration)
-	}
-	if o.ApproachLead < 0 {
-		return fmt.Errorf("fuzz: negative approach lead %v", o.ApproachLead)
-	}
 	if o.SeedWorkers < 0 {
 		return fmt.Errorf("fuzz: seed workers %d must be >= 0", o.SeedWorkers)
 	}
-	g := o.Grad
-	g.MaxIters = o.MaxIterPerSeed
-	return g.Validate()
+	return nil
 }
 
 // Finding is one discovered SPV: the full test-run tuple
@@ -351,9 +338,9 @@ var errSpeculationStopped = errors.New("fuzz: speculative seed search cancelled"
 // so a cancelled speculative search aborts quickly.
 func searchSeed(in Input, seed svg.Seed, clean *sim.Result, opts Options, rec telemetry.Recorder, trace searchTrace, stop func() bool) (opt.Result, *Finding, error) {
 	horizon := clean.Duration
-	windowEnd := approachTime(in.Mission, clean.Trajectory, opts.ApproachLead)
-	ts0 := math.Max(0, windowEnd-opts.InitDuration)
-	dt0 := opts.InitDuration
+	windowEnd := approachTime(in.Mission, clean.Trajectory, approachLead)
+	ts0 := math.Max(0, windowEnd-initDuration)
+	dt0 := float64(initDuration)
 
 	// objective runs one attacked simulation. It polls stop before
 	// each simulation and keeps the first simulation error in simErr;
@@ -404,7 +391,7 @@ func searchSeed(in Input, seed svg.Seed, clean *sim.Result, opts Options, rec te
 		if budget <= 0 {
 			break
 		}
-		g := opts.Grad
+		g := opt.DefaultOptions()
 		g.MaxIters = budget
 		g.Horizon = horizon
 		if trace != nil {

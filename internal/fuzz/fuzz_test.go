@@ -67,9 +67,6 @@ func TestOptionsValidate(t *testing.T) {
 	bad := []Options{
 		mod(func(o *Options) { o.MaxIterPerSeed = 0 }),
 		mod(func(o *Options) { o.MaxSeeds = -1 }),
-		mod(func(o *Options) { o.InitDuration = 0 }),
-		mod(func(o *Options) { o.ApproachLead = -1 }),
-		mod(func(o *Options) { o.Grad.LearningRate = 0 }),
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -133,28 +130,6 @@ func TestRFuzzDeterministic(t *testing.T) {
 	if a.Found != b.Found || a.SeedsTried != b.SeedsTried ||
 		a.IterationsToFind != b.IterationsToFind || a.SimRuns != b.SimRuns {
 		t.Errorf("R_Fuzz not deterministic: %+v vs %+v", a, b)
-	}
-}
-
-func TestRFuzzRandSeedChangesSampling(t *testing.T) {
-	in := Input{Mission: testMission(t, 4, 3), Controller: testController(t), SpoofDistance: 10}
-	optsA := DefaultOptions()
-	optsA.MaxIterPerSeed = 1
-	optsA.MaxSeeds = 3
-	optsB := optsA
-	optsB.RandSeed = 999
-	// Different RandSeed must not crash and usually samples different
-	// pairs; at minimum the reports must be well-formed.
-	a, err := RFuzz{}.Fuzz(in, optsA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RFuzz{}.Fuzz(in, optsB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.SeedsTried == 0 || b.SeedsTried == 0 {
-		t.Error("no seeds tried")
 	}
 }
 

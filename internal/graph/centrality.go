@@ -57,14 +57,13 @@ func PageRank(g *Digraph, opts PageRankOptions) ([]float64, error) {
 		rank[i] = 1 / float64(n)
 	}
 
-	// Flatten the adjacency into ascending-neighbour arrays once: the
-	// map order OutNeighbors yields varies from call to call, and
-	// floating-point sums in varying order vary in their last bits.
-	start, dst, wt := g.sortedOut()
+	// Out-edges are stored in ascending order of head, so every sum
+	// below runs in one fixed order and repeated calls agree bit for
+	// bit.
 	outSum := make([]float64, n)
-	for u := 0; u < n; u++ {
-		for e := start[u]; e < start[u+1]; e++ {
-			outSum[u] += wt[e]
+	for u, es := range g.out {
+		for _, e := range es {
+			outSum[u] += e.w
 		}
 	}
 
@@ -79,8 +78,8 @@ func PageRank(g *Digraph, opts PageRankOptions) ([]float64, error) {
 				dangling += rank[u]
 				continue
 			}
-			for e := start[u]; e < start[u+1]; e++ {
-				next[dst[e]] += rank[u] * wt[e] / outSum[u]
+			for _, e := range g.out[u] {
+				next[e.to] += rank[u] * e.w / outSum[u]
 			}
 		}
 		delta := 0.0

@@ -4,33 +4,41 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Digraph is a weighted directed graph over nodes 0..N-1. Edge weights
 // must be positive; parallel edges overwrite.
 type Digraph struct {
 	n int
-	// out[u] maps v -> weight of edge u->v.
-	out []map[int]float64
+	// out[u] holds u's out-edges in ascending order of their head, so
+	// every traversal, and every floating-point sum over them, runs in
+	// one fixed order.
+	out [][]edge
+}
+
+// edge is one out-edge: its head and weight.
+type edge struct {
+	to int
+	w  float64
 }
 
 // NewDigraph returns an empty graph with n nodes.
 func NewDigraph(n int) *Digraph {
-	g := &Digraph{
-		n:   n,
-		out: make([]map[int]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		g.out[i] = make(map[int]float64)
-	}
-	return g
+	return &Digraph{n: n, out: make([][]edge, n)}
 }
 
 // N returns the number of nodes.
 func (g *Digraph) N() int { return g.n }
+
+// find returns the position of edge u->v in out[u], or where it would
+// be inserted, and whether it exists.
+func (g *Digraph) find(u, v int) (int, bool) {
+	return slices.BinarySearchFunc(g.out[u], v, func(e edge, v int) int { return cmp.Compare(e.to, v) })
+}
 
 // SetEdge adds (or overwrites) the edge u->v with weight w.
 func (g *Digraph) SetEdge(u, v int, w float64) error {
@@ -42,7 +50,11 @@ func (g *Digraph) SetEdge(u, v int, w float64) error {
 	case w <= 0 || math.IsNaN(w) || math.IsInf(w, 0):
 		return fmt.Errorf("graph: edge (%d,%d) weight %v must be positive and finite", u, v, w)
 	}
-	g.out[u][v] = w
+	if i, ok := g.find(u, v); ok {
+		g.out[u][i].w = w
+	} else {
+		g.out[u] = slices.Insert(g.out[u], i, edge{to: v, w: w})
+	}
 	return nil
 }
 
@@ -51,8 +63,10 @@ func (g *Digraph) Weight(u, v int) (float64, bool) {
 	if u < 0 || u >= g.n {
 		return 0, false
 	}
-	w, ok := g.out[u][v]
-	return w, ok
+	if i, ok := g.find(u, v); ok {
+		return g.out[u][i].w, true
+	}
+	return 0, false
 }
 
 // HasEdge reports whether edge u->v exists.
@@ -64,50 +78,28 @@ func (g *Digraph) HasEdge(u, v int) bool {
 // NumEdges returns the total edge count.
 func (g *Digraph) NumEdges() int {
 	total := 0
-	for _, m := range g.out {
-		total += len(m)
+	for _, es := range g.out {
+		total += len(es)
 	}
 	return total
 }
 
-// OutNeighbors calls fn for every edge u->v with its weight.
-// Iteration order is unspecified.
+// OutNeighbors calls fn for every edge u->v with its weight, in
+// ascending order of v.
 func (g *Digraph) OutNeighbors(u int, fn func(v int, w float64)) {
-	for v, w := range g.out[u] {
-		fn(v, w)
+	for _, e := range g.out[u] {
+		fn(e.to, e.w)
 	}
-}
-
-// sortedOut returns the adjacency in compressed sparse-row form with
-// every node's out-neighbours in ascending order: the edges of u are
-// dst[start[u]:start[u+1]] with weights wt[start[u]:start[u+1]].
-func (g *Digraph) sortedOut() (start, dst []int, wt []float64) {
-	start = make([]int, g.n+1)
-	dst = make([]int, 0, g.NumEdges())
-	for u, m := range g.out {
-		mark := len(dst)
-		for v := range m {
-			dst = append(dst, v)
-		}
-		sort.Ints(dst[mark:])
-		start[u+1] = len(dst)
-	}
-	wt = make([]float64, len(dst))
-	for u := 0; u < g.n; u++ {
-		for e := start[u]; e < start[u+1]; e++ {
-			wt[e] = g.out[u][dst[e]]
-		}
-	}
-	return start, dst, wt
 }
 
 // Transpose returns the graph with every edge reversed. SwarmFuzz uses
-// the transposed SVG to score potential victim drones.
+// the transposed SVG to score potential victim drones. Tails are
+// visited in ascending order, so each reversed list is built sorted.
 func (g *Digraph) Transpose() *Digraph {
 	t := NewDigraph(g.n)
-	for u := range g.out {
-		for v, w := range g.out[u] {
-			t.out[v][u] = w
+	for u, es := range g.out {
+		for _, e := range es {
+			t.out[e.to] = append(t.out[e.to], edge{to: u, w: e.w})
 		}
 	}
 	return t
@@ -124,7 +116,8 @@ func (g *Digraph) HasPath(u, v int) bool {
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for nb := range g.out[cur] {
+		for _, e := range g.out[cur] {
+			nb := e.to
 			if nb == v {
 				return true
 			}

@@ -114,6 +114,10 @@ var (
 	ErrConflict = errors.New("serve: job state conflict")
 )
 
+// jobAttempts bounds executions per job, counting re-queues after
+// transient failures (daemon restarts don't count).
+const jobAttempts = 2
+
 // Options configure an Engine.
 type Options struct {
 	// Store is the disk store directory (required).
@@ -123,12 +127,9 @@ type Options struct {
 	// Backlog bounds the number of queued jobs; a submit beyond it is
 	// rejected with ErrBacklogFull. 0 means 64.
 	Backlog int
-	// JobAttempts bounds executions per job, counting re-queues after
-	// transient failures (daemon restarts don't count). 0 means 2.
-	JobAttempts int
 	// StallTimeout kills a running job that has not heartbeat (no
 	// telemetry activity) for this long: the job is cancelled with a
-	// robust.ErrDeadline verdict, retried per JobAttempts, then marked
+	// robust.ErrDeadline verdict, retried per jobAttempts, then marked
 	// failed with a forensic event. 0 disables the watchdog.
 	StallTimeout time.Duration
 	// JobTTL garbage-collects terminal jobs this long after they
@@ -139,9 +140,6 @@ type Options struct {
 	// Chaos, when non-nil, injects the fault schedule into every store
 	// operation and engine stall hook — the chaos harness.
 	Chaos *chaos.Injector
-	// FS is the base filesystem under the store (and under Chaos when
-	// both are set); nil means chaos.OS().
-	FS chaos.FS
 	// Fuzzers maps spec fuzzer names to implementations; nil means the
 	// built-in registry (fuzz.ByName). Tests inject stubs here.
 	Fuzzers map[string]fuzz.Fuzzer
@@ -215,9 +213,6 @@ func NewEngine(opts Options) (*Engine, error) {
 	if opts.Backlog <= 0 {
 		opts.Backlog = 64
 	}
-	if opts.JobAttempts <= 0 {
-		opts.JobAttempts = 2
-	}
 	if opts.GCInterval <= 0 {
 		opts.GCInterval = time.Minute
 	}
@@ -225,12 +220,12 @@ func NewEngine(opts Options) (*Engine, error) {
 		opts.Clock = time.Now
 	}
 	rec := telemetry.OrNop(opts.Telemetry)
-	fsys := opts.FS
+	var fsys chaos.FS // nil: the store runs on chaos.OS()
 	if opts.Chaos != nil {
 		// The engine owns metric routing: injected-fault counts must land
 		// on the same /metrics as the degradation counters they explain.
 		opts.Chaos.SetRecorder(rec)
-		fsys = opts.Chaos.FS(fsys)
+		fsys = opts.Chaos.FS(nil)
 	}
 	store, err := OpenStoreWith(StoreOptions{
 		Dir:       opts.Store,
@@ -854,7 +849,7 @@ func (e *Engine) settle(id string, j *job, report []byte, err error, wall time.D
 		// written so far make the resume incremental.
 		state = StateQueued
 		requeue = true
-	case robust.IsTransient(err) && j.status.Attempts < e.opts.JobAttempts:
+	case robust.IsTransient(err) && j.status.Attempts < jobAttempts:
 		state = StateQueued
 		requeue = true
 		e.rec.Add(MJobRetries, 1)

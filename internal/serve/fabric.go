@@ -169,12 +169,8 @@ func (e *Engine) runFabric(ctx context.Context, id string, spec JobSpec,
 			telemetry.KV("spoof_distance", cell.SpoofDistance))
 	}
 	err = e.opts.Fabric.RunJob(ctx, id, raw, cells, func(d fabric.CellDone) error {
-		if ierr := experiments.ImportCellData(cfg.Checkpoint, &experiments.CellData{
-			SwarmSize:     d.Cell.SwarmSize,
-			SpoofDistance: d.Cell.SpoofDistance,
-			Cell:          d.Output.Checkpoint,
-			Atlas:         d.Output.Atlas,
-		}); ierr != nil {
+		if ierr := experiments.ImportCellData(cfg.Checkpoint, d.Cell.SwarmSize, d.Cell.SpoofDistance,
+			d.Output.Checkpoint, d.Output.Atlas); ierr != nil {
 			return ierr
 		}
 		mu.Lock()
@@ -233,10 +229,10 @@ func CellRunner(opts CellRunnerOptions) fabric.Runner {
 			// never written by RunCell — the fragment rides the wire back.
 			cfg.AtlasPath = "fabric"
 		}
-		cd, err := experiments.RunCell(ctx, cfg, fuzzer, u.Cell.SwarmSize, u.Cell.SpoofDistance)
+		checkpoint, atlas, err := experiments.RunCell(ctx, cfg, fuzzer, u.Cell.SwarmSize, u.Cell.SpoofDistance)
 		if err != nil {
 			return fabric.CellOutput{}, err
 		}
-		return fabric.CellOutput{Cell: u.Cell, Checkpoint: cd.Cell, Atlas: cd.Atlas}, nil
+		return fabric.CellOutput{Cell: u.Cell, Checkpoint: checkpoint, Atlas: atlas}, nil
 	}
 }

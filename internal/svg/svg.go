@@ -272,24 +272,20 @@ func (s Seed) String() string {
 		s.Target, s.Victim, s.Direction, s.Influence, s.VDO)
 }
 
-// Schedule orders fuzzing seeds as the paper prescribes: victims are
+// ScheduleK orders fuzzing seeds as the paper prescribes: victims are
 // sorted by ascending VDO; for each victim and direction, the target
 // is the drone with the highest summative influence among those with a
-// malicious-influence path to the victim in that direction's SVG. One
-// seed is produced per (victim, direction) that has any candidate
-// target. Seeds are ordered by ascending VDO, ties broken by
-// descending influence.
+// malicious-influence path to the victim in that direction's SVG.
+// Seeds are ordered by ascending VDO, ties broken by descending
+// influence.
+//
+// The paper schedules one target per (victim, direction) that has any
+// candidate; k > 1 schedules up to k, ranked by summative influence,
+// which widens coverage when the one-instant SVG approximation ranks
+// the true best target second (DESIGN.md §3.0).
 //
 // svgs maps each direction to its SVG; minClearance is the clean run's
 // per-drone minimum obstacle clearance.
-func Schedule(svgs map[gps.Direction]*graph.Digraph, minClearance []float64, prOpts graph.PageRankOptions) ([]Seed, error) {
-	return ScheduleK(svgs, minClearance, prOpts, 1)
-}
-
-// ScheduleK is Schedule with up to k candidate targets per (victim,
-// direction), ranked by summative influence. The paper schedules one
-// target per victim; k > 1 widens coverage when the one-instant SVG
-// approximation ranks the true best target second (DESIGN.md §3.0).
 func ScheduleK(svgs map[gps.Direction]*graph.Digraph, minClearance []float64, prOpts graph.PageRankOptions, k int) ([]Seed, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("svg: targets per victim %d must be >= 1", k)

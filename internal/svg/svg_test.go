@@ -224,7 +224,7 @@ func TestScheduleOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	minClear := []float64{2.0, 5.0, 9.0} // drone 0 closest to obstacle
-	seeds, err := Schedule(map[gps.Direction]*graph.Digraph{gps.Right: g}, minClear, graph.DefaultPageRankOptions())
+	seeds, err := ScheduleK(map[gps.Direction]*graph.Digraph{gps.Right: g}, minClear, graph.DefaultPageRankOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +262,8 @@ func TestScheduleTargetIsMostInfluential(t *testing.T) {
 	if err := g.SetEdge(0, 1, 0.3); err != nil {
 		t.Fatal(err)
 	}
-	seeds, err := Schedule(map[gps.Direction]*graph.Digraph{gps.Left: g},
-		[]float64{1, 2, 3}, graph.DefaultPageRankOptions())
+	seeds, err := ScheduleK(map[gps.Direction]*graph.Digraph{gps.Left: g},
+		[]float64{1, 2, 3}, graph.DefaultPageRankOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +283,8 @@ func TestScheduleFallbackForUninfluencedVictims(t *testing.T) {
 	if err := g.SetEdge(0, 1, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	seeds, err := Schedule(map[gps.Direction]*graph.Digraph{gps.Right: g},
-		[]float64{3, 2, 1}, graph.DefaultPageRankOptions())
+	seeds, err := ScheduleK(map[gps.Direction]*graph.Digraph{gps.Right: g},
+		[]float64{3, 2, 1}, graph.DefaultPageRankOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,8 +318,8 @@ func TestScheduleBothDirections(t *testing.T) {
 	if err := gl.SetEdge(1, 0, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	seeds, err := Schedule(map[gps.Direction]*graph.Digraph{gps.Right: gr, gps.Left: gl},
-		[]float64{1, 2}, graph.DefaultPageRankOptions())
+	seeds, err := ScheduleK(map[gps.Direction]*graph.Digraph{gps.Right: gr, gps.Left: gl},
+		[]float64{1, 2}, graph.DefaultPageRankOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,12 +337,12 @@ func TestScheduleBothDirections(t *testing.T) {
 }
 
 func TestScheduleErrors(t *testing.T) {
-	if _, err := Schedule(nil, []float64{1}, graph.DefaultPageRankOptions()); err == nil {
+	if _, err := ScheduleK(nil, []float64{1}, graph.DefaultPageRankOptions(), 1); err == nil {
 		t.Error("empty graph map accepted")
 	}
 	g := graph.NewDigraph(3)
-	if _, err := Schedule(map[gps.Direction]*graph.Digraph{gps.Right: g},
-		[]float64{1, 2}, graph.DefaultPageRankOptions()); err == nil {
+	if _, err := ScheduleK(map[gps.Direction]*graph.Digraph{gps.Right: g},
+		[]float64{1, 2}, graph.DefaultPageRankOptions(), 1); err == nil {
 		t.Error("node-count mismatch accepted")
 	}
 }
