@@ -29,7 +29,10 @@ metrics-lint:
 # sim.Stepper) and per-drone Command over PerfectBus rows must produce
 # bit-identical commands and run results, receivers on either side of
 # the shill boundary and the migration cut-off at the destination
-# included. It also pins the step's square-root-free gates to the
+# included, and the kernel's farthest-neighbour gate at the edges of
+# its proof: squared distances 1-3 ulps apart that share a rounded
+# root, the padded gate ±1 ulp, subnormal, zero and infinite squared
+# distances, reached from either side of the pair sweep. It also pins the step's square-root-free gates to the
 # formulas they replace, bit for bit: ClampNorm's squared-norm test
 # against the ungated formula, Body.Step with its limits built once per
 # run against the three-clamp formula, IsFinite's x-x test against
@@ -45,7 +48,7 @@ metrics-lint:
 # `race` already runs these tests too; the named target exists so the
 # equivalence contract has its own CI handle and a fast local loop.
 batch-equiv:
-	$(GO) test -race -run '^(TestBatchPathMatchesRowPath|TestBatchPathMatchesRowPathWithDroneCollisions|TestBatchStepperMatchesSequentialRuns|TestBatchCommandsMatchesCommand|TestClampNormMatchesReference|TestIsFiniteMatchesMath|TestBodyStepMatchesClampFormula|TestObstacleGatesMatchExact|TestPrefixResumeConcurrent|TestNoiseTableOrderIndependence|TestPrefixResumeWithoutNoiseOrBias|TestPerceiveMatchesRead|TestTCloMatchesRecordedSeries)$$' \
+	$(GO) test -race -run '^(TestBatchPathMatchesRowPath|TestBatchPathMatchesRowPathWithDroneCollisions|TestBatchStepperMatchesSequentialRuns|TestBatchCommandsMatchesCommand|TestBatchFarthestNeighbourTies|TestClampNormMatchesReference|TestIsFiniteMatchesMath|TestBodyStepMatchesClampFormula|TestObstacleGatesMatchExact|TestPrefixResumeConcurrent|TestNoiseTableOrderIndependence|TestPrefixResumeWithoutNoiseOrBias|TestPerceiveMatchesRead|TestTCloMatchesRecordedSeries)$$' \
 		./internal/sim/ ./internal/flock/ ./internal/vec/ ./internal/gps/ ./internal/svg/
 
 # check is the CI gate: vet plus gofmt plus metric-name hygiene plus

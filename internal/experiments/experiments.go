@@ -452,34 +452,11 @@ func Grid(ctx context.Context, cfg Config, fuzzer fuzz.Fuzzer) ([]*CampaignResul
 				return out, err
 			}
 			if cfg.Checkpoint != "" {
-				span := rec.StartSpan(0, "checkpoint_load",
-					telemetry.KV("swarm_size", n), telemetry.KV("spoof_distance", d))
-				cell, err := LoadCheckpoint(cfg.Checkpoint, n, d)
-				span.End(telemetry.KV("hit", cell != nil))
+				cell, err := resumeCell(cfg, n, d)
 				if err != nil {
 					return out, err
 				}
 				if cell != nil {
-					rec.Add(telemetry.MCheckpointLoads, 1)
-					cfg.Log.Infof("cell n=%d d=%gm resumed from checkpoint", n, d)
-					if len(cell.Outcomes) != cfg.Missions {
-						return out, fmt.Errorf("experiments: checkpoint %s holds %d missions, want %d; use a fresh -checkpoint dir when changing -missions",
-							filepath.Join(cfg.Checkpoint, checkpointFile(n, d)), len(cell.Outcomes), cfg.Missions)
-					}
-					if !drawnFrom(cell, cfg) {
-						return out, fmt.Errorf("experiments: checkpoint %s was not drawn from base seed %d; use a fresh -checkpoint dir when changing -seed",
-							filepath.Join(cfg.Checkpoint, checkpointFile(n, d)), cfg.BaseSeed)
-					}
-					if cfg.AtlasPath != "" {
-						// The fragment is written before its checkpoint, so a
-						// resumed cell replays the recorded bytes verbatim and
-						// the final artifact matches an uninterrupted run.
-						frag, err := readCellFragment(cfg.Checkpoint, n, d)
-						if err != nil {
-							return out, err
-						}
-						cell.atlasFragment = frag
-					}
 					out = append(out, cell)
 					continue
 				}
@@ -515,6 +492,43 @@ func Grid(ctx context.Context, cfg Config, fuzzer fuzz.Fuzzer) ([]*CampaignResul
 		}
 	}
 	return out, nil
+}
+
+// resumeCell returns the (swarmSize, spoofDistance) cell checkpointed
+// in cfg.Checkpoint, or nil when there is none. It fails when the cell
+// was run with another mission count or base seed, and with
+// cfg.AtlasPath set it attaches the cell's recorded atlas fragment.
+func resumeCell(cfg Config, swarmSize int, spoofDistance float64) (*CampaignResult, error) {
+	rec := telemetry.OrNop(cfg.Telemetry)
+	span := rec.StartSpan(0, "checkpoint_load",
+		telemetry.KV("swarm_size", swarmSize), telemetry.KV("spoof_distance", spoofDistance))
+	cell, err := LoadCheckpoint(cfg.Checkpoint, swarmSize, spoofDistance)
+	span.End(telemetry.KV("hit", cell != nil))
+	if err != nil || cell == nil {
+		return nil, err
+	}
+	rec.Add(telemetry.MCheckpointLoads, 1)
+	cfg.Log.Infof("cell n=%d d=%gm resumed from checkpoint %s", swarmSize, spoofDistance, cfg.Checkpoint)
+	path := filepath.Join(cfg.Checkpoint, checkpointFile(swarmSize, spoofDistance))
+	if len(cell.Outcomes) != cfg.Missions {
+		return nil, fmt.Errorf("experiments: checkpoint %s holds %d missions, want %d; use a fresh -checkpoint dir when changing -missions",
+			path, len(cell.Outcomes), cfg.Missions)
+	}
+	if !drawnFrom(cell, cfg) {
+		return nil, fmt.Errorf("experiments: checkpoint %s was not drawn from base seed %d; use a fresh -checkpoint dir when changing -seed",
+			path, cfg.BaseSeed)
+	}
+	if cfg.AtlasPath != "" {
+		// The fragment is written before its checkpoint, so a resumed
+		// cell replays the recorded bytes verbatim and the final
+		// artifact matches an uninterrupted run.
+		frag, err := readCellFragment(cfg.Checkpoint, swarmSize, spoofDistance)
+		if err != nil {
+			return nil, err
+		}
+		cell.atlasFragment = frag
+	}
+	return cell, nil
 }
 
 // drawnFrom reports whether a checkpointed cell's outcomes come from

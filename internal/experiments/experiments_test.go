@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -294,6 +295,82 @@ func TestRunnerFig5FromGridMatchesScan(t *testing.T) {
 	if scan.String() != fromGrid.String() {
 		t.Errorf("Fig. 5 from the grid differs from the scan:\n--- scan ---\n%s--- grid ---\n%s",
 			scan.String(), fromGrid.String())
+	}
+}
+
+// With no grid cached, Fig. 5 takes its finding from the n5 d10 cell
+// checkpointed in cfg.Checkpoint: it fuzzes nothing, its telemetry
+// counts exactly the 42 objective-sweep simulations, and it renders
+// what Fig. 5 from the cached grid renders.
+func TestRunnerFig5FromCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	ctx := context.Background()
+	cfg := crackingConfig()
+	cfg.Checkpoint = t.TempDir()
+	var fromGrid, fromCheckpoint strings.Builder
+	r := NewRunner(cfg, &fromGrid, "")
+	if err := r.Table1(ctx); err != nil {
+		t.Fatal(err)
+	}
+	fromGrid.Reset()
+	if err := r.Fig5(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := telemetry.NewRegistry()
+	cfg.Telemetry = telemetry.New(reg, nil)
+	if err := NewRunner(cfg, &fromCheckpoint, "").Fig5(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(fromGrid.String(), "Fig 5e") {
+		t.Fatalf("grid found no SPV:\n%s", fromGrid.String())
+	}
+	if fromGrid.String() != fromCheckpoint.String() {
+		t.Errorf("Fig. 5 from the checkpoint differs from the cached grid's:\n--- grid ---\n%s--- checkpoint ---\n%s",
+			fromGrid.String(), fromCheckpoint.String())
+	}
+	for name, want := range map[string]int64{
+		telemetry.MSimRuns:         42, // two 21-point sweeps, no clean or search run
+		telemetry.MCheckpointLoads: 1,
+		telemetry.MMissionsPlanned: 0,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// A resumed Table III logs one line per fuzzer, each naming the
+// checkpoint directory its cell came from.
+func TestTable3ResumeLogNamesCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	ctx := context.Background()
+	cfg := fastConfig(1)
+	cfg.Checkpoint = t.TempDir()
+	if err := NewRunner(cfg, io.Discard, "").Table3(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var log bytes.Buffer
+	cfg.Log = telemetry.NewLogger(&log, telemetry.LevelInfo)
+	if err := NewRunner(cfg, io.Discard, "").Table3(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var resumed []string
+	for _, line := range strings.Split(log.String(), "\n") {
+		if strings.Contains(line, "resumed from checkpoint") {
+			resumed = append(resumed, line)
+		}
+	}
+	var want []string
+	for _, sub := range []string{"swarmfuzz", "r_fuzz", "g_fuzz", "s_fuzz"} {
+		want = append(want, "info: cell n=5 d=10m resumed from checkpoint "+filepath.Join(cfg.Checkpoint, sub))
+	}
+	if !slices.Equal(resumed, want) {
+		t.Errorf("resume lines:\n%s\nwant:\n%s", strings.Join(resumed, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -194,7 +194,7 @@ func (r *Runner) Fig5(ctx context.Context) error {
 	objective := func(ts, dt float64) float64 {
 		plan := finding.Plan
 		plan.Start, plan.Duration = ts, dt
-		res, err := sim.Run(mission, sim.RunOptions{Controller: ctrl, Spoof: &plan})
+		res, err := sim.Run(mission, sim.RunOptions{Controller: ctrl, Spoof: &plan, Telemetry: r.cfg.Telemetry})
 		if err != nil {
 			return math.Inf(1)
 		}
@@ -308,13 +308,23 @@ func (r *Runner) Fig7(ctx context.Context) error {
 }
 
 // findExampleSPV returns an SPV with its mission for Fig. 5. The
-// cached campaign grid recorded each cracked 5-drone/10 m mission's
-// finding tuple, so its first valid one rebuilds the finding without
+// campaign grid recorded each cracked 5-drone/10 m mission's finding
+// tuple, so the first valid one in its cell — cached, or else
+// checkpointed in cfg.Checkpoint — rebuilds the finding without
 // fuzzing again. Without such a crack it fuzzes the seed stream from
 // scratch and also reports how many missions it scanned, so a miss can
 // say what was searched.
 func (r *Runner) findExampleSPV(ctx context.Context) (*fuzz.Finding, *sim.Mission, int, error) {
-	if cell := CellFor(r.grid, 5, 10); cell != nil {
+	cell := CellFor(r.grid, 5, 10)
+	if cell == nil && r.cfg.Checkpoint != "" {
+		cfg := r.cfg
+		cfg.AtlasPath = "" // the finding needs no atlas fragment
+		var err error
+		if cell, err = resumeCell(cfg, 5, 10); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	if cell != nil {
 		for _, o := range cell.Outcomes {
 			if !o.Found {
 				continue
@@ -335,6 +345,8 @@ func (r *Runner) findExampleSPV(ctx context.Context) (*fuzz.Finding, *sim.Missio
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	fopts := r.cfg.Fuzz
+	fopts.Telemetry = r.cfg.Telemetry
 	scanned := 0
 	limit := uint64(r.cfg.Missions) * 10
 	for seed := r.cfg.BaseSeed; seed < r.cfg.BaseSeed+limit; seed++ {
@@ -350,7 +362,7 @@ func (r *Runner) findExampleSPV(ctx context.Context) (*fuzz.Finding, *sim.Missio
 			Mission:       mission,
 			Controller:    ctrl,
 			SpoofDistance: 10,
-		}, r.cfg.Fuzz)
+		}, fopts)
 		if errors.Is(err, fuzz.ErrUnsafeMission) {
 			continue // unsafe mission: skip, like the campaign
 		}

@@ -36,12 +36,46 @@ func newSoaBounds(p Params) soaBounds {
 
 // soaAcc is one receiver's accumulators in a BatchCommands sweep: the
 // repulsion sum, the friction sum and count, and the farthest
-// neighbour so far (relative position, rounded distance and squared
-// distance).
+// neighbour so far. The farthest neighbour is kept as its relative
+// position and squared distance farD2 plus the padded gate farHi; its
+// rounded distance, Terms' farDist, is sqrt(farD2), which finishSoA
+// takes once. The zero value is the start of a sweep: farD2 = 0 is
+// Terms' farDist := 0.0.
 type soaAcc struct {
 	rep, frictSum, farRel vec.Vec3
-	farDist, farD2        float64
+	farD2, farHi          float64
 	frictCnt              int32
+}
+
+// farther reports whether a neighbour at squared distance d2 (never 0:
+// the sweep skips coincident fixes) replaces the farthest one, exactly
+// when Terms' dist > farDist would hold on the rounded roots:
+//
+//   - d2 ≤ farD2, or d2 NaN: no. sqrt is monotone, and a NaN fails
+//     every comparison here as its NaN root does in Terms. farD2 = +Inf
+//     lands here too, as Terms' Inf > Inf is false.
+//   - d2 > farD2 and d2 ≥ farHi = fl(farD2·(1+1e-9)): yes, without a
+//     root. For normal farD2 the product's rounding costs 2^-53
+//     relative. For subnormal farD2 it costs at most 2^-1075 absolute,
+//     at most half the pad when the pad is at least one subnormal step
+//     2^-1074; when it is less, d2 > farD2 alone gives d2 ≥ farD2 +
+//     2^-1074 > farD2·(1+1e-9), whatever farHi rounded to. Either way
+//     d2 ≥ farD2·(1+5e-10), so the exact roots differ by over 2.4e-10
+//     relative, about 10⁶ ulps, which the two correctly rounded roots
+//     cannot close. farD2 = 0 gives farHi = 0, and every positive d2,
+//     subnormal included, has a positive root. d2 = +Inf passes with a
+//     root of +Inf over a finite one; a farHi that overflowed to +Inf
+//     only sends finite d2 to the band.
+//   - farD2 < d2 < farHi: the band. Compare the two rounded roots, as
+//     Terms does.
+func (a *soaAcc) farther(d2 float64) bool {
+	return d2 > a.farD2 && (d2 >= a.farHi || math.Sqrt(d2) > math.Sqrt(a.farD2))
+}
+
+// setFar records the neighbour at squared distance d2 and relative
+// position rel as the farthest.
+func (a *soaAcc) setFar(d2 float64, rel vec.Vec3) {
+	a.farD2, a.farHi, a.farRel = d2, d2*(1+1e-9), rel
 }
 
 // soaScratch holds the per-receiver accumulators of one BatchCommands
@@ -54,32 +88,6 @@ type soaScratch struct {
 // NewBatchScratch implements sim.BatchController.
 func (c *Controller) NewBatchScratch(n int) any {
 	return &soaScratch{acc: make([]soaAcc, n)}
-}
-
-// mirrorSub returns y.Sub(x) given d = x.Sub(y), bit for bit. For a
-// nonzero component the rounded difference of the swapped operands is
-// exactly the negation (round-to-nearest is sign-symmetric). A zero
-// component is the one case negation gets wrong — fl(a-b) and fl(b-a)
-// are then both +0 unless a and b are zeros of opposite sign — so it
-// is recomputed from the operands directly.
-func mirrorSub(d, x, y vec.Vec3) vec.Vec3 {
-	var r vec.Vec3
-	if d.X != 0 {
-		r.X = -d.X
-	} else {
-		r.X = y.X - x.X
-	}
-	if d.Y != 0 {
-		r.Y = -d.Y
-	} else {
-		r.Y = y.Y - x.Y
-	}
-	if d.Z != 0 {
-		r.Z = -d.Z
-	} else {
-		r.Z = y.Z - x.Z
-	}
-	return r
 }
 
 // BatchCommands implements sim.BatchController: one tick of commands
@@ -95,13 +103,18 @@ func mirrorSub(d, x, y vec.Vec3) vec.Vec3 {
 //     contributions first from rows i < r in ascending i, then from
 //     its own row in ascending j — exactly the ascending neighbour
 //     order the scalar path accumulates in, so every floating-point
-//     sum associates identically. Mirrored quantities for the second
-//     endpoint go through mirrorSub and then the *same* operation
-//     sequence the scalar path runs, so they match bit for bit,
-//     signed zeros included.
+//     sum associates identically. The second endpoint j's differences
+//     are taken directly, pi.Sub(positions[j]) and
+//     vi.Sub(velocities[j]) — the very operations Terms runs for
+//     receiver j — so they match bit for bit, signed zeros included.
+//     The squared distance is shared: the two position differences
+//     are negations of each other (round-to-nearest is
+//     sign-symmetric), so their squares agree.
 //   - The per-pair sqrt and 1/dist division are gated on provable
 //     squared-distance bounds (soaBounds) and computed only where a
-//     term consumes the rounded distance.
+//     term consumes the rounded distance. The farthest neighbour is
+//     tracked on squared distances too (soaAcc.farther), so a receiver
+//     takes its farthest-neighbour root once, in finishSoA.
 //
 // scratch must come from NewBatchScratch for at least b.N() drones.
 // It returns the minimum squared distance between any two active
@@ -125,18 +138,17 @@ func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, scratch any
 			continue
 		}
 		pi, vi := positions[i], velocities[i]
-		// Row i's accumulators live in a local for the whole inner loop
-		// (they are only ever touched with first index i here) and are
-		// stored back once; receiver j's stay in the array.
-		ai := acc[i]
+		// ai and aj point into the scratch, so nothing is copied in or
+		// out; j > i, so they never alias.
+		ai := &acc[i]
 		for j := i + 1; j < n; j++ {
 			if !act[j] {
 				continue
 			}
 			aj := &acc[j]
-			// rel is receiver i's view of j; receiver j's view is the
-			// mirror. dist is materialised lazily — Norm() is
-			// Sqrt(NormSq()), so Sqrt(d2) is the identical operation.
+			// rel is receiver i's view of j. dist is materialised
+			// lazily — Norm() is Sqrt(NormSq()), so Sqrt(d2) is the
+			// identical operation.
 			rel := positions[j].Sub(pi)
 			d2 := rel.NormSq()
 			if d2 < minPairD2 {
@@ -145,21 +157,19 @@ func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, scratch any
 			if d2 == 0 {
 				continue // coincident fix: no defined direction
 			}
-			dist := -1.0
 			if d2 < bnd.frictHi {
 				frict := false
 				if d2 < bnd.repHi {
 					// Repulsion possible: the term consumes the
 					// rounded distance, so take the sqrt and compare
 					// exactly.
-					dist = math.Sqrt(d2)
+					dist := math.Sqrt(d2)
 					if dist < c.p.RRep {
 						gain := -c.p.PRep * (c.p.RRep - dist)
 						inv := 1 / dist
 						dir := rel.Scale(inv)
 						ai.rep = ai.rep.Add(dir.Scale(gain))
-						relJI := mirrorSub(rel, pi, positions[j])
-						dirJI := relJI.Scale(inv)
+						dirJI := pi.Sub(positions[j]).Scale(inv)
 						aj.rep = aj.rep.Add(dirJI.Scale(gain))
 					}
 					frict = dist < c.p.RFrict
@@ -169,42 +179,22 @@ func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, scratch any
 					frict = true
 				} else {
 					// Friction boundary band: decide on exact bits.
-					dist = math.Sqrt(d2)
-					frict = dist < c.p.RFrict
+					frict = math.Sqrt(d2) < c.p.RFrict
 				}
 				if frict {
-					dv := velocities[j].Sub(vi)
-					ai.frictSum = ai.frictSum.Add(dv)
+					ai.frictSum = ai.frictSum.Add(velocities[j].Sub(vi))
 					ai.frictCnt++
-					aj.frictSum = aj.frictSum.Add(mirrorSub(dv, vi, velocities[j]))
+					aj.frictSum = aj.frictSum.Add(vi.Sub(velocities[j]))
 					aj.frictCnt++
 				}
 			}
-			// Farthest-neighbour tracking for both endpoints. sqrt is
-			// monotone, so d2 <= farD2 (the stored neighbour's squared
-			// distance) proves dist <= farDist and the scalar path
-			// would not have updated; only running-max candidates pay
-			// the sqrt, and the final strict comparison is on the
-			// rounded distances exactly as in Terms.
-			if d2 > ai.farD2 {
-				if dist < 0 {
-					dist = math.Sqrt(d2)
-				}
-				if dist > ai.farDist {
-					ai.farD2, ai.farDist, ai.farRel = d2, dist, rel
-				}
+			if ai.farther(d2) {
+				ai.setFar(d2, rel)
 			}
-			if d2 > aj.farD2 {
-				if dist < 0 {
-					dist = math.Sqrt(d2)
-				}
-				if dist > aj.farDist {
-					aj.farD2, aj.farDist = d2, dist
-					aj.farRel = mirrorSub(rel, pi, positions[j])
-				}
+			if aj.farther(d2) {
+				aj.setFar(d2, pi.Sub(positions[j]))
 			}
 		}
-		acc[i] = ai
 	}
 
 	// Per-receiver tail: exactly the scalar Terms epilogue plus the
@@ -238,9 +228,9 @@ func (c *Controller) finishSoA(pos, vel vec.Vec3, w *sim.World, a *soaAcc) vec.V
 		migration = toDest.Scale(1 / nd).Scale(c.p.VFlock)
 	}
 
-	if a.farDist > c.p.RAtt {
-		farDir := a.farRel.Scale(1 / a.farDist)
-		attraction = c.vAttMax.Clamp(farDir.Scale(c.p.PAtt * (a.farDist - c.p.RAtt)))
+	if farDist := math.Sqrt(a.farD2); farDist > c.p.RAtt {
+		farDir := a.farRel.Scale(1 / farDist)
+		attraction = c.vAttMax.Clamp(farDir.Scale(c.p.PAtt * (farDist - c.p.RAtt)))
 	}
 	if a.frictCnt > 0 {
 		friction = a.frictSum.Scale(c.p.CFrict / float64(a.frictCnt))

@@ -1,7 +1,9 @@
 package flock
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"swarmfuzz/internal/comms"
@@ -117,19 +119,22 @@ func shillBoundary(c *Controller, w *sim.World) []vec.Vec3 {
 		for _, dir := range [][2]float64{{1, 0}, {0.6, 0.8}, {-0.8, -0.6}} {
 			x, y := rho*dir[0], rho*dir[1]
 			for k := -3; k <= 3; k++ {
-				xk := x
-				for s := k; s != 0; {
-					if s > 0 {
-						xk, s = math.Nextafter(xk, math.Inf(1)), s-1
-					} else {
-						xk, s = math.Nextafter(xk, math.Inf(-1)), s+1
-					}
-				}
-				out = append(out, vec.New(o.Center.X+xk, o.Center.Y+y, 10))
+				out = append(out, vec.New(o.Center.X+stepULPs(x, k), o.Center.Y+y, 10))
 			}
 		}
 	}
 	return out
+}
+
+// stepULPs returns x moved k ulps up (k > 0) or down (k < 0).
+func stepULPs(x float64, k int) float64 {
+	for ; k > 0; k-- {
+		x = math.Nextafter(x, math.Inf(1))
+	}
+	for ; k < 0; k++ {
+		x = math.Nextafter(x, math.Inf(-1))
+	}
+	return x
 }
 
 func sameBits(a, b vec.Vec3) bool {
@@ -150,31 +155,150 @@ func TestBatchCommandsMatchesCommand(t *testing.T) {
 	c := MustNew(DefaultParams())
 	w := testWorld()
 	src := rng.New(17)
-	check := func(trial int, f *batchFixture) {
-		t.Helper()
-		n := f.bc.N()
-		cmds := make([]vec.Vec3, n)
-		c.BatchCommands(&f.bc, w, c.NewBatchScratch(n), cmds)
-		for i := 0; i < n; i++ {
-			var want vec.Vec3
-			if f.bc.Active[i] {
-				want = c.Command(f.per[i], f.nbr[i], w)
-			}
-			if got := cmds[i]; !sameBits(got, want) {
-				t.Fatalf("trial %d drone %d at %#v (active=%v): batch %#v, scalar %#v",
-					trial, i, f.bc.Pos[i], f.bc.Active[i], got, want)
-			}
-		}
-	}
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + int(src.Uniform(0, 60))
-		check(trial, makeBatchFixture(src, n, w))
+		checkBatch(t, c, w, fmt.Sprintf("trial %d", trial), makeBatchFixture(src, n, w))
 	}
 	for k, p := range shillBoundary(c, w) {
 		f := makeBatchFixture(src, 2+int(src.Uniform(0, 8)), w)
 		f.bc.Pos[0], f.bc.Active[0] = p, true
 		f.buildRows()
-		check(40+k, f)
+		checkBatch(t, c, w, fmt.Sprintf("shill boundary %d", k), f)
+	}
+}
+
+// checkBatch runs BatchCommands on f's broadcast and fails unless every
+// active drone's command has exactly the bits Command returns for its
+// PerfectBus neighbour row, and every inactive drone's is zero.
+func checkBatch(t *testing.T, c *Controller, w *sim.World, label string, f *batchFixture) {
+	t.Helper()
+	n := f.bc.N()
+	cmds := make([]vec.Vec3, n)
+	c.BatchCommands(&f.bc, w, c.NewBatchScratch(n), cmds)
+	for i := 0; i < n; i++ {
+		var want vec.Vec3
+		if f.bc.Active[i] {
+			want = c.Command(f.per[i], f.nbr[i], w)
+		}
+		if got := cmds[i]; !sameBits(got, want) {
+			t.Fatalf("%s drone %d at %#v (active=%v): batch %#v, scalar %#v",
+				label, i, f.bc.Pos[i], f.bc.Active[i], got, want)
+		}
+	}
+}
+
+// relWithD2 returns a horizontal-ish vector near direction (dx, dy, 0)
+// whose NormSq is exactly d2: the x and y components land just inside
+// the target and a small z component makes up the rest.
+func relWithD2(t *testing.T, d2, dx, dy float64) vec.Vec3 {
+	t.Helper()
+	r := math.Sqrt(d2) * (1 - 1e-9) / math.Hypot(dx, dy)
+	v := vec.New(dx*r, dy*r, 0)
+	v.Z = math.Sqrt(d2 - v.NormSq())
+	for k := 0; k < 8 && v.NormSq() != d2; k++ {
+		if v.NormSq() < d2 {
+			v.Z = math.Nextafter(v.Z, math.Inf(1))
+		} else {
+			v.Z = math.Nextafter(v.Z, 0)
+		}
+	}
+	if v.NormSq() != d2 {
+		t.Fatalf("no vector near (%v, %v) with squared norm %v", dx, dy, d2)
+	}
+	return v
+}
+
+// TestBatchFarthestNeighbourTies pins the kernel's farthest-neighbour
+// gate (soaAcc.farther) at the edges of its proof. A receiver at the
+// origin sees its neighbours at exactly constructed squared distances
+// d2, most beyond RAtt, where the chosen neighbour's direction reaches
+// the command:
+//
+//   - ties: d2 values 1–3 ulps apart whose rounded roots agree, where
+//     Terms keeps the first arrival, so only the exact band decides;
+//   - the padded gate farHi = d2·(1+1e-9) of the first neighbour, with
+//     a second at farHi and 1 ulp either side;
+//   - subnormal d2 (including a farHi that rounds back to farD2), zero
+//     d2 (a coincident fix, and components whose squares underflow),
+//     and stragglers at d2 = +Inf.
+//
+// Each neighbour list runs in both arrival orders, and the receiver is
+// inserted at every index, so neighbours reach it from the row side
+// (i < r) and the column side (r < j) of the triangle sweep and mixed.
+// Every drone's command must match Command bit for bit.
+func TestBatchFarthestNeighbourTies(t *testing.T) {
+	// The default controller sees the direction of every neighbour
+	// beyond RAtt = 28 m; one with RRep = RAtt = 1e-200 sees it for the
+	// subnormal d2 too, whose roots are at least 2e-162.
+	tiny := DefaultParams()
+	tiny.RRep, tiny.RAtt = 1e-200, 1e-200
+	ctrls := []*Controller{MustNew(DefaultParams()), MustNew(tiny)}
+	if ctrls[0].Params().RAtt >= 29 {
+		t.Fatalf("RAtt %v: the layouts below need neighbours beyond it", ctrls[0].Params().RAtt)
+	}
+	w := testWorld()
+	var layouts [][]vec.Vec3
+	ties := 0
+	for _, root := range []float64{30, 30.1, 35.7, 41.3, 45.2} {
+		// base is the least d2 whose rounded root is root, so the next
+		// few d2 values up share it (sqrt(fl(root²)) = root).
+		base := root * root
+		for math.Sqrt(stepULPs(base, -1)) == root {
+			base = stepULPs(base, -1)
+		}
+		a := relWithD2(t, base, 1, 0)
+		for k := 1; k <= 3; k++ {
+			d2 := stepULPs(base, k)
+			if math.Sqrt(d2) != math.Sqrt(base) {
+				continue
+			}
+			ties++
+			layouts = append(layouts, []vec.Vec3{a, relWithD2(t, d2, 0.6, 0.8)})
+		}
+		hi := base * (1 + 1e-9)
+		for k := -1; k <= 1; k++ {
+			layouts = append(layouts, []vec.Vec3{a, relWithD2(t, stepULPs(hi, k), -0.8, 0.6)})
+		}
+	}
+	if ties < 5 {
+		t.Fatalf("only %d root ties among the layouts, want at least 5", ties)
+	}
+	far := relWithD2(t, 950.25, 0, -1)
+	// d2 = m²·2^-1074 exactly. For m = 2 the padded gate rounds back to
+	// farD2 itself, so an equal d2 in another direction must not pass.
+	sub := func(m float64) vec.Vec3 { return vec.New(m*0x1p-537, 0, 0) }
+	subY := func(m float64) vec.Vec3 { return vec.New(0, m*0x1p-537, 0) }
+	layouts = append(layouts,
+		[]vec.Vec3{sub(2), sub(3), far},
+		[]vec.Vec3{sub(2), subY(2)},
+		[]vec.Vec3{sub(0x1p25), subY(0x1p25), sub(0x1p25 + 1), sub(5)},
+		[]vec.Vec3{vec.Zero, vec.New(1e-170, 0, -1e-170), far},
+		[]vec.Vec3{far, vec.New(1e200, 0, 0), vec.New(0, -1e200, 0)},
+		[]vec.Vec3{vec.New(1e200, 0, 0), far},
+	)
+
+	for li, nbs := range layouts {
+		for _, rev := range []bool{false, true} {
+			order := slices.Clone(nbs)
+			if rev {
+				slices.Reverse(order)
+			}
+			for r := 0; r <= len(order); r++ {
+				pos := slices.Insert(slices.Clone(order), r, vec.Zero)
+				n := len(pos)
+				f := &batchFixture{bc: comms.Broadcast{
+					Pos: pos, Vel: make([]vec.Vec3, n), Active: make([]bool, n),
+				}}
+				for i := range f.bc.Active {
+					f.bc.Active[i] = true
+				}
+				f.buildRows()
+				for ci, c := range ctrls {
+					checkBatch(t, c, w, fmt.Sprintf("controller %d layout %d reversed=%v receiver at %d",
+						ci, li, rev, r), f)
+				}
+			}
+		}
 	}
 }
 
