@@ -29,26 +29,34 @@ metrics-lint:
 # sim.Stepper) and per-drone Command over PerfectBus rows must produce
 # bit-identical commands and run results, receivers on either side of
 # the shill boundary and the migration cut-off at the destination
-# included, and the kernel's farthest-neighbour gate at the edges of
-# its proof: squared distances 1-3 ulps apart that share a rounded
-# root, the padded gate ±1 ulp, subnormal, zero and infinite squared
-# distances, reached from either side of the pair sweep. It also pins the step's square-root-free gates to the
-# formulas they replace, bit for bit: ClampNorm's squared-norm test
-# against the ungated formula, Body.Step with its limits built once per
-# run against the three-clamp formula, IsFinite's x-x test against
-# math's IsNaN and IsInf, and the clearance and shill gates against the
-# exact surface distance, down to ±1 ulp around each boundary. And it
-# pins runs resumed from a clean run's fork points, which read GPS
-# noise from the trajectory's shared table, to full runs that draw
-# their own: with runs growing the table concurrently, in either order
-# across its chunk ends, on receivers without noise or bias, and gps's
-# table-side perceive step to Read. Finally it pins svg's t_clo, now
-# computed from recorded positions, to the mean-distance series the
-# simulator used to record, bit for bit, on collision-free clean runs.
-# `race` already runs these tests too; the named target exists so the
-# equivalence contract has its own CI handle and a fast local loop.
+# included, pairs at radii whose padded gates are NaN (squares outside
+# the normal range) or ordered RRep > RFrict, and the kernel's
+# farthest-neighbour gate at the edges of its proof: squared distances
+# 1-3 ulps apart that share a rounded root, the padded gate ±1 ulp,
+# subnormal, zero and infinite squared distances, reached from either
+# side of the pair sweep. It also pins the step's square-root-free
+# gates to the formulas they replace, bit for bit: ClampNorm's
+# squared-norm test against the ungated formula, Body.Step with its
+# limits built once per run against the three-clamp formula,
+# IsFinite's x-x test against math's IsNaN and IsInf, the obstacle
+# gate against the exact surface distance down to ±1 ulp around each
+# boundary, the Stepper's deferred clearance against the eager
+# per-step pass (results, collision steps and fork snapshots:
+# approach and retreat, a switching nearest obstacle, positions
+# inside the held band, contact on the exact step, resumed runs), and
+# the drone-pair scan gate against the ungated row path on drones
+# closing head-on at full speed. And it pins runs resumed from a
+# clean run's fork points, which read GPS noise from the trajectory's
+# shared table, to full runs that draw their own: with runs growing
+# the table concurrently, in either order across its chunk ends, on
+# receivers without noise or bias, and gps's table-side perceive step
+# to Read. Finally it pins svg's t_clo, now computed from recorded
+# positions, to the mean-distance series the simulator used to
+# record, bit for bit, on collision-free clean runs. `race` already
+# runs these tests too; the named target exists so the equivalence
+# contract has its own CI handle and a fast local loop.
 batch-equiv:
-	$(GO) test -race -run '^(TestBatchPathMatchesRowPath|TestBatchPathMatchesRowPathWithDroneCollisions|TestBatchStepperMatchesSequentialRuns|TestBatchCommandsMatchesCommand|TestBatchFarthestNeighbourTies|TestClampNormMatchesReference|TestIsFiniteMatchesMath|TestBodyStepMatchesClampFormula|TestObstacleGatesMatchExact|TestPrefixResumeConcurrent|TestNoiseTableOrderIndependence|TestPrefixResumeWithoutNoiseOrBias|TestPerceiveMatchesRead|TestTCloMatchesRecordedSeries)$$' \
+	$(GO) test -race -run '^(TestBatchPathMatchesRowPath|TestBatchPathMatchesRowPathWithDroneCollisions|TestBatchStepperMatchesSequentialRuns|TestBatchCommandsMatchesCommand|TestBatchFarthestNeighbourTies|TestClampNormMatchesReference|TestIsFiniteMatchesMath|TestBodyStepMatchesClampFormula|TestObstacleGatesMatchExact|TestDeferredClearanceMatchesEager|TestPairScanGateHeadOn|TestPrefixResumeConcurrent|TestNoiseTableOrderIndependence|TestPrefixResumeWithoutNoiseOrBias|TestPerceiveMatchesRead|TestTCloMatchesRecordedSeries)$$' \
 		./internal/sim/ ./internal/flock/ ./internal/vec/ ./internal/gps/ ./internal/svg/
 
 # check is the CI gate: vet plus gofmt plus metric-name hygiene plus

@@ -10,28 +10,36 @@ import (
 
 var _ sim.BatchController = (*Controller)(nil)
 
-// soaBounds are the padded squared-radius gates of the SoA pair loop,
-// built once by New. Each bound is off by ±1e-9 relative, so e.g.
-// d2 ≥ r²·(1+1e-9) proves the correctly rounded sqrt(d2) ≥ r — the
-// padded root clears r by ~4.9e-10 relative ≈ 2e6 ulps, dwarfing the
-// one rounding step in r*r and one in the padding. Inside a band the
-// exact sqrt is computed and compared, so boundary pairs match the
-// scalar path bit for bit.
+// soaBounds are the padded squared-radius gates of the kernel, built
+// once by New through vec.PaddedSq. Each bound is off by ±1e-9
+// relative, so e.g. d2 ≥ r²·(1+1e-9) proves the correctly rounded
+// sqrt(d2) ≥ r — the padded root clears r by ~4.9e-10 relative ≈ 2e6
+// ulps, dwarfing the one rounding step in r*r and one in the padding.
+// Inside a band the exact sqrt is computed and compared, so boundary
+// pairs match the scalar path bit for bit. A radius outside
+// PaddedSq's range (2^±500, where r² would leave the normal floats)
+// gets a NaN bound, and the loop tests every upper bound as
+// !(d2 >= hi), so a NaN sends the pair to the exact branches.
 //
 // Invariants: d2 ≥ repHi proves dist ≥ RRep; d2 < frictLo proves
-// dist < RFrict; d2 ≥ frictHi proves dist ≥ RFrict. They hold for any
-// radius ordering, so a configuration with RRep > RFrict just routes
-// every near pair through the exact-compare branches.
+// dist < RFrict; d2 ≥ frictHi proves dist ≥ RFrict; d2 ≥ nearHi, the
+// larger of repHi and frictHi (NaN if either is), proves neither term
+// fires; d2 ≤ attLo proves dist ≤ RAtt. They hold for any radius
+// ordering, so a configuration with RRep > RFrict just routes its
+// near pairs through the exact-compare branches.
 type soaBounds struct {
-	repHi, frictLo, frictHi float64
+	nearHi, repHi, frictLo, frictHi, attLo float64
 }
 
 func newSoaBounds(p Params) soaBounds {
-	return soaBounds{
-		repHi:   p.RRep * p.RRep * (1 + 1e-9),
-		frictLo: p.RFrict * p.RFrict * (1 - 1e-9),
-		frictHi: p.RFrict * p.RFrict * (1 + 1e-9),
+	b := soaBounds{
+		repHi:   vec.PaddedSq(p.RRep, 1e-9),
+		frictLo: vec.PaddedSq(p.RFrict, -1e-9),
+		frictHi: vec.PaddedSq(p.RFrict, 1e-9),
+		attLo:   vec.PaddedSq(p.RAtt, -1e-9),
 	}
+	b.nearHi = math.Max(b.repHi, b.frictHi)
+	return b
 }
 
 // soaAcc is one receiver's accumulators in a BatchCommands sweep: the
@@ -79,15 +87,31 @@ func (a *soaAcc) setFar(d2 float64, rel vec.Vec3) {
 }
 
 // soaScratch holds the per-receiver accumulators of one BatchCommands
-// sweep. The caller owns it (see NewBatchScratch), so the pass
-// allocates nothing in steady state.
+// sweep and the tail's per-run gates: per obstacle of the run's world,
+// the shill gate SurfaceGate(RShill), and per neighbour count k, the
+// friction gain CFrict/k. The caller owns it (see NewBatchScratch), so
+// the pass allocates nothing in steady state.
 type soaScratch struct {
-	acc []soaAcc
+	acc       []soaAcc
+	shill     []float64
+	frictGain []float64
 }
 
 // NewBatchScratch implements sim.BatchController.
-func (c *Controller) NewBatchScratch(n int) any {
-	return &soaScratch{acc: make([]soaAcc, n)}
+func (c *Controller) NewBatchScratch(n int, w *sim.World) any {
+	sc := &soaScratch{
+		acc:       make([]soaAcc, n),
+		shill:     make([]float64, len(w.Obstacles)),
+		frictGain: make([]float64, n),
+	}
+	for k, o := range w.Obstacles {
+		sc.shill[k] = o.SurfaceGate(c.p.RShill)
+	}
+	// A receiver has at most n−1 neighbours in range; index 0 is unused.
+	for k := 1; k < n; k++ {
+		sc.frictGain[k] = c.p.CFrict / float64(k)
+	}
+	return sc
 }
 
 // BatchCommands implements sim.BatchController: one tick of commands
@@ -114,9 +138,10 @@ func (c *Controller) NewBatchScratch(n int) any {
 //     squared-distance bounds (soaBounds) and computed only where a
 //     term consumes the rounded distance. The farthest neighbour is
 //     tracked on squared distances too (soaAcc.farther), so a receiver
-//     takes its farthest-neighbour root once, in finishSoA.
+//     takes its farthest-neighbour root at most once, in finishSoA.
 //
-// scratch must come from NewBatchScratch for at least b.N() drones.
+// scratch must come from NewBatchScratch for at least b.N() drones and
+// the world w.
 // It returns the minimum squared distance between any two active
 // drones' broadcast positions (+Inf when fewer than two are active) —
 // a free by-product of the pair sweep that the Stepper uses to prove
@@ -157,9 +182,9 @@ func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, scratch any
 			if d2 == 0 {
 				continue // coincident fix: no defined direction
 			}
-			if d2 < bnd.frictHi {
+			if !(d2 >= bnd.nearHi) {
 				frict := false
-				if d2 < bnd.repHi {
+				if !(d2 >= bnd.repHi) {
 					// Repulsion possible: the term consumes the
 					// rounded distance, so take the sqrt and compare
 					// exactly.
@@ -204,7 +229,7 @@ func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, scratch any
 			cmds[i] = vec.Zero
 			continue
 		}
-		cmds[i] = c.finishSoA(positions[i], velocities[i], w, &acc[i])
+		cmds[i] = c.finishSoA(positions[i], velocities[i], w, &acc[i], sc)
 	}
 
 	return minPairD2
@@ -213,11 +238,14 @@ func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, scratch any
 // finishSoA assembles receiver i's command from the sweep accumulators
 // — the migration, attraction, friction, obstacle and altitude tail of
 // Terms, operation for operation — and adds the terms up in Sum's
-// order without building a Terms value. One gate is the kernel's own:
-// an obstacle that Obstacle.SurfaceBeyond proves at least RShill away
-// is skipped before SurfaceDistance's square root, which is exactly
-// the obstacles Terms skips after taking it.
-func (c *Controller) finishSoA(pos, vel vec.Vec3, w *sim.World, a *soaAcc) vec.Vec3 {
+// order without building a Terms value. Its gates and gains are built
+// once: farD2 ≤ attLo proves farDist ≤ RAtt, so a receiver with no
+// neighbour beyond RAtt skips the farthest neighbour's root; an
+// obstacle whose shill gate proves it at least RShill away is skipped
+// before SurfaceDistance's square root, which is exactly the obstacles
+// Terms skips after taking it; and the friction gain CFrict/k comes
+// from sc's table, the very quotient Terms divides out.
+func (c *Controller) finishSoA(pos, vel vec.Vec3, w *sim.World, a *soaAcc, sc *soaScratch) vec.Vec3 {
 	var migration, attraction, friction, obstacle vec.Vec3
 
 	// Unit is Scale(1/Norm) for a nonzero norm, so the gate's norm is
@@ -228,16 +256,18 @@ func (c *Controller) finishSoA(pos, vel vec.Vec3, w *sim.World, a *soaAcc) vec.V
 		migration = toDest.Scale(1 / nd).Scale(c.p.VFlock)
 	}
 
-	if farDist := math.Sqrt(a.farD2); farDist > c.p.RAtt {
-		farDir := a.farRel.Scale(1 / farDist)
-		attraction = c.vAttMax.Clamp(farDir.Scale(c.p.PAtt * (farDist - c.p.RAtt)))
+	if !(a.farD2 <= c.bnd.attLo) {
+		if farDist := math.Sqrt(a.farD2); farDist > c.p.RAtt {
+			farDir := a.farRel.Scale(1 / farDist)
+			attraction = c.vAttMax.Clamp(farDir.Scale(c.p.PAtt * (farDist - c.p.RAtt)))
+		}
 	}
 	if a.frictCnt > 0 {
-		friction = a.frictSum.Scale(c.p.CFrict / float64(a.frictCnt))
+		friction = a.frictSum.Scale(sc.frictGain[a.frictCnt])
 	}
 
-	for _, o := range w.Obstacles {
-		if o.SurfaceBeyond(pos, c.p.RShill) {
+	for k, o := range w.Obstacles {
+		if o.AxisDistSq(pos) >= sc.shill[k] {
 			continue
 		}
 		s := o.SurfaceDistance(pos)

@@ -104,7 +104,7 @@ func (f *batchFixture) buildRows() {
 
 // shillBoundary returns receiver positions on both sides of w's first
 // obstacle's RShill+Radius boundary, where Terms' exact shill test
-// flips, and of the padded bound at which finishSoA's SurfaceBeyond
+// flips, and of the padded bound at which finishSoA's shill
 // gate flips, each stepped ±1..3 ulps in x: along the x axis from the
 // centre, where SurfaceDistance is exact, and along two diagonals. A
 // ring 2e-10 relative inside the boundary, where the shill term is
@@ -150,7 +150,8 @@ func sameBits(a, b vec.Vec3) bool {
 // returns for the PerfectBus neighbour row, and zeroes for inactive
 // drones. After the random layouts, one receiver per layout sits on
 // either side of the shill boundary or of the kernel's padded shill
-// gate (shillBoundary).
+// gate (shillBoundary). Last, pairs sit at radii whose gates are NaN or
+// ordered RRep > RFrict.
 func TestBatchCommandsMatchesCommand(t *testing.T) {
 	c := MustNew(DefaultParams())
 	w := testWorld()
@@ -165,6 +166,43 @@ func TestBatchCommandsMatchesCommand(t *testing.T) {
 		f.buildRows()
 		checkBatch(t, c, w, fmt.Sprintf("shill boundary %d", k), f)
 	}
+
+	// Radius gates at the edges of the kernel's proof. A radius r
+	// below 2^-500 is outside vec.PaddedSq's range, where r² would be
+	// subnormal: 4.5·2^-537 squares to 20.25·2^-1074, which rounds
+	// down to 20·2^-1074, so a gate squared without the guard drops a
+	// pair at d2 = 20·2^-1074 (dist ≈ 4.47·2^-537 < r). Its NaN bound
+	// must send the pair to the exact branches instead: for RFrict
+	// (repulsion and friction both dropped), for RRep and, with r =
+	// 4.45·2^-537, whose square rounds up to 20·2^-1074, for RAtt's
+	// cohesion gate. The tiny-radius pairs sit at the destination of a
+	// world whose destination is the origin, so their tiny offsets
+	// survive, with equal velocities, where the command is their tiny
+	// terms alone. Last, RRep above RFrict must still repel pairs
+	// between the two.
+	atDest := &sim.World{Obstacles: w.Obstacles, Destination: vec.New(0, 0, 10), DestRadius: w.DestRadius}
+	tiny, tinier := 4.5*0x1p-537, 4.45*0x1p-537
+	rel := vec.New(4*0x1p-537, 2*0x1p-537, 0) // NormSq is 20·2^-1074 exactly
+	for k, tc := range []struct {
+		rrep, ratt, rfrict float64
+		pos, rel           vec.Vec3
+		vel                float64
+	}{
+		{5, 28, tiny, vec.New(0, 0, 10), rel, 1},
+		{tiny, tiny, 20, atDest.Destination, rel, 0},
+		{tinier, tinier, 20, atDest.Destination, rel, 0},
+		{10, 28, 5, vec.New(0, 0, 10), vec.New(7, 0, 0), 1},
+	} {
+		p := DefaultParams()
+		p.RRep, p.RAtt, p.RFrict = tc.rrep, tc.ratt, tc.rfrict
+		f := &batchFixture{bc: comms.Broadcast{
+			Pos:    []vec.Vec3{tc.pos, tc.pos.Add(tc.rel)},
+			Vel:    []vec.Vec3{vec.New(1, -2, 0.5).Scale(tc.vel), vec.New(-3, 1, 0).Scale(tc.vel)},
+			Active: []bool{true, true},
+		}}
+		f.buildRows()
+		checkBatch(t, MustNew(p), atDest, fmt.Sprintf("radius gate %d", k), f)
+	}
 }
 
 // checkBatch runs BatchCommands on f's broadcast and fails unless every
@@ -174,7 +212,7 @@ func checkBatch(t *testing.T, c *Controller, w *sim.World, label string, f *batc
 	t.Helper()
 	n := f.bc.N()
 	cmds := make([]vec.Vec3, n)
-	c.BatchCommands(&f.bc, w, c.NewBatchScratch(n), cmds)
+	c.BatchCommands(&f.bc, w, c.NewBatchScratch(n, w), cmds)
 	for i := 0; i < n; i++ {
 		var want vec.Vec3
 		if f.bc.Active[i] {
@@ -311,7 +349,7 @@ func TestBatchCommandsZeroAlloc(t *testing.T) {
 	src := rng.New(9)
 	f := makeBatchFixture(src, 50, w)
 	cmds := make([]vec.Vec3, 50)
-	sc := c.NewBatchScratch(50)
+	sc := c.NewBatchScratch(50, w)
 	allocs := testing.AllocsPerRun(20, func() {
 		c.BatchCommands(&f.bc, w, sc, cmds)
 	})

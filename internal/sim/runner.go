@@ -53,11 +53,13 @@ type Controller interface {
 type BatchController interface {
 	Controller
 	// NewBatchScratch returns the per-receiver accumulator storage
-	// BatchCommands needs for a swarm of n drones. The Stepper asks for
-	// it once per run and lends it to every BatchCommands call of that
-	// run, so the controller itself holds no mutable state and one
-	// instance can serve concurrent runs.
-	NewBatchScratch(n int) any
+	// BatchCommands needs for a swarm of n drones in world w, plus
+	// whatever the controller derives once per run from n and w. The
+	// Stepper asks for it once per run and lends it to every
+	// BatchCommands call of that run, always with that same w, so the
+	// controller itself holds no mutable state and one instance can
+	// serve concurrent runs.
+	NewBatchScratch(n int, w *World) any
 	// BatchCommands writes, for every active drone i, the command
 	// derived from its own broadcast state and its neighbours' into
 	// cmds[i]. Entries of inactive drones are zeroed.
@@ -290,6 +292,15 @@ type Stepper struct {
 	collider  droneCollider
 	pairs     [][2]int
 
+	// contact holds each obstacle's contact gate,
+	// SurfaceGate(DroneRadius), and held the deferred clearances, one
+	// per drone and obstacle at [drone·len(contact)+obstacle] (see
+	// deferClearance). pairReach is the part of pairScanNeeded's reach
+	// that is the same every step.
+	contact   []float64
+	held      []heldClear
+	pairReach float64
+
 	// batch is non-nil on the batch path and scratch holds its
 	// controller's accumulators; bc holds the tick's broadcast columns.
 	batch   BatchController
@@ -366,7 +377,7 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 	if bc, ok := opts.Controller.(BatchController); ok {
 		if _, perfect := bus.(*comms.PerfectBus); perfect {
 			s.batch = bc
-			s.scratch = bc.NewBatchScratch(n)
+			s.scratch = bc.NewBatchScratch(n, &m.World)
 		}
 	}
 
@@ -375,6 +386,15 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 		_, d := m.World.NearestObstacle(s.bodies[i].Pos)
 		s.res.MinClearance[i] = d - cfg.DroneRadius
 	}
+	s.contact = make([]float64, len(m.World.Obstacles))
+	for k, o := range m.World.Obstacles {
+		s.contact[k] = o.SurfaceGate(cfg.DroneRadius)
+	}
+	s.held = make([]heldClear, n*len(s.contact))
+	for j := range s.held {
+		s.held[j].empty()
+	}
+	s.pairReach = 2*cfg.DroneRadius + 2*cfg.Body.MaxSpeed*(1+1e-9)*cfg.Dt + 1e-6
 	if opts.RecordTrajectory {
 		est := s.steps/cfg.SampleEvery + 2
 		s.traj = &Trajectory{
@@ -446,6 +466,7 @@ func (s *Stepper) Result() *Result {
 
 // finish seals the result on a successful exit.
 func (s *Stepper) finish() {
+	s.foldHeld()
 	s.res.Duration = s.tEnd
 	s.res.Trajectory = s.traj
 	if s.forks != nil {
@@ -463,6 +484,7 @@ func (s *Stepper) Step() (done bool, err error) {
 		return true, s.err
 	}
 	if s.forks != nil && s.step%forkEvery == 0 {
+		s.foldHeld()
 		s.forks.record(s)
 	}
 	n := len(s.bodies)
@@ -500,9 +522,7 @@ func (s *Stepper) Step() (done bool, err error) {
 	// Actuate, guarding against numerical divergence: a state that
 	// leaves the realm of finite numbers poisons every derived
 	// metric (clearances, SVG weights, gradients), so the run is
-	// aborted rather than aggregated. maxVelD2 is the worst squared
-	// speed after the step, for pairScanNeeded.
-	maxVelD2 := 0.0
+	// aborted rather than aggregated.
 	for i := 0; i < n; i++ {
 		b := &s.bodies[i]
 		b.Step(s.cmds[i], &s.limits)
@@ -515,16 +535,12 @@ func (s *Stepper) Step() (done bool, err error) {
 				i, t, b.Pos, b.Vel, robust.ErrDiverged)
 			return true, s.err
 		}
-		if v2 := b.Vel.NormSq(); v2 > maxVelD2 {
-			maxVelD2 = v2
-		}
 	}
 
 	// Collision detection on true positions. A drone whose clearance
-	// provably stays above its minimum so far skips the exact pass: it
-	// would neither lower the minimum nor collide.
+	// can wait skips the exact pass (see deferClearance).
 	for i := 0; i < n; i++ {
-		if s.bodies[i].Crashed || clearanceHolds(&s.m.World, s.bodies[i].Pos, s.res.MinClearance[i], cfg.DroneRadius) {
+		if s.bodies[i].Crashed || s.deferClearance(i) {
 			continue
 		}
 		oi, d := s.m.World.NearestObstacle(s.bodies[i].Pos)
@@ -541,7 +557,7 @@ func (s *Stepper) Step() (done bool, err error) {
 			}
 		}
 	}
-	if s.pairScanNeeded(minPairD2, maxErrD2, maxVelD2) {
+	if s.pairScanNeeded(minPairD2, maxErrD2) {
 		s.pairs = s.collider.collide(s.bodies, 2*cfg.DroneRadius, s.pairs[:0])
 		for _, p := range s.pairs {
 			i, j := p[0], p[1]
@@ -664,45 +680,101 @@ func (s *Stepper) decideRows() {
 	}
 }
 
-// clearanceHolds reports whether squared-distance bounds prove that
-// p's exact clearance, NearestObstacle's distance minus droneRadius,
-// is at least minClear > 0. Such a clearance can neither set a new
-// minimum nor be a collision, so the Stepper skips the pass and its
-// square roots. Every obstacle must satisfy Obstacle.SurfaceBeyond
-// with r = minClear+droneRadius: the rounded surface distance is then
-// > minClear+droneRadius by a wide margin, so subtracting droneRadius
-// rounds to ≥ minClear. Any doubt (minClear ≤ 0 or NaN, a near
-// obstacle) answers false and runs the exact pass. A world without
-// obstacles holds vacuously, as the exact pass would find +Inf.
-func clearanceHolds(w *World, p vec.Vec3, minClear, droneRadius float64) bool {
-	if !(minClear > 0) {
-		return false
-	}
-	r := minClear + droneRadius
-	for _, o := range w.Obstacles {
-		if !o.SurfaceBeyond(p, r) {
+// heldClear is one (drone, obstacle) pair's deferred clearance: the
+// closest position since the last fold whose clearance the Stepper
+// has not computed exactly, and the band lo = d2·(1−1e-9), hi =
+// d2·(1+1e-9) around its squared axis distance d2. An empty slot has
+// lo = hi = +Inf; a held d2 is finite, so lo is too.
+type heldClear struct {
+	pos    vec.Vec3
+	lo, hi float64
+}
+
+func (h *heldClear) empty() { h.lo, h.hi = math.Inf(1), math.Inf(1) }
+
+// deferClearance reports whether drone i's clearance at its current
+// position can wait, holding the position where needed; false sends
+// the drone through the exact pass. MinClearance is a minimum over
+// steps and obstacles of fl(SurfaceDistance−DroneRadius), rounded
+// subtraction is monotone, and so the minimum only needs, per
+// obstacle, a position whose surface distance is at most every
+// other's. Per obstacle, with d2 its squared axis distance:
+//
+//   - d2 below the contact gate, or NaN: the position may touch the
+//     obstacle, so the exact pass runs now and records the collision
+//     on this very step. Past the gate, SurfaceDistance > DroneRadius
+//     (Obstacle.SurfaceGate), so the clearance is > 0: no collision.
+//   - d2 < lo: the position replaces the held one. The gate puts d2
+//     at 2^−1000 or more, so lo is a normal float, and d2 < lo puts
+//     the exact axis distance ~5e-10 relative below the held one's,
+//     over a million ulps; the few roundings of the squares, the band
+//     and Hypot cannot close that, so the rounded surface distance is
+//     ≤ the held one's.
+//   - d2 > hi: by the same margin the position is no closer than the
+//     held one, which stands for it.
+//   - otherwise d2 is inside the band, where Hypot's rounding may
+//     order the two either way: the exact pass runs now.
+//
+// foldHeld runs the held positions through SurfaceDistance before
+// any reader sees MinClearance: the fork snapshot and finish. Every
+// skipped position is then covered by one that was folded, so every
+// output bit is the eager per-step pass's, collision times included.
+// Approach steps, which set a new minimum almost every step, cost no
+// square root until the fold.
+func (s *Stepper) deferClearance(i int) bool {
+	p := s.bodies[i].Pos
+	held := s.held[i*len(s.contact):][:len(s.contact)]
+	for k, o := range s.m.World.Obstacles {
+		d2 := o.AxisDistSq(p)
+		h := &held[k]
+		switch {
+		case !(d2 >= s.contact[k]):
+			return false
+		case d2 < h.lo:
+			h.pos, h.lo, h.hi = p, d2*(1-1e-9), d2*(1+1e-9)
+		case !(d2 > h.hi):
 			return false
 		}
 	}
 	return true
 }
 
+// foldHeld lowers each drone's MinClearance to the exact clearance of
+// every position it holds, as the exact pass would have, and empties
+// the slots.
+func (s *Stepper) foldHeld() {
+	obs := s.m.World.Obstacles
+	for j := range s.held {
+		h := &s.held[j]
+		if h.lo == math.Inf(1) {
+			continue
+		}
+		i := j / len(obs)
+		if c := obs[j%len(obs)].SurfaceDistance(h.pos) - s.cfg.DroneRadius; c < s.res.MinClearance[i] {
+			s.res.MinClearance[i] = c
+		}
+		h.empty()
+	}
+}
+
 // pairScanNeeded reports whether this tick's drone-pair collision scan
 // can find a pair. The batch path's decide phase measured the closest
 // perceived pair before this tick's motion; true distances differ from
 // perceived ones by at most the worst sensing error per endpoint, and
-// the motion closed any pair by at most one displacement (|vel|·Dt,
-// Body.Step moves by exactly that) per endpoint. When even that lower
-// bound clears the collision threshold — with a 1e-6 m pad that swamps
-// the few float roundings in the chain — the scan provably returns no
-// pairs and is skipped. Any doubt (a zero bound from the row path,
-// coincident perceptions, large spoof errors, NaNs) fails the test and
-// runs the scan, so skipping never changes an output bit. A swarm
-// cruising metres apart against a 2·DroneRadius threshold culls nearly
-// every tick.
-func (s *Stepper) pairScanNeeded(minPairD2, maxErrD2, maxVelD2 float64) bool {
-	lower := math.Sqrt(minPairD2) - 2*math.Sqrt(maxErrD2) - 2*math.Sqrt(maxVelD2)*s.cfg.Dt - 1e-6
-	return !(lower > 2*s.cfg.DroneRadius)
+// the motion closed any pair by at most one displacement per endpoint.
+// Body.Step moves a body by Vel·Dt, and its speed clamp leaves |Vel|
+// within a few ulps of MaxSpeed, so MaxSpeed·(1+1e-9)·Dt bounds the
+// displacement. The reach is thus 2·DroneRadius plus twice the error
+// plus twice the displacement plus a 1e-6 m pad that swamps the
+// roundings of positions and of the sum. When the perceived pair
+// distance provably clears the reach (vec.PaddedSq), the scan provably
+// returns no pairs and is skipped. Any doubt (a zero bound from the
+// row path, coincident perceptions, large spoof errors, NaNs) fails
+// the test and runs the scan, so skipping never changes an output
+// bit. A swarm cruising metres apart against a reach of about 1.3 m
+// culls nearly every tick.
+func (s *Stepper) pairScanNeeded(minPairD2, maxErrD2 float64) bool {
+	return !(minPairD2 >= vec.PaddedSq(s.pairReach+2*math.Sqrt(maxErrD2), 1e-9))
 }
 
 // Run simulates the mission and returns its Result. It is

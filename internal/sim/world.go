@@ -22,17 +22,26 @@ func (o Obstacle) SurfaceDistance(p vec.Vec3) float64 {
 	return p.HorizontalDist(o.Center) - o.Radius
 }
 
-// SurfaceBeyond reports whether a squared-distance bound proves, for
-// r ≥ 0, that the rounded SurfaceDistance(p) ≥ r, without taking a
-// square root. dx²+dy² ≥ (r+Radius)²·(1+1e-9) puts the exact
-// horizontal distance ~5e-10·(r+Radius) beyond r+Radius. The roundings
-// of the squares, the bound, Hypot and the subtraction of Radius take
-// back at most a few ulps of that, so SurfaceDistance(p) ≥
-// r + 4e-10·(r+Radius). False means undecided, not closer; NaN inputs
-// always answer false (see vec.PaddedSq).
-func (o Obstacle) SurfaceBeyond(p vec.Vec3, r float64) bool {
+// AxisDistSq returns the squared horizontal distance from p to the
+// cylinder axis, dx²+dy² over the very differences SurfaceDistance
+// hands to Hypot.
+func (o Obstacle) AxisDistSq(p vec.Vec3) float64 {
 	dx, dy := p.X-o.Center.X, p.Y-o.Center.Y
-	return dx*dx+dy*dy >= vec.PaddedSq(r+o.Radius, 1e-9)
+	return dx*dx + dy*dy
+}
+
+// SurfaceGate returns the squared-distance gate for r ≥ 0:
+// AxisDistSq(p) ≥ SurfaceGate(r) = (r+Radius)²·(1+1e-9) proves that
+// the rounded SurfaceDistance(p) > r, without taking a square root.
+// The bound puts the exact horizontal distance ~5e-10·(r+Radius)
+// beyond r+Radius. The roundings of the squares, the bound, Hypot and
+// the subtraction of Radius take back at most a few ulps of that, so
+// SurfaceDistance(p) ≥ r + 4e-10·(r+Radius). Callers build the gate
+// once per threshold. A failed test means undecided, not closer; the
+// gate is NaN outside vec.PaddedSq's range, and NaN positions fail it
+// too.
+func (o Obstacle) SurfaceGate(r float64) float64 {
+	return vec.PaddedSq(r+o.Radius, 1e-9)
 }
 
 // OutwardNormal returns the horizontal unit vector pointing from the

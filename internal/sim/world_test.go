@@ -88,93 +88,58 @@ func ringAround(c vec.Vec3, rho float64) []vec.Vec3 {
 	return out
 }
 
-// TestObstacleGatesMatchExact holds both square-root-free obstacle
-// gates to the exact computation they stand in for, on positions on
+// TestObstacleGatesMatchExact holds the square-root-free obstacle gate
+// to the exact computation it stands in for: AxisDistSq(p) ≥
+// SurfaceGate(r) must imply SurfaceDistance(p) > r, on positions on
 // both sides of the exact boundary and of the padded bound, down to
-// ±1 ulp, and on random positions:
-//
-//   - the shill gate, SurfaceBeyond(p, r), must imply
-//     SurfaceDistance(p) ≥ r (flock skips the obstacle exactly then);
-//   - the clearance gate, clearanceHolds, must imply that the exact
-//     pass's clearance neither undercuts MinClearance nor collides.
-//
-// Each gate must also fire just past its bound and never on the exact
-// boundary, so neither check holds vacuously.
+// ±1 ulp, and on random positions. flock's shill gate skips an
+// obstacle exactly then (r = RShill), and the Stepper's contact gate
+// (r = DroneRadius) rules out a collision. The gate must also fire
+// just past its bound and never on the exact boundary, so the check
+// does not hold vacuously, and it must never fire for NaN positions
+// or radii outside vec.PaddedSq's range.
 func TestObstacleGatesMatchExact(t *testing.T) {
 	obstacles := []Obstacle{
 		{Center: vec.New(0, 100, 0), Radius: 4},
 		{Center: vec.New(-3.7, 41.2, 9), Radius: 2.5},
 	}
-	// 12 is flock.DefaultParams().RShill, the radius finishSoA uses.
+	beyond := func(o Obstacle, p vec.Vec3, r float64) bool { return o.AxisDistSq(p) >= o.SurfaceGate(r) }
+	// 12 is flock.DefaultParams().RShill, 0.25 the default DroneRadius.
 	for _, o := range obstacles {
-		for _, r := range []float64{12, 0.5, 0, 30} {
+		for _, r := range []float64{12, 0.25, 0.5, 0, 30} {
 			edge := r + o.Radius
-			gate := math.Sqrt(vec.PaddedSq(edge, 1e-9))
+			gate := math.Sqrt(o.SurfaceGate(r))
 			for _, p := range ringAround(o.Center, edge) {
-				if o.SurfaceBeyond(p, r) {
-					t.Errorf("shill gate fires on the boundary: r=%v p=%#v", r, p)
+				if beyond(o, p, r) {
+					t.Errorf("gate fires on the boundary: r=%v p=%#v", r, p)
 				}
 			}
 			for _, p := range ringAround(o.Center, gate) {
-				if o.SurfaceBeyond(p, r) && !(o.SurfaceDistance(p) >= r) {
-					t.Errorf("shill gate: r=%v p=%#v proven beyond, exact %v", r, p, o.SurfaceDistance(p))
+				if beyond(o, p, r) && !(o.SurfaceDistance(p) > r) {
+					t.Errorf("gate: r=%v p=%#v proven beyond, exact %v", r, p, o.SurfaceDistance(p))
 				}
 			}
-			if p := o.Center.Add(vec.New(gate*(1+1e-12), 0, 0)); !o.SurfaceBeyond(p, r) {
-				t.Errorf("shill gate never fires: r=%v p=%#v", r, p)
+			if p := o.Center.Add(vec.New(gate*(1+1e-12), 0, 0)); !beyond(o, p, r) {
+				t.Errorf("gate never fires: r=%v p=%#v", r, p)
 			}
 		}
 	}
-
-	w := &World{Obstacles: obstacles, DestRadius: 1}
-	const dr = 0.25 // DefaultMissionConfig().DroneRadius
-	// exactHolds is the exact pass's verdict: no new minimum, no hit.
-	exactHolds := func(p vec.Vec3, mc float64) bool {
-		oi, d := w.NearestObstacle(p)
-		clear := d - dr
-		return !(clear < mc) && !(oi >= 0 && clear <= 0)
+	o := obstacles[0]
+	if beyond(o, vec.New(math.NaN(), 0, 0), 1) {
+		t.Error("gate fires for a NaN position")
 	}
-	for _, o := range obstacles {
-		for _, mc := range []float64{3, 0.25, 17.5, 1e-7} {
-			edge := mc + dr + o.Radius
-			gate := math.Sqrt(vec.PaddedSq(edge, 1e-9))
-			for _, p := range ringAround(o.Center, edge) {
-				if clearanceHolds(w, p, mc, dr) {
-					t.Errorf("clearance gate fires on the boundary: mc=%v p=%#v", mc, p)
-				}
-			}
-			for _, p := range ringAround(o.Center, gate) {
-				if clearanceHolds(w, p, mc, dr) && !exactHolds(p, mc) {
-					t.Errorf("clearance gate: mc=%v p=%#v proven clear, exact pass disagrees", mc, p)
-				}
-			}
+	for _, r := range []float64{math.NaN(), math.Inf(1), 1e300} {
+		if beyond(o, vec.New(1e200, 0, 0), r) {
+			t.Errorf("gate fires for r=%v", r)
 		}
-	}
-	if p := vec.New(0, 100-math.Sqrt(vec.PaddedSq(3+dr+4, 1e-9))*(1+1e-12), 0); !clearanceHolds(w, p, 3, dr) {
-		t.Errorf("clearance gate never fires at %#v", p)
-	}
-	for _, mc := range []float64{0, math.Copysign(0, -1), -1, math.NaN()} {
-		if clearanceHolds(w, vec.New(500, 500, 0), mc, dr) {
-			t.Errorf("clearance gate fires for MinClearance %v", mc)
-		}
-	}
-	if clearanceHolds(w, vec.New(math.NaN(), 0, 0), 1, dr) {
-		t.Error("clearance gate fires for a NaN position")
-	}
-	if !clearanceHolds(&World{DestRadius: 1}, vec.Zero, math.Inf(1), dr) {
-		t.Error("clearance gate fails in a world without obstacles")
 	}
 
 	src := rng.Derive(18, "obstacle-gates")
 	for k := 0; k < 20000; k++ {
 		p := vec.New(src.Uniform(-40, 40), src.Uniform(20, 140), 10)
-		mc := src.Uniform(0, 25)
-		if clearanceHolds(w, p, mc, dr) && !exactHolds(p, mc) {
-			t.Fatalf("clearance gate: mc=%v p=%#v proven clear, exact pass disagrees", mc, p)
-		}
 		o := obstacles[k%2]
-		if r := src.Uniform(0, 25); o.SurfaceBeyond(p, r) && !(o.SurfaceDistance(p) >= r) {
-			t.Fatalf("shill gate: r=%v p=%#v proven beyond, exact %v", r, p, o.SurfaceDistance(p))
+		if r := src.Uniform(0, 25); beyond(o, p, r) && !(o.SurfaceDistance(p) > r) {
+			t.Fatalf("gate: r=%v p=%#v proven beyond, exact %v", r, p, o.SurfaceDistance(p))
 		}
 	}
 }
