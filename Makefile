@@ -34,7 +34,12 @@ metrics-lint:
 # farthest-neighbour gate at the edges of its proof: squared distances
 # 1-3 ulps apart that share a rounded root, the padded gate ±1 ulp,
 # subnormal, zero and infinite squared distances, reached from either
-# side of the pair sweep. It also pins the step's square-root-free
+# side of the pair sweep. Its shared pair work is pinned against Terms
+# and Command too, signed zeros included: each difference subtracted
+# from the second endpoint's sums on coplanar swarms with shared
+# velocity components, the farthest-neighbour test only past the
+# cohesion bound (neighbours at it and ±1 ulp, and a NaN bound that
+# must track every pair), and coincident fixes. It also pins the step's square-root-free
 # gates to the formulas they replace, bit for bit: ClampNorm's
 # squared-norm test against the ungated formula, Body.Step with its
 # limits built once per run against the three-clamp formula,
@@ -56,7 +61,7 @@ metrics-lint:
 # runs these tests too; the named target exists so the equivalence
 # contract has its own CI handle and a fast local loop.
 batch-equiv:
-	$(GO) test -race -run '^(TestBatchPathMatchesRowPath|TestBatchPathMatchesRowPathWithDroneCollisions|TestBatchStepperMatchesSequentialRuns|TestBatchCommandsMatchesCommand|TestBatchFarthestNeighbourTies|TestClampNormMatchesReference|TestIsFiniteMatchesMath|TestBodyStepMatchesClampFormula|TestObstacleGatesMatchExact|TestDeferredClearanceMatchesEager|TestPairScanGateHeadOn|TestPrefixResumeConcurrent|TestNoiseTableOrderIndependence|TestPrefixResumeWithoutNoiseOrBias|TestPerceiveMatchesRead|TestTCloMatchesRecordedSeries)$$' \
+	$(GO) test -race -run '^(TestBatchPathMatchesRowPath|TestBatchPathMatchesRowPathWithDroneCollisions|TestBatchStepperMatchesSequentialRuns|TestBatchCommandsMatchesCommand|TestBatchFarthestNeighbourTies|TestBatchPairSharing|TestClampNormMatchesReference|TestIsFiniteMatchesMath|TestBodyStepMatchesClampFormula|TestObstacleGatesMatchExact|TestDeferredClearanceMatchesEager|TestPairScanGateHeadOn|TestPrefixResumeConcurrent|TestNoiseTableOrderIndependence|TestPrefixResumeWithoutNoiseOrBias|TestPerceiveMatchesRead|TestTCloMatchesRecordedSeries)$$' \
 		./internal/sim/ ./internal/flock/ ./internal/vec/ ./internal/gps/ ./internal/svg/
 
 # check is the CI gate: vet plus gofmt plus metric-name hygiene plus

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -48,6 +49,7 @@ type Coordinator struct {
 	units                               map[string]*unit // unit id → live unit (pending or leased)
 	leases                              map[string]*unit // lease token → leased unit
 	workers                             map[string]time.Time
+	refused                             map[string]refusal
 	jobs                                map[string]*fabJob
 	nextLease                           uint64
 	granted, expired, completed, failed int64
@@ -107,6 +109,7 @@ func NewCoordinator(opts Options) *Coordinator {
 		units:   map[string]*unit{},
 		leases:  map[string]*unit{},
 		workers: map[string]time.Time{},
+		refused: map[string]refusal{},
 		jobs:    map[string]*fabJob{},
 	}
 }
@@ -293,6 +296,14 @@ func (c *Coordinator) Status() Status {
 	}
 	sort.Strings(st.Workers)
 	st.LiveWorkers = len(st.Workers)
+	for id, r := range c.refused {
+		if r.seen.Before(cutoff) {
+			delete(c.refused, id)
+			continue
+		}
+		st.Refused = append(st.Refused, Refusal{Worker: id, GOARCH: r.arch, Reason: r.reason()})
+	}
+	sort.Slice(st.Refused, func(a, b int) bool { return st.Refused[a].Worker < st.Refused[b].Worker })
 	for _, u := range c.units {
 		if u.lease == "" {
 			st.Pending++
@@ -320,6 +331,35 @@ func (c *Coordinator) gaugesLocked() {
 		}
 	}
 	c.rec.Set(MWorkersLive, float64(live))
+}
+
+// refusal records a worker refused for its GOARCH, and when.
+type refusal struct {
+	arch string
+	seen time.Time
+}
+
+func (r refusal) reason() string {
+	if r.arch == "" {
+		return fmt.Sprintf("fabric: worker reported no GOARCH; the coordinator leases only to %s workers", runtime.GOARCH)
+	}
+	return fmt.Sprintf("fabric: worker GOARCH %s differs from the coordinator's %s, so its cells could differ in the last bit",
+		r.arch, runtime.GOARCH)
+}
+
+// admitLocked reports whether a worker reporting GOARCH arch may take
+// or renew a lease: only a worker built for the coordinator's own
+// architecture may. A refused worker is dropped from the live set and
+// listed in Status; callers hold c.mu.
+func (c *Coordinator) admitLocked(id, arch string) (refusal, bool) {
+	if arch == runtime.GOARCH {
+		delete(c.refused, id)
+		return refusal{}, true
+	}
+	r := refusal{arch: arch, seen: c.now()}
+	c.refused[id] = r
+	delete(c.workers, id)
+	return r, false
 }
 
 func (c *Coordinator) touchWorkerLocked(id string) {
@@ -375,6 +415,7 @@ func requireWorker(w http.ResponseWriter, worker, what string) bool {
 
 type leaseRequest struct {
 	Worker string `json:"worker"`
+	GOARCH string `json:"goarch"`
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -384,6 +425,13 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	c.sweep() // a dead worker's unit must be re-grantable right now
 	c.mu.Lock()
+	if r, ok := c.admitLocked(req.Worker, req.GOARCH); !ok {
+		c.gaugesLocked()
+		c.mu.Unlock()
+		c.log.Warnf("fabric: lease refused to %s: %s", req.Worker, r.reason())
+		writeFabricError(w, http.StatusForbidden, r.reason())
+		return
+	}
 	c.touchWorkerLocked(req.Worker)
 	var u *unit
 	for len(c.queue) > 0 {
@@ -428,6 +476,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 type heartbeatRequest struct {
 	Worker string `json:"worker"`
 	Lease  string `json:"lease"`
+	GOARCH string `json:"goarch"`
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -436,15 +485,21 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
-	c.touchWorkerLocked(req.Worker)
+	// A refused worker's lease is not renewed; it expires and the unit
+	// returns to the queue.
+	_, admitted := c.admitLocked(req.Worker, req.GOARCH)
+	if admitted {
+		c.touchWorkerLocked(req.Worker)
+	}
 	u, ok := c.leases[req.Lease]
+	ok = ok && admitted
 	if ok {
 		u.expiry = c.now().Add(c.opts.LeaseTTL)
 	}
 	c.mu.Unlock()
 	if !ok {
-		// Gone: expired (and possibly re-assigned). The worker must
-		// abandon the unit.
+		// Gone: expired (and possibly re-assigned), or the worker was
+		// refused. The worker must abandon the unit.
 		writeFabricError(w, http.StatusGone, "fabric: lease not held")
 		return
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -145,7 +146,7 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 
 	var first Unit
 	for {
-		code := postJSON(t, ts.URL+"/fabric/v1/lease", leaseRequest{Worker: "dead"}, &first)
+		code := postJSON(t, ts.URL+"/fabric/v1/lease", leaseRequest{Worker: "dead", GOARCH: runtime.GOARCH}, &first)
 		if code == http.StatusOK {
 			break
 		}
@@ -159,7 +160,7 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("unit never re-granted")
 		}
-		code := postJSON(t, ts.URL+"/fabric/v1/lease", leaseRequest{Worker: "alive"}, &second)
+		code := postJSON(t, ts.URL+"/fabric/v1/lease", leaseRequest{Worker: "alive", GOARCH: runtime.GOARCH}, &second)
 		if code == http.StatusOK {
 			break
 		}
@@ -197,7 +198,7 @@ func TestLeaseExhaustionFailsTransient(t *testing.T) {
 	errc := runJobAsync(c, context.Background(), "j1", []Cell{{3, 10}}, func(CellDone) error { return nil })
 	for granted := 0; granted < 2; {
 		var u Unit
-		if code := postJSON(t, ts.URL+"/fabric/v1/lease", leaseRequest{Worker: "flaky"}, &u); code == http.StatusOK {
+		if code := postJSON(t, ts.URL+"/fabric/v1/lease", leaseRequest{Worker: "flaky", GOARCH: runtime.GOARCH}, &u); code == http.StatusOK {
 			granted++
 		}
 		time.Sleep(15 * time.Millisecond)
@@ -218,7 +219,7 @@ func TestWorkerFailVerdicts(t *testing.T) {
 	c, ts := testFabric(t, Options{MaxAttempts: 2})
 	errc := runJobAsync(c, context.Background(), "j1", []Cell{{3, 10}}, func(CellDone) error { return nil })
 	var u Unit
-	for postJSON(t, ts.URL+"/fabric/v1/lease", leaseRequest{Worker: "w"}, &u) != http.StatusOK {
+	for postJSON(t, ts.URL+"/fabric/v1/lease", leaseRequest{Worker: "w", GOARCH: runtime.GOARCH}, &u) != http.StatusOK {
 		time.Sleep(10 * time.Millisecond)
 	}
 	// First failure is transient → re-queued.
@@ -226,7 +227,7 @@ func TestWorkerFailVerdicts(t *testing.T) {
 		Error: "sim wedged", Transient: true}, nil); code != http.StatusOK {
 		t.Fatalf("fail → %d", code)
 	}
-	for postJSON(t, ts.URL+"/fabric/v1/lease", leaseRequest{Worker: "w"}, &u) != http.StatusOK {
+	for postJSON(t, ts.URL+"/fabric/v1/lease", leaseRequest{Worker: "w", GOARCH: runtime.GOARCH}, &u) != http.StatusOK {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if u.Attempt != 2 {
@@ -267,7 +268,7 @@ func TestRunJobContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := runJobAsync(c, ctx, "j1", []Cell{{3, 10}}, func(CellDone) error { return nil })
 	var u Unit
-	for postJSON(t, ts.URL+"/fabric/v1/lease", leaseRequest{Worker: "w"}, &u) != http.StatusOK {
+	for postJSON(t, ts.URL+"/fabric/v1/lease", leaseRequest{Worker: "w", GOARCH: runtime.GOARCH}, &u) != http.StatusOK {
 		time.Sleep(10 * time.Millisecond)
 	}
 	cancel()
@@ -366,6 +367,68 @@ func TestRunJobEmpty(t *testing.T) {
 	}
 }
 
+// A worker built for another architecture may round a cell
+// differently, so the coordinator leases only to workers that report
+// its own GOARCH. A foreign or missing GOARCH gets 403, is listed in
+// Status with its reason and is not counted live; a heartbeat from a
+// lease holder that now reports a foreign GOARCH does not renew the
+// lease; and a Worker told 403 stops with the coordinator's reason.
+func TestMixedFleetRefused(t *testing.T) {
+	foreign := "arm64"
+	if runtime.GOARCH == foreign {
+		foreign = "amd64"
+	}
+	c, ts := testFabric(t, Options{LeaseTTL: 5 * time.Second})
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := runJobAsync(c, ctx, "j1", []Cell{{3, 10}}, func(CellDone) error { return nil })
+	defer func() { cancel(); <-errc }()
+
+	for _, arch := range []string{foreign, ""} {
+		if code := postJSON(t, ts.URL+"/fabric/v1/lease", leaseRequest{Worker: "odd" + arch, GOARCH: arch}, nil); code != http.StatusForbidden {
+			t.Fatalf("lease from GOARCH %q → %d, want 403", arch, code)
+		}
+	}
+	st := c.Status()
+	if st.LiveWorkers != 0 || st.LeasesGranted != 0 || len(st.Refused) != 2 {
+		t.Fatalf("status after refusals = %+v", st)
+	}
+	for _, r := range st.Refused {
+		if r.Worker != "odd"+r.GOARCH || !strings.Contains(r.Reason, runtime.GOARCH) {
+			t.Errorf("refusal %+v does not name the worker's and the coordinator's GOARCH", r)
+		}
+	}
+
+	var u Unit
+	for postJSON(t, ts.URL+"/fabric/v1/lease", leaseRequest{Worker: "w", GOARCH: runtime.GOARCH}, &u) != http.StatusOK {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if code := postJSON(t, ts.URL+"/fabric/v1/heartbeat", heartbeatRequest{Worker: "w", Lease: u.Lease, GOARCH: foreign}, nil); code != http.StatusGone {
+		t.Fatalf("heartbeat from GOARCH %s → %d, want 410", foreign, code)
+	}
+	if st := c.Status(); st.LiveWorkers != 0 || len(st.Refused) != 3 {
+		t.Fatalf("status after a foreign heartbeat = %+v", st)
+	}
+	if code := postJSON(t, ts.URL+"/fabric/v1/heartbeat", heartbeatRequest{Worker: "w", Lease: u.Lease, GOARCH: runtime.GOARCH}, nil); code != http.StatusOK {
+		t.Fatalf("heartbeat from GOARCH %s → %d, want 200", runtime.GOARCH, code)
+	}
+	if st := c.Status(); st.LiveWorkers != 1 || len(st.Refused) != 2 {
+		t.Fatalf("status after a native heartbeat = %+v", st)
+	}
+
+	refuser := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeFabricError(w, http.StatusForbidden, "no "+runtime.GOARCH+" workers here")
+	}))
+	defer refuser.Close()
+	wk, err := NewWorker(WorkerOptions{Coordinator: refuser.URL, ID: "w", Poll: time.Millisecond,
+		Run: func(context.Context, Unit) (CellOutput, error) { return CellOutput{}, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wk.Run(context.Background()); !errors.Is(err, errRefused) || !strings.Contains(err.Error(), "no "+runtime.GOARCH) {
+		t.Fatalf("refused worker's Run = %v, want errRefused with the reason", err)
+	}
+}
+
 // A verdict that names no worker is refused before it touches the
 // worker table: it must not count a phantom live worker.
 func TestVerdictNeedsWorkerID(t *testing.T) {
@@ -389,7 +452,7 @@ func FuzzFabricVerdict(f *testing.F) {
 		ep   uint8 // index into paths
 		body any
 	}{
-		{0, heartbeatRequest{Worker: "w", Lease: "L1"}},
+		{0, heartbeatRequest{Worker: "w", Lease: "L1", GOARCH: runtime.GOARCH}},
 		{1, completeRequest{Worker: "alive", Lease: "L1", Output: CellOutput{Checkpoint: []byte("fresh")}}},
 		{1, completeRequest{Worker: "dead", Lease: "L9", Output: CellOutput{Checkpoint: []byte("stale")}}},
 		{2, failRequest{Worker: "w", Lease: "L1", Error: "sim wedged", Transient: true}},
@@ -415,7 +478,7 @@ func FuzzFabricVerdict(f *testing.F) {
 		ctx, cancel := context.WithCancel(context.Background())
 		errc := runJobAsync(c, ctx, "j1", []Cell{{3, 10}}, func(CellDone) error { return nil })
 		defer func() { cancel(); <-errc }()
-		for post("/fabric/v1/lease", []byte(`{"worker":"w"}`)) != http.StatusOK {
+		for post("/fabric/v1/lease", []byte(`{"worker":"w","goarch":"`+runtime.GOARCH+`"}`)) != http.StatusOK {
 			runtime.Gosched()
 		}
 

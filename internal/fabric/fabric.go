@@ -122,6 +122,9 @@ type Status struct {
 	// Workers lists their ids, sorted.
 	LiveWorkers int      `json:"live_workers"`
 	Workers     []string `json:"workers,omitempty"`
+	// Refused lists, by worker id, the workers refused within the
+	// liveness window and why. They are not counted live.
+	Refused []Refusal `json:"refused,omitempty"`
 	// Pending and Leased count cell units waiting and claimed.
 	Pending int `json:"pending"`
 	Leased  int `json:"leased"`
@@ -132,4 +135,14 @@ type Status struct {
 	LeasesExpired   int64 `json:"leases_expired"`
 	LeasesCompleted int64 `json:"leases_completed"`
 	LeasesFailed    int64 `json:"leases_failed"`
+}
+
+// Refusal says why the coordinator refused a worker's lease or
+// heartbeat: a worker whose GOARCH differs from the coordinator's may
+// round the same cell differently (some architectures fuse x*y + z),
+// so its cells would break the fabric's byte-identity.
+type Refusal struct {
+	Worker string `json:"worker"`
+	GOARCH string `json:"goarch"`
+	Reason string `json:"reason"`
 }

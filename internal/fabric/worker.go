@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -86,7 +87,8 @@ func (w *Worker) ID() string { return w.opts.ID }
 
 // Run polls for leases until ctx ends. Transport errors are logged and
 // retried at the poll interval — a worker outlives coordinator
-// restarts.
+// restarts. A coordinator that refuses this worker's GOARCH ends Run
+// with its reason: no poll could change the answer.
 func (w *Worker) Run(ctx context.Context) error {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -96,6 +98,9 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
+			}
+			if errors.Is(err, errRefused) {
+				return err
 			}
 			w.log.Warnf("fabric worker %s: lease: %v (retrying)", w.opts.ID, err)
 		}
@@ -134,7 +139,7 @@ func (w *Worker) process(ctx context.Context, u Unit) {
 			case <-uctx.Done():
 				return
 			case <-t.C:
-				err := w.post(uctx, "/fabric/v1/heartbeat", heartbeatRequest{Worker: w.opts.ID, Lease: u.Lease}, nil)
+				err := w.post(uctx, "/fabric/v1/heartbeat", heartbeatRequest{Worker: w.opts.ID, Lease: u.Lease, GOARCH: runtime.GOARCH}, nil)
 				if errors.Is(err, errLeaseGone) {
 					w.log.Warnf("fabric worker %s: lease %s for %s lost, abandoning", w.opts.ID, u.Lease, u.Unit)
 					mu.Lock()
@@ -194,7 +199,7 @@ func (w *Worker) report(ctx context.Context, path string, body any) {
 // lease asks for work; ok is false when the queue is empty.
 func (w *Worker) lease(ctx context.Context) (Unit, bool, error) {
 	var u Unit
-	err := w.post(ctx, "/fabric/v1/lease", leaseRequest{Worker: w.opts.ID}, &u)
+	err := w.post(ctx, "/fabric/v1/lease", leaseRequest{Worker: w.opts.ID, GOARCH: runtime.GOARCH}, &u)
 	if errors.Is(err, errNoContent) {
 		return Unit{}, false, nil
 	}
@@ -207,9 +212,13 @@ func (w *Worker) lease(ctx context.Context) (Unit, bool, error) {
 // errNoContent marks a 204 lease response: no work right now.
 var errNoContent = errors.New("fabric: no work")
 
+// errRefused marks a 403: the coordinator refuses this worker's
+// GOARCH.
+var errRefused = errors.New("fabric: refused by coordinator")
+
 // post sends a JSON request to the coordinator and decodes the reply
 // into out when non-nil. 410 maps to errLeaseGone, 204 to
-// errNoContent.
+// errNoContent, 403 to errRefused.
 func (w *Worker) post(ctx context.Context, path string, body, out any) error {
 	data, err := json.Marshal(body)
 	if err != nil {
@@ -234,6 +243,8 @@ func (w *Worker) post(ctx context.Context, path string, body, out any) error {
 		return errNoContent
 	case resp.StatusCode == http.StatusGone:
 		return errLeaseGone
+	case resp.StatusCode == http.StatusForbidden:
+		return fmt.Errorf("%w: %s", errRefused, strings.TrimSpace(string(raw)))
 	case resp.StatusCode != http.StatusOK:
 		return fmt.Errorf("fabric: %s: HTTP %d: %s", path, resp.StatusCode, strings.TrimSpace(string(raw)))
 	}

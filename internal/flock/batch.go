@@ -42,17 +42,16 @@ func newSoaBounds(p Params) soaBounds {
 	return b
 }
 
-// soaAcc is one receiver's accumulators in a BatchCommands sweep: the
-// repulsion sum, the friction sum and count, and the farthest
-// neighbour so far. The farthest neighbour is kept as its relative
-// position and squared distance farD2 plus the padded gate farHi; its
-// rounded distance, Terms' farDist, is sqrt(farD2), which finishSoA
-// takes once. The zero value is the start of a sweep: farD2 = 0 is
-// Terms' farDist := 0.0.
+// soaAcc is one receiver's sums in a BatchCommands sweep: repulsion,
+// friction and its count, and the farthest neighbour past the cohesion
+// gate so far as index far, squared distance farD2 and padded gate
+// farHi. finishSoA rebuilds its relative position as
+// positions[far].Sub(pos), the sweep's own operation. The zero value
+// starts a sweep: farD2 = 0 is Terms' farDist := 0.0.
 type soaAcc struct {
-	rep, frictSum, farRel vec.Vec3
-	farD2, farHi          float64
-	frictCnt              int32
+	rep, frictSum vec.Vec3
+	farD2, farHi  float64
+	frictCnt, far int32
 }
 
 // farther reports whether a neighbour at squared distance d2 (never 0:
@@ -80,10 +79,10 @@ func (a *soaAcc) farther(d2 float64) bool {
 	return d2 > a.farD2 && (d2 >= a.farHi || math.Sqrt(d2) > math.Sqrt(a.farD2))
 }
 
-// setFar records the neighbour at squared distance d2 and relative
-// position rel as the farthest.
-func (a *soaAcc) setFar(d2 float64, rel vec.Vec3) {
-	a.farD2, a.farHi, a.farRel = d2, d2*(1+1e-9), rel
+// setFar records neighbour far, at squared distance d2, as the
+// farthest.
+func (a *soaAcc) setFar(d2 float64, far int32) {
+	a.farD2, a.farHi, a.far = d2, d2*(1+1e-9), far
 }
 
 // soaScratch holds the per-receiver accumulators of one BatchCommands
@@ -115,37 +114,36 @@ func (c *Controller) NewBatchScratch(n int, w *sim.World) any {
 }
 
 // BatchCommands implements sim.BatchController: one tick of commands
-// for the whole swarm, evaluated straight over the broadcast's flat
-// [drone][axis] columns. It is bit-identical to calling Command per
-// drone with PerfectBus neighbour rows (TestBatchCommandsMatchesCommand
-// pins this), but restructures the work three ways:
+// for the whole swarm, read straight from the broadcast's columns with
+// no State rows built. It gives the same results, bit for bit, as
+// Command per drone over PerfectBus rows (TestBatchCommandsMatchesCommand
+// and TestBatchPairSharing pin this), but does each pair's work once:
 //
-//   - No State rows are materialised — neighbours are read out of the
-//     shared columns.
-//   - Each unordered pair is visited once, not once per endpoint. The
-//     triangle sweep (outer i, inner j > i) hands receiver r its
-//     contributions first from rows i < r in ascending i, then from
-//     its own row in ascending j — exactly the ascending neighbour
-//     order the scalar path accumulates in, so every floating-point
-//     sum associates identically. The second endpoint j's differences
-//     are taken directly, pi.Sub(positions[j]) and
-//     vi.Sub(velocities[j]) — the very operations Terms runs for
-//     receiver j — so they match bit for bit, signed zeros included.
-//     The squared distance is shared: the two position differences
-//     are negations of each other (round-to-nearest is
-//     sign-symmetric), so their squares agree.
-//   - The per-pair sqrt and 1/dist division are gated on provable
-//     squared-distance bounds (soaBounds) and computed only where a
-//     term consumes the rounded distance. The farthest neighbour is
-//     tracked on squared distances too (soaAcc.farther), so a receiver
-//     takes its farthest-neighbour root at most once, in finishSoA.
+//   - The triangle sweep (outer i, inner j > i) visits each unordered
+//     pair once and hands receiver r its contributions from rows i < r
+//     in ascending i, then from its own row in ascending j: the
+//     ascending neighbour order Terms sums in, so every sum associates
+//     identically.
+//   - Each difference is taken once, added to i's sums and subtracted
+//     from j's. Rounding to nearest is sign-symmetric and x − y is
+//     x + (−y), so j's share −fl(a−b) differs from Terms' fl(b−a) only
+//     when it is exactly zero, as −0 against +0. (A NaN velocity may
+//     differ in payload; the Stepper aborts such a run.) The sums start
+//     at +0, and a sum rounds to −0 only from two −0 operands, so none
+//     ever holds −0, and adding −0 or +0 to it gives the same bits.
+//     The squares of the two endpoints' differences agree likewise.
+//   - The sqrt and 1/dist are taken only where a term consumes the
+//     rounded distance, behind proven squared-distance bounds
+//     (soaBounds). The farthest neighbour is tracked on squared
+//     distances (soaAcc.farther), and only for pairs that fail
+//     d2 ≤ attLo: a root ≤ RAtt can neither fire attraction nor tie
+//     with the neighbour that does. finishSoA takes its root once.
 //
 // scratch must come from NewBatchScratch for at least b.N() drones and
-// the world w.
-// It returns the minimum squared distance between any two active
-// drones' broadcast positions (+Inf when fewer than two are active) —
-// a free by-product of the pair sweep that the Stepper uses to prove
-// the collision scan empty.
+// the world w. It returns the minimum squared distance between any two
+// active drones' broadcast positions (+Inf when fewer than two are
+// active), a by-product the Stepper uses to prove the collision scan
+// empty.
 func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, scratch any, cmds []vec.Vec3) float64 {
 	bnd := &c.bnd
 	n := b.N()
@@ -171,31 +169,27 @@ func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, scratch any
 				continue
 			}
 			aj := &acc[j]
-			// rel is receiver i's view of j. dist is materialised
-			// lazily — Norm() is Sqrt(NormSq()), so Sqrt(d2) is the
-			// identical operation.
+			// rel is receiver i's view of j. Norm() is
+			// Sqrt(NormSq()), so Sqrt(d2) is Terms' dist.
 			rel := positions[j].Sub(pi)
 			d2 := rel.NormSq()
 			if d2 < minPairD2 {
 				minPairD2 = d2
 			}
-			if d2 == 0 {
-				continue // coincident fix: no defined direction
-			}
+			// d2 = 0 fails d2 ≥ nearHi (positive or NaN).
 			if !(d2 >= bnd.nearHi) {
+				if d2 == 0 {
+					continue // coincident fix: no defined direction
+				}
 				frict := false
 				if !(d2 >= bnd.repHi) {
 					// Repulsion possible: the term consumes the
-					// rounded distance, so take the sqrt and compare
-					// exactly.
+					// rounded distance, so compare it exactly.
 					dist := math.Sqrt(d2)
 					if dist < c.p.RRep {
-						gain := -c.p.PRep * (c.p.RRep - dist)
-						inv := 1 / dist
-						dir := rel.Scale(inv)
-						ai.rep = ai.rep.Add(dir.Scale(gain))
-						dirJI := pi.Sub(positions[j]).Scale(inv)
-						aj.rep = aj.rep.Add(dirJI.Scale(gain))
+						push := rel.Scale(1 / dist).Scale(-c.p.PRep * (c.p.RRep - dist))
+						ai.rep = ai.rep.Add(push)
+						aj.rep = aj.rep.Sub(push)
 					}
 					frict = dist < c.p.RFrict
 				} else if d2 < bnd.frictLo {
@@ -207,17 +201,21 @@ func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, scratch any
 					frict = math.Sqrt(d2) < c.p.RFrict
 				}
 				if frict {
-					ai.frictSum = ai.frictSum.Add(velocities[j].Sub(vi))
+					dv := velocities[j].Sub(vi)
+					ai.frictSum = ai.frictSum.Add(dv)
 					ai.frictCnt++
-					aj.frictSum = aj.frictSum.Add(vi.Sub(velocities[j]))
+					aj.frictSum = aj.frictSum.Sub(dv)
 					aj.frictCnt++
 				}
 			}
-			if ai.farther(d2) {
-				ai.setFar(d2, rel)
-			}
-			if aj.farther(d2) {
-				aj.setFar(d2, pi.Sub(positions[j]))
+			// A NaN attLo fails the test, so every pair is tracked.
+			if !(d2 <= bnd.attLo) {
+				if ai.farther(d2) {
+					ai.setFar(d2, int32(j))
+				}
+				if aj.farther(d2) {
+					aj.setFar(d2, int32(i))
+				}
 			}
 		}
 	}
@@ -229,7 +227,7 @@ func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, scratch any
 			cmds[i] = vec.Zero
 			continue
 		}
-		cmds[i] = c.finishSoA(positions[i], velocities[i], w, &acc[i], sc)
+		cmds[i] = c.finishSoA(positions, i, velocities[i], w, &acc[i], sc)
 	}
 
 	return minPairD2
@@ -245,7 +243,8 @@ func (c *Controller) BatchCommands(b *comms.Broadcast, w *sim.World, scratch any
 // before SurfaceDistance's square root, which is exactly the obstacles
 // Terms skips after taking it; and the friction gain CFrict/k comes
 // from sc's table, the very quotient Terms divides out.
-func (c *Controller) finishSoA(pos, vel vec.Vec3, w *sim.World, a *soaAcc, sc *soaScratch) vec.Vec3 {
+func (c *Controller) finishSoA(positions []vec.Vec3, i int, vel vec.Vec3, w *sim.World, a *soaAcc, sc *soaScratch) vec.Vec3 {
+	pos := positions[i]
 	var migration, attraction, friction, obstacle vec.Vec3
 
 	// Unit is Scale(1/Norm) for a nonzero norm, so the gate's norm is
@@ -258,7 +257,7 @@ func (c *Controller) finishSoA(pos, vel vec.Vec3, w *sim.World, a *soaAcc, sc *s
 
 	if !(a.farD2 <= c.bnd.attLo) {
 		if farDist := math.Sqrt(a.farD2); farDist > c.p.RAtt {
-			farDir := a.farRel.Scale(1 / farDist)
+			farDir := positions[a.far].Sub(pos).Scale(1 / farDist)
 			attraction = c.vAttMax.Clamp(farDir.Scale(c.p.PAtt * (farDist - c.p.RAtt)))
 		}
 	}

@@ -260,10 +260,7 @@ func relWithD2(t *testing.T, d2, dx, dy float64) vec.Vec3 {
 //     d2 (a coincident fix, and components whose squares underflow),
 //     and stragglers at d2 = +Inf.
 //
-// Each neighbour list runs in both arrival orders, and the receiver is
-// inserted at every index, so neighbours reach it from the row side
-// (i < r) and the column side (r < j) of the triangle sweep and mixed.
-// Every drone's command must match Command bit for bit.
+// Each neighbour list runs through checkArrivals.
 func TestBatchFarthestNeighbourTies(t *testing.T) {
 	// The default controller sees the direction of every neighbour
 	// beyond RAtt = 28 m; one with RRep = RAtt = 1e-200 sees it for the
@@ -316,28 +313,142 @@ func TestBatchFarthestNeighbourTies(t *testing.T) {
 	)
 
 	for li, nbs := range layouts {
-		for _, rev := range []bool{false, true} {
-			order := slices.Clone(nbs)
-			if rev {
-				slices.Reverse(order)
+		checkArrivals(t, ctrls, w, fmt.Sprintf("layout %d", li), nbs, nil)
+	}
+}
+
+// checkArrivals runs a receiver at the origin against the neighbours
+// at nbs, in both arrival orders and with the receiver inserted at
+// every index, so neighbours reach it from the row side (i < r) and
+// the column side (r < j) of the triangle sweep and mixed. Neighbour k
+// of nbs flies at vel[k] (zero when vel is nil) and the receiver at
+// rest. Every drone's sums and command must match Terms and Command
+// bit for bit under every controller.
+func checkArrivals(t *testing.T, ctrls []*Controller, w *sim.World, label string, nbs, vel []vec.Vec3) {
+	t.Helper()
+	if vel == nil {
+		vel = make([]vec.Vec3, len(nbs))
+	}
+	for _, rev := range []bool{false, true} {
+		order, vels := slices.Clone(nbs), slices.Clone(vel)
+		if rev {
+			slices.Reverse(order)
+			slices.Reverse(vels)
+		}
+		for r := 0; r <= len(order); r++ {
+			pos := slices.Insert(slices.Clone(order), r, vec.Zero)
+			n := len(pos)
+			f := &batchFixture{bc: comms.Broadcast{
+				Pos: pos, Vel: slices.Insert(slices.Clone(vels), r, vec.Zero), Active: make([]bool, n),
+			}}
+			for i := range f.bc.Active {
+				f.bc.Active[i] = true
 			}
-			for r := 0; r <= len(order); r++ {
-				pos := slices.Insert(slices.Clone(order), r, vec.Zero)
-				n := len(pos)
-				f := &batchFixture{bc: comms.Broadcast{
-					Pos: pos, Vel: make([]vec.Vec3, n), Active: make([]bool, n),
-				}}
-				for i := range f.bc.Active {
-					f.bc.Active[i] = true
-				}
-				f.buildRows()
-				for ci, c := range ctrls {
-					checkBatch(t, c, w, fmt.Sprintf("controller %d layout %d reversed=%v receiver at %d",
-						ci, li, rev, r), f)
-				}
+			f.buildRows()
+			for ci, c := range ctrls {
+				checkPairSums(t, c, w, fmt.Sprintf("controller %d %s reversed=%v receiver at %d",
+					ci, label, rev, r), f)
 			}
 		}
 	}
+}
+
+// checkPairSums runs BatchCommands on f's broadcast and fails unless
+// every active drone's repulsion sum and friction term have exactly
+// the bits Terms computes for its PerfectBus row, signed zeros
+// included; then it checks the commands with checkBatch.
+func checkPairSums(t *testing.T, c *Controller, w *sim.World, label string, f *batchFixture) {
+	t.Helper()
+	n := f.bc.N()
+	sc := c.NewBatchScratch(n, w).(*soaScratch)
+	c.BatchCommands(&f.bc, w, sc, make([]vec.Vec3, n))
+	for i := 0; i < n; i++ {
+		if !f.bc.Active[i] {
+			continue
+		}
+		want := c.Terms(f.per[i], f.nbr[i], w)
+		a := &sc.acc[i]
+		var frict vec.Vec3
+		if a.frictCnt > 0 {
+			frict = a.frictSum.Scale(sc.frictGain[a.frictCnt])
+		}
+		if !sameBits(a.rep, want.Repulsion) || !sameBits(frict, want.Friction) {
+			t.Fatalf("%s drone %d: batch repulsion %#v friction %#v, Terms %#v %#v",
+				label, i, a.rep, frict, want.Repulsion, want.Friction)
+		}
+	}
+	checkBatch(t, c, w, label, f)
+}
+
+// TestBatchPairSharing pins the pair sweep's shared work against
+// per-drone Terms and Command, bit for bit with signed zeros compared
+// through math.Float64bits: each difference taken once and subtracted
+// from the second endpoint's sums, the farthest-neighbour test run only
+// on pairs past the cohesion bound attLo, and the coincident-fix skip
+// inside the near-pair block. It covers
+//
+//   - coplanar swarms on a coarse grid whose velocities share
+//     components, so position and velocity differences are exactly ±0
+//     on repulsion and friction pairs, and many fixes coincide;
+//   - swarms wider than RAtt;
+//   - neighbours at attLo and ±1 ulp around it, beside one whose root
+//     is the least above RAtt, in every arrival order;
+//   - RRep = RAtt = 2^-600, whose squares are outside vec.PaddedSq's
+//     range, so attLo is NaN and every pair must be tracked;
+//   - explicit coincident fixes beside near and far neighbours.
+func TestBatchPairSharing(t *testing.T) {
+	tiny := DefaultParams()
+	tiny.RRep, tiny.RAtt = 0x1p-600, 0x1p-600
+	ctrls := []*Controller{MustNew(DefaultParams()), MustNew(tiny)}
+	if !math.IsNaN(ctrls[1].bnd.attLo) {
+		t.Fatalf("attLo %v for RAtt 2^-600, want NaN", ctrls[1].bnd.attLo)
+	}
+	w := testWorld()
+	src := rng.New(27)
+	pick := func(vals ...float64) float64 { return vals[int(src.Uniform(0, float64(len(vals))))] }
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + int(src.Uniform(0, 24))
+		// Even trials pack the swarm inside RFrict, odd ones spread it
+		// past RAtt.
+		step := 1.5
+		if trial%2 == 1 {
+			step = 9.5
+		}
+		f := &batchFixture{bc: comms.Broadcast{
+			Pos: make([]vec.Vec3, n), Vel: make([]vec.Vec3, n), Active: make([]bool, n),
+		}}
+		for i := 0; i < n; i++ {
+			f.bc.Pos[i] = vec.New(step*pick(-2, -1, 0, 1, 2), 100+step*pick(-2, -1, 0, 1, 2), 10)
+			f.bc.Vel[i] = vec.New(pick(-1, 0, 0.5, 2), pick(0, 1.5), 0.25)
+			f.bc.Active[i] = src.Uniform(0, 1) > 0.1
+		}
+		f.buildRows()
+		for ci, c := range ctrls {
+			checkPairSums(t, c, w, fmt.Sprintf("controller %d grid trial %d", ci, trial), f)
+		}
+	}
+
+	attLo := ctrls[0].bnd.attLo
+	ratt := ctrls[0].Params().RAtt
+	beyond := ratt * ratt
+	for math.Sqrt(beyond) <= ratt {
+		beyond = stepULPs(beyond, 1)
+	}
+	if !(math.Sqrt(attLo) < ratt) || !(attLo < ratt*ratt) {
+		t.Fatalf("attLo %v does not prove a root below RAtt %v", attLo, ratt)
+	}
+	vel := []vec.Vec3{vec.New(1, 0, 0), vec.New(1, -0.5, 0), vec.New(0, 0, 0.25)}
+	for k := -1; k <= 1; k++ {
+		at := relWithD2(t, stepULPs(attLo, k), 0.6, 0.8)
+		checkArrivals(t, ctrls, w, fmt.Sprintf("attLo%+d ulp", k),
+			[]vec.Vec3{at, relWithD2(t, beyond, -0.8, 0.6), vec.New(3, 0, 0)}, vel)
+		checkArrivals(t, ctrls, w, fmt.Sprintf("attLo%+d ulp alone", k),
+			[]vec.Vec3{at, vec.New(0, 4, 0)}, vel[:2])
+	}
+	checkArrivals(t, ctrls, w, "coincident fixes",
+		[]vec.Vec3{vec.Zero, vec.New(2, 0, 0), vec.Zero, relWithD2(t, beyond, 0, 1)}, []vec.Vec3{
+			vec.New(1, 0, 0), vec.New(0, -1, 0), vec.New(1, 0.5, 0), vec.New(0, 0, 1),
+		})
 }
 
 // TestBatchCommandsZeroAlloc pins that the SoA command pass allocates

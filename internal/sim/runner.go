@@ -44,7 +44,7 @@ type Controller interface {
 // Stepper uses it for every run it can (see Stepper), so an
 // implementation must be bit-identical to calling Command per drone
 // with PerfectBus neighbour rows: same neighbour order (ascending
-// index, self skipped), same arithmetic.
+// index, self skipped), same results, bit for bit.
 //
 // A type that overrides Command must not promote BatchCommands — do
 // not embed a BatchController in a wrapper that changes behaviour;
