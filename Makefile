@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt test race batch-equiv check metrics-lint fuzz-smoke serve-smoke chaos-smoke atlas-smoke fabric-smoke cellbench-smoke bench bench-compare
+.PHONY: build vet fmt test race batch-equiv unreached check metrics-lint fuzz-smoke serve-smoke chaos-smoke atlas-smoke fabric-smoke cellbench-smoke bench bench-compare
 
 build:
 	$(GO) build ./...
@@ -24,53 +24,39 @@ race:
 metrics-lint:
 	./scripts/metrics-lint.sh
 
-# batch-equiv pins the simulator's two decide paths to each other under
-# the race detector: the SoA batch kernel (flock's BatchCommands inside
-# sim.Stepper) and per-drone Command over PerfectBus rows must produce
-# bit-identical commands and run results, receivers on either side of
-# the shill boundary and the migration cut-off at the destination
-# included, pairs at radii whose padded gates are NaN (squares outside
-# the normal range) or ordered RRep > RFrict, and the kernel's
-# farthest-neighbour gate at the edges of its proof: squared distances
-# 1-3 ulps apart that share a rounded root, the padded gate ±1 ulp,
-# subnormal, zero and infinite squared distances, reached from either
-# side of the pair sweep. Its shared pair work is pinned against Terms
-# and Command too, signed zeros included: each difference subtracted
-# from the second endpoint's sums on coplanar swarms with shared
-# velocity components, the farthest-neighbour test only past the
-# cohesion bound (neighbours at it and ±1 ulp, and a NaN bound that
-# must track every pair), and coincident fixes. It also pins the step's square-root-free
-# gates to the formulas they replace, bit for bit: ClampNorm's
-# squared-norm test against the ungated formula, Body.Step with its
-# limits built once per run against the three-clamp formula,
-# IsFinite's x-x test against math's IsNaN and IsInf, the obstacle
-# gate against the exact surface distance down to ±1 ulp around each
-# boundary, the Stepper's deferred clearance against the eager
-# per-step pass (results, collision steps and fork snapshots:
-# approach and retreat, a switching nearest obstacle, positions
-# inside the held band, contact on the exact step, resumed runs), and
-# the drone-pair scan gate against the ungated row path on drones
-# closing head-on at full speed. And it pins runs resumed from a
-# clean run's fork points, which read GPS noise from the trajectory's
-# shared table, to full runs that draw their own: with runs growing
-# the table concurrently, in either order across its chunk ends, on
-# receivers without noise or bias, and gps's table-side perceive step
-# to Read. Finally it pins svg's t_clo, now computed from recorded
-# positions, to the mean-distance series the simulator used to
-# record, bit for bit, on collision-free clean runs. `race` already
-# runs these tests too; the named target exists so the equivalence
-# contract has its own CI handle and a fast local loop.
+# batch-equiv runs the simulator's executable specification and the
+# unit pins under the race detector. TestRunMatchesSpec holds sim.Run,
+# fast paths and all, to a brute-force reference run bit for bit:
+# every Result field, trajectory sample and step count, full and
+# resumed from fork points, on Table I sizes (n = 3 to 50, past the
+# collision grid), spoofed runs at 5 and 10 m, drone collisions,
+# receivers without noise or bias, random flock radii, and scripted
+# obstacle and head-on cases. The unit pins hold each square-root-free
+# gate to its exact formula at the ulp edges random missions never
+# reach: ClampNorm, IsFinite, Body.Step, the obstacle gates, the flock
+# kernel's commands, farthest-neighbour ties and shared pair work, and
+# gps's table-side Perceive. The rest pin the shared noise table under
+# concurrent and reordered growth, and svg's t_clo against the series
+# the simulator used to record. `race` runs them too; the target is
+# the equivalence contract's own CI handle and a fast local loop.
 batch-equiv:
-	$(GO) test -race -run '^(TestBatchPathMatchesRowPath|TestBatchPathMatchesRowPathWithDroneCollisions|TestBatchStepperMatchesSequentialRuns|TestBatchCommandsMatchesCommand|TestBatchFarthestNeighbourTies|TestBatchPairSharing|TestClampNormMatchesReference|TestIsFiniteMatchesMath|TestBodyStepMatchesClampFormula|TestObstacleGatesMatchExact|TestDeferredClearanceMatchesEager|TestPairScanGateHeadOn|TestPrefixResumeConcurrent|TestNoiseTableOrderIndependence|TestPrefixResumeWithoutNoiseOrBias|TestPerceiveMatchesRead|TestTCloMatchesRecordedSeries)$$' \
+	$(GO) test -race -run '^(TestRunMatchesSpec|TestBatchCommandsMatchesCommand|TestBatchFarthestNeighbourTies|TestBatchPairSharing|TestClampNormMatchesReference|TestIsFiniteMatchesMath|TestBodyStepMatchesClampFormula|TestObstacleGatesMatchExact|TestPrefixResumeConcurrent|TestNoiseTableOrderIndependence|TestPerceiveMatchesRead|TestTCloMatchesRecordedSeries)$$' \
 		./internal/sim/ ./internal/flock/ ./internal/vec/ ./internal/gps/ ./internal/svg/
 
+# unreached fails when an exported identifier has no use outside
+# _test.go files (tools/unreached; uses in cmd/, examples/ and the
+# cellbench module count).
+unreached:
+	$(GO) run ./tools/unreached . cellbench
+
 # check is the CI gate: vet plus gofmt plus metric-name hygiene plus
-# the decide paths' bit-identity pins plus the full test suite under the race
+# the unreachable-API check plus the simulator's spec and unit pins
+# (batch-equiv) plus the full test suite under the race
 # detector (the campaign engine's worker pool and the serving daemon's
 # job queue must stay race-clean; `race` covers internal/serve too),
 # plus the multi-process fabric smoke, plus the campaign-cell
 # benchmark's output check against its stored references.
-check: build vet fmt metrics-lint batch-equiv race fabric-smoke cellbench-smoke
+check: build vet fmt metrics-lint unreached batch-equiv race fabric-smoke cellbench-smoke
 
 # fuzz-smoke runs the native Go fuzz targets for inputs that can come
 # from a client, a worker or a torn disk, 10 s each. The flight-log and

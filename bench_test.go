@@ -401,9 +401,14 @@ func BenchmarkSVGBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	svgConfig := svg.Config{
+		SpoofDistance:      10,
+		InfluenceThreshold: fuzz.DefaultOptions().SVGThreshold,
+		PageRank:           graph.DefaultPageRankOptions(),
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := svg.Build(ctrl, &mission.World, mission.Axis, snap, gps.Right, svg.DefaultConfig(10)); err != nil {
+		if _, err := svg.Build(ctrl, &mission.World, mission.Axis, snap, gps.Right, svgConfig); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -67,13 +67,32 @@ func run(ctx context.Context, args []string, log *telemetry.Logger) (err error) 
 		progress   = fs.Duration("progress", 30*time.Second, "interval between progress summaries (0 = none)")
 		workers    = fs.Int("seed-workers", 0, "speculative seed-search workers per mission (0/1 = sequential; results are identical either way)")
 		flightDir  = fs.String("flightlog", "", "directory to archive flight logs of cracked/degraded missions into")
-		postmortem = fs.Bool("postmortem", false, "render an HTML post-mortem next to each archived flight log")
+		postmortem = fs.Bool("postmortem", false, "render an HTML post-mortem next to each archived flight log (needs -flightlog)")
 		atlasFile  = fs.String("atlas", "", "file to write the SwarmFuzz grid's search-atlas artifact into (JSONL)")
 		atlasHTML  = fs.String("atlas-html", "", "file to render the atlas as a self-contained XHTML page into (needs -atlas)")
 	)
 	tf := telemetry.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	type runner = experiments.Runner
+	name := strings.ToLower(*exp)
+	experiment, known := map[string]func(*runner, context.Context) error{
+		"table1": (*runner).Table1, "table2": (*runner).Table2, "table3": (*runner).Table3,
+		"fig5": (*runner).Fig5, "fig6": (*runner).Fig6, "fig7": (*runner).Fig7, "all": (*runner).All,
+	}[name]
+	// Only the SwarmFuzz grid writes the atlas artifact, so an
+	// experiment that never runs it cannot take -atlas.
+	grid := name != "table3" && name != "fig5"
+	switch {
+	case !known:
+		return fmt.Errorf("unknown experiment %q", *exp)
+	case *atlasFile != "" && !grid:
+		return fmt.Errorf("-atlas: the %q experiment does not run the SwarmFuzz grid, so it writes no artifact (use table1/table2/fig6/fig7/all)", *exp)
+	case *atlasHTML != "" && *atlasFile == "":
+		return errors.New("-atlas-html needs -atlas")
+	case *postmortem && *flightDir == "":
+		return errors.New("-postmortem needs -flightlog")
 	}
 
 	tel, err := tf.Start(log)
@@ -101,41 +120,11 @@ func run(ctx context.Context, args []string, log *telemetry.Logger) (err error) 
 	cfg.AtlasPath = *atlasFile
 	cfg.Telemetry = tel.Rec
 	cfg.Log = log
-	if *atlasHTML != "" && *atlasFile == "" {
-		return errors.New("-atlas-html needs -atlas")
-	}
 
-	runner := experiments.NewRunner(cfg, os.Stdout, *csvDir)
-	runExp := func() error {
-		switch strings.ToLower(*exp) {
-		case "table1":
-			return runner.Table1(ctx)
-		case "table2":
-			return runner.Table2(ctx)
-		case "table3":
-			return runner.Table3(ctx)
-		case "fig5":
-			return runner.Fig5(ctx)
-		case "fig6":
-			return runner.Fig6(ctx)
-		case "fig7":
-			return runner.Fig7(ctx)
-		case "all":
-			return runner.All(ctx)
-		default:
-			return fmt.Errorf("unknown experiment %q", *exp)
-		}
-	}
-	if err := runExp(); err != nil {
+	if err := experiment(experiments.NewRunner(cfg, os.Stdout, *csvDir), ctx); err != nil {
 		return err
 	}
 	if *atlasFile != "" {
-		// Only the SwarmFuzz grid writes the artifact; an experiment
-		// that never runs it (table3, fig5) must fail loudly rather
-		// than leave the caller believing an atlas exists.
-		if _, serr := os.Stat(*atlasFile); serr != nil {
-			return fmt.Errorf("-atlas: the %q experiment does not run the SwarmFuzz grid, so no artifact was written (use table1/table2/fig6/fig7/all)", *exp)
-		}
 		log.Infof("search atlas written to %s", *atlasFile)
 	}
 	if *atlasHTML != "" {

@@ -70,6 +70,9 @@ func run(ctx context.Context, args []string, log *telemetry.Logger) (err error) 
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *postmor && *flight == "" {
+		return errors.New("-postmortem needs -flightlog")
+	}
 
 	fuzzer, err := fuzz.ByName(*name)
 	if err != nil {

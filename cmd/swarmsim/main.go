@@ -18,6 +18,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -57,6 +58,9 @@ func run(args []string, log *telemetry.Logger) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *postmor && *flight == "" {
+		return errors.New("-postmortem needs -flightlog")
 	}
 	if *quiet {
 		log.SetLevel(telemetry.LevelError)

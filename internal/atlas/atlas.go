@@ -58,9 +58,6 @@ const (
 	ClassExhausted = "exhausted"
 )
 
-// Classes lists every seed-outcome class in display order.
-var Classes = []string{ClassCracked, ClassError, ClassStalled, ClassOscillating, ClassDiverged, ClassExhausted}
-
 // HistBounds are the fixed upper-inclusive bucket bounds of the
 // objective-landscape histogram (metres of victim clearance; the last
 // bucket is the overflow). Fixed bounds keep cell merges and resumes

@@ -175,26 +175,11 @@ func New(spec Spec, rec telemetry.Recorder, log *telemetry.Logger) *Injector {
 	}
 }
 
-// SetSleep replaces the injector's sleep function (tests). Not safe to
-// call concurrently with injection.
-func (in *Injector) SetSleep(fn func(time.Duration)) { in.sleep = fn }
-
 // SetRecorder redirects the fault counter. The serve engine attaches
 // its own telemetry here so MFaultsInjected lands on the daemon's
 // /metrics regardless of what the injector was constructed with. Not
 // safe to call concurrently with injection.
 func (in *Injector) SetRecorder(rec telemetry.Recorder) { in.rec = telemetry.OrNop(rec) }
-
-// Fired returns how many faults have been injected so far.
-func (in *Injector) Fired() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	total := 0
-	for _, n := range in.fired {
-		total += n
-	}
-	return total
-}
 
 // hit returns the fault to inject for the operation, or nil. It
 // advances every matching rule's counter, so the schedule is a pure

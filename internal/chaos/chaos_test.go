@@ -66,7 +66,7 @@ func TestInjectsNthMatchingWrite(t *testing.T) {
 	if err := writeVia(fsys, dir, "status.json", []byte("three")); err != nil {
 		t.Fatalf("third write after a one-shot fault: %v", err)
 	}
-	if got := in.Fired(); got != 1 {
+	if got := fired(in); got != 1 {
 		t.Errorf("Fired = %d, want 1", got)
 	}
 	// The surviving file content is from the last successful write.
@@ -160,7 +160,7 @@ func TestStallHook(t *testing.T) {
 	}}
 	in := New(spec, nil, nil)
 	var slept time.Duration
-	in.SetSleep(func(d time.Duration) { slept += d })
+	in.sleep = func(d time.Duration) { slept += d }
 
 	for i := 0; i < 5; i++ {
 		in.Stall("job:sim_runs")
@@ -169,8 +169,8 @@ func TestStallHook(t *testing.T) {
 	if slept != 250*time.Millisecond {
 		t.Errorf("slept %v, want 250ms (one firing on the 3rd matching point)", slept)
 	}
-	if in.Fired() != 1 {
-		t.Errorf("Fired = %d, want 1", in.Fired())
+	if fired(in) != 1 {
+		t.Errorf("Fired = %d, want 1", fired(in))
 	}
 }
 
@@ -179,7 +179,7 @@ func TestStallHook(t *testing.T) {
 func TestStallNeedsExplicitTarget(t *testing.T) {
 	in := New(Spec{Faults: []Fault{{Kind: KindLatency, DelayMS: 100, Times: 100}}}, nil, nil)
 	slept := false
-	in.SetSleep(func(time.Duration) { slept = true })
+	in.sleep = func(time.Duration) { slept = true }
 	in.Stall("job:sim_runs")
 	if slept {
 		t.Error("catch-all fault fired on a stall hook; stalls must be targeted with op=stall")
@@ -192,7 +192,7 @@ func TestLatencyDelaysButSucceeds(t *testing.T) {
 	}}
 	in := New(spec, nil, nil)
 	var slept time.Duration
-	in.SetSleep(func(d time.Duration) { slept += d })
+	in.sleep = func(d time.Duration) { slept += d }
 	fsys := in.FS(OS())
 	dir := t.TempDir()
 	if err := writeVia(fsys, dir, "f.json", []byte("x")); err != nil {
@@ -281,4 +281,15 @@ func TestCloseFaultReleasesDescriptor(t *testing.T) {
 	if err := writeVia(fsys, dir, strings.TrimPrefix(filepath.Base(f.Name()), "."), nil); err != nil {
 		t.Fatalf("fs unusable after close fault: %v", err)
 	}
+}
+
+// fired returns how many faults in has injected so far.
+func fired(in *Injector) int {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	total := 0
+	for _, n := range in.fired {
+		total += n
+	}
+	return total
 }

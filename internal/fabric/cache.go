@@ -44,9 +44,6 @@ func OpenCache(dir string, log *telemetry.Logger) (*Cache, error) {
 	return &Cache{dir: dir, log: log}, nil
 }
 
-// Dir returns the cache root.
-func (c *Cache) Dir() string { return c.dir }
-
 // entryDir maps a key to its directory; false for malformed keys (a
 // key is a lowercase hex digest, never attacker-shaped path bits).
 func (c *Cache) entryDir(key string) (string, bool) {

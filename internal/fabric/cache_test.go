@@ -30,7 +30,7 @@ func TestCacheRoundTrip(t *testing.T) {
 		t.Fatalf("got %+v", got)
 	}
 	// Entries shard by key prefix.
-	if _, err := os.Stat(filepath.Join(c.Dir(), testKey[:2], testKey, "report.json")); err != nil {
+	if _, err := os.Stat(filepath.Join(c.dir, testKey[:2], testKey, "report.json")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -74,7 +74,7 @@ func TestCachePartialEntryIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(c.Dir(), testKey[:2], testKey)
+	dir := filepath.Join(c.dir, testKey[:2], testKey)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -86,13 +86,6 @@ func (l *MissionLog) write(rec any) {
 	l.err = l.w.WriteByte('\n')
 }
 
-// Err returns the first write error, if any.
-func (l *MissionLog) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
-}
-
 // Close flushes the log and releases the underlying file when the log
 // owns one (Create). It returns the first error encountered
 // over the log's lifetime.

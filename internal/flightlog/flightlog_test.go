@@ -297,7 +297,7 @@ func TestWriteErrorsAreSticky(t *testing.T) {
 	if _, err := sim.Run(m, sim.RunOptions{Controller: ctrl, Flight: log.Recorder("clean")}); err != nil {
 		t.Fatalf("recording error leaked into the mission: %v", err)
 	}
-	if log.Err() == nil {
+	if log.err == nil {
 		t.Fatal("write error did not latch")
 	}
 	if err := log.Close(); err == nil || !strings.Contains(err.Error(), "disk full") {

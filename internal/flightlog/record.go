@@ -76,17 +76,6 @@ func newSpoofRecord(p gps.SpoofPlan) SpoofRecord {
 	}
 }
 
-// Plan converts back to the simulator's spoof plan type.
-func (s SpoofRecord) Plan() gps.SpoofPlan {
-	return gps.SpoofPlan{
-		Target:    s.Target,
-		Start:     s.Start,
-		Duration:  s.Duration,
-		Direction: gps.Direction(s.Direction),
-		Distance:  s.Distance,
-	}
-}
-
 // RunRecord opens one simulation run within the mission log. Subsequent
 // step/event records reference it by label.
 type RunRecord struct {

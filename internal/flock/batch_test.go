@@ -112,7 +112,7 @@ func (f *batchFixture) buildRows() {
 // the wrong way.
 func shillBoundary(c *Controller, w *sim.World) []vec.Vec3 {
 	o := w.Obstacles[0]
-	edge := c.Params().RShill + o.Radius
+	edge := c.p.RShill + o.Radius
 	gate := math.Sqrt(vec.PaddedSq(edge, 1e-9))
 	var out []vec.Vec3
 	for _, rho := range []float64{edge, gate, edge * (1 - 2e-10)} {
@@ -153,7 +153,7 @@ func sameBits(a, b vec.Vec3) bool {
 // gate (shillBoundary). Last, pairs sit at radii whose gates are NaN or
 // ordered RRep > RFrict.
 func TestBatchCommandsMatchesCommand(t *testing.T) {
-	c := MustNew(DefaultParams())
+	c := mustNew(DefaultParams())
 	w := testWorld()
 	src := rng.New(17)
 	for trial := 0; trial < 40; trial++ {
@@ -201,7 +201,7 @@ func TestBatchCommandsMatchesCommand(t *testing.T) {
 			Active: []bool{true, true},
 		}}
 		f.buildRows()
-		checkBatch(t, MustNew(p), atDest, fmt.Sprintf("radius gate %d", k), f)
+		checkBatch(t, mustNew(p), atDest, fmt.Sprintf("radius gate %d", k), f)
 	}
 }
 
@@ -267,9 +267,9 @@ func TestBatchFarthestNeighbourTies(t *testing.T) {
 	// subnormal d2 too, whose roots are at least 2e-162.
 	tiny := DefaultParams()
 	tiny.RRep, tiny.RAtt = 1e-200, 1e-200
-	ctrls := []*Controller{MustNew(DefaultParams()), MustNew(tiny)}
-	if ctrls[0].Params().RAtt >= 29 {
-		t.Fatalf("RAtt %v: the layouts below need neighbours beyond it", ctrls[0].Params().RAtt)
+	ctrls := []*Controller{mustNew(DefaultParams()), mustNew(tiny)}
+	if ctrls[0].p.RAtt >= 29 {
+		t.Fatalf("RAtt %v: the layouts below need neighbours beyond it", ctrls[0].p.RAtt)
 	}
 	w := testWorld()
 	var layouts [][]vec.Vec3
@@ -399,7 +399,7 @@ func checkPairSums(t *testing.T, c *Controller, w *sim.World, label string, f *b
 func TestBatchPairSharing(t *testing.T) {
 	tiny := DefaultParams()
 	tiny.RRep, tiny.RAtt = 0x1p-600, 0x1p-600
-	ctrls := []*Controller{MustNew(DefaultParams()), MustNew(tiny)}
+	ctrls := []*Controller{mustNew(DefaultParams()), mustNew(tiny)}
 	if !math.IsNaN(ctrls[1].bnd.attLo) {
 		t.Fatalf("attLo %v for RAtt 2^-600, want NaN", ctrls[1].bnd.attLo)
 	}
@@ -429,7 +429,7 @@ func TestBatchPairSharing(t *testing.T) {
 	}
 
 	attLo := ctrls[0].bnd.attLo
-	ratt := ctrls[0].Params().RAtt
+	ratt := ctrls[0].p.RAtt
 	beyond := ratt * ratt
 	for math.Sqrt(beyond) <= ratt {
 		beyond = stepULPs(beyond, 1)
@@ -455,7 +455,7 @@ func TestBatchPairSharing(t *testing.T) {
 // nothing: the whole point of the batch path is to skip the per-tick
 // State materialisation.
 func TestBatchCommandsZeroAlloc(t *testing.T) {
-	c := MustNew(DefaultParams())
+	c := mustNew(DefaultParams())
 	w := testWorld()
 	src := rng.New(9)
 	f := makeBatchFixture(src, 50, w)

@@ -171,19 +171,6 @@ func New(p Params) (*Controller, error) {
 	}, nil
 }
 
-// MustNew is New for parameters known to be valid; it panics otherwise.
-// Intended for tests and examples.
-func MustNew(p Params) *Controller {
-	c, err := New(p)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Params returns the controller's parameters.
-func (c *Controller) Params() Params { return c.p }
-
 // Command implements sim.Controller.
 func (c *Controller) Command(p sim.Perception, neighbors []comms.State, w *sim.World) vec.Vec3 {
 	return c.Terms(p, neighbors, w).Sum().ClampNorm(c.p.VMax)

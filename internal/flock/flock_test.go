@@ -61,17 +61,8 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew did not panic on invalid params")
-		}
-	}()
-	MustNew(Params{})
-}
-
 func TestMigrationTowardDestination(t *testing.T) {
-	c := MustNew(DefaultParams())
+	c := mustNew(DefaultParams())
 	w := testWorld()
 	// Far from obstacle and from everyone: pure migration northward.
 	p := perceptionAt(vec.New(0, 0, 10), vec.Zero)
@@ -83,13 +74,13 @@ func TestMigrationTowardDestination(t *testing.T) {
 		t.Errorf("command %v has lateral drift with no disturbance", cmd)
 	}
 	terms := c.Terms(p, nil, w)
-	if got := terms.Migration.Norm(); math.Abs(got-c.Params().VFlock) > 1e-9 {
-		t.Errorf("migration speed %v, want VFlock %v", got, c.Params().VFlock)
+	if got := terms.Migration.Norm(); math.Abs(got-c.p.VFlock) > 1e-9 {
+		t.Errorf("migration speed %v, want VFlock %v", got, c.p.VFlock)
 	}
 }
 
 func TestMigrationStopsAtDestination(t *testing.T) {
-	c := MustNew(DefaultParams())
+	c := mustNew(DefaultParams())
 	w := testWorld()
 	p := perceptionAt(w.Destination, vec.Zero)
 	terms := c.Terms(p, nil, w)
@@ -99,7 +90,7 @@ func TestMigrationStopsAtDestination(t *testing.T) {
 }
 
 func TestRepulsionPushesApart(t *testing.T) {
-	c := MustNew(DefaultParams())
+	c := mustNew(DefaultParams())
 	w := testWorld()
 	p := perceptionAt(vec.New(0, 0, 10), vec.Zero)
 	// Neighbour just east, well within RRep.
@@ -117,10 +108,10 @@ func TestRepulsionPushesApart(t *testing.T) {
 }
 
 func TestNoRepulsionBeyondRadius(t *testing.T) {
-	c := MustNew(DefaultParams())
+	c := mustNew(DefaultParams())
 	w := testWorld()
 	p := perceptionAt(vec.New(0, 0, 10), vec.Zero)
-	nb := neighborAt(1, vec.New(c.Params().RRep+1, 0, 10), vec.Zero)
+	nb := neighborAt(1, vec.New(c.p.RRep+1, 0, 10), vec.Zero)
 	terms := c.Terms(p, []comms.State{nb}, w)
 	if terms.Repulsion != vec.Zero {
 		t.Errorf("repulsion %v beyond radius, want zero", terms.Repulsion)
@@ -128,10 +119,10 @@ func TestNoRepulsionBeyondRadius(t *testing.T) {
 }
 
 func TestAttractionTowardFarthest(t *testing.T) {
-	c := MustNew(DefaultParams())
+	c := mustNew(DefaultParams())
 	w := testWorld()
 	p := perceptionAt(vec.New(0, 0, 10), vec.Zero)
-	far := neighborAt(1, vec.New(c.Params().RAtt+6, 0, 10), vec.Zero)
+	far := neighborAt(1, vec.New(c.p.RAtt+6, 0, 10), vec.Zero)
 	near := neighborAt(2, vec.New(0, 7, 10), vec.Zero)
 	terms := c.Terms(p, []comms.State{near, far}, w)
 	if terms.Attraction.X <= 0 {
@@ -143,10 +134,10 @@ func TestAttractionTowardFarthest(t *testing.T) {
 }
 
 func TestNoAttractionWithinRadius(t *testing.T) {
-	c := MustNew(DefaultParams())
+	c := mustNew(DefaultParams())
 	w := testWorld()
 	p := perceptionAt(vec.New(0, 0, 10), vec.Zero)
-	nb := neighborAt(1, vec.New(c.Params().RAtt-1, 0, 10), vec.Zero)
+	nb := neighborAt(1, vec.New(c.p.RAtt-1, 0, 10), vec.Zero)
 	terms := c.Terms(p, []comms.State{nb}, w)
 	if terms.Attraction != vec.Zero {
 		t.Errorf("attraction %v within radius, want zero", terms.Attraction)
@@ -154,18 +145,18 @@ func TestNoAttractionWithinRadius(t *testing.T) {
 }
 
 func TestAttractionCapped(t *testing.T) {
-	c := MustNew(DefaultParams())
+	c := mustNew(DefaultParams())
 	w := testWorld()
 	p := perceptionAt(vec.New(0, 0, 10), vec.Zero)
 	nb := neighborAt(1, vec.New(500, 0, 10), vec.Zero)
 	terms := c.Terms(p, []comms.State{nb}, w)
-	if got := terms.Attraction.Norm(); got > c.Params().VAttMax+1e-9 {
-		t.Errorf("attraction %v exceeds cap %v", got, c.Params().VAttMax)
+	if got := terms.Attraction.Norm(); got > c.p.VAttMax+1e-9 {
+		t.Errorf("attraction %v exceeds cap %v", got, c.p.VAttMax)
 	}
 }
 
 func TestFrictionAlignsVelocities(t *testing.T) {
-	c := MustNew(DefaultParams())
+	c := mustNew(DefaultParams())
 	w := testWorld()
 	// Self moving north, neighbour moving east: friction pulls east
 	// and brakes north.
@@ -178,17 +169,17 @@ func TestFrictionAlignsVelocities(t *testing.T) {
 }
 
 func TestObstacleAvoidanceOutward(t *testing.T) {
-	c := MustNew(DefaultParams())
+	c := mustNew(DefaultParams())
 	w := testWorld()
 	// South of the obstacle, inside the shill shell, flying north.
-	pos := vec.New(0, 100-4-c.Params().RShill/2, 10)
+	pos := vec.New(0, 100-4-c.p.RShill/2, 10)
 	p := perceptionAt(pos, vec.New(0, 2, 0))
 	terms := c.Terms(p, nil, w)
 	if terms.Obstacle.Y >= 0 {
 		t.Errorf("obstacle term %v does not push away (south)", terms.Obstacle)
 	}
 	// Outside the shell: inactive.
-	farPos := vec.New(0, 100-4-c.Params().RShill-1, 10)
+	farPos := vec.New(0, 100-4-c.p.RShill-1, 10)
 	terms = c.Terms(perceptionAt(farPos, vec.New(0, 2, 0)), nil, w)
 	if terms.Obstacle != vec.Zero {
 		t.Errorf("obstacle term %v outside shell, want zero", terms.Obstacle)
@@ -196,7 +187,7 @@ func TestObstacleAvoidanceOutward(t *testing.T) {
 }
 
 func TestObstacleAvoidanceStrongerWhenCloser(t *testing.T) {
-	c := MustNew(DefaultParams())
+	c := mustNew(DefaultParams())
 	w := testWorld()
 	v := vec.New(0, 2, 0)
 	near := c.Terms(perceptionAt(vec.New(0, 94, 10), v), nil, w).Obstacle.Norm()
@@ -207,7 +198,7 @@ func TestObstacleAvoidanceStrongerWhenCloser(t *testing.T) {
 }
 
 func TestObstacleSaturatesInside(t *testing.T) {
-	c := MustNew(DefaultParams())
+	c := mustNew(DefaultParams())
 	w := testWorld()
 	// Perceived inside the obstacle: gain saturates, no blow-up.
 	inside := c.Terms(perceptionAt(vec.New(0, 100, 10), vec.Zero), nil, w).Obstacle
@@ -220,7 +211,7 @@ func TestObstacleSaturatesInside(t *testing.T) {
 }
 
 func TestOnAxisFallback(t *testing.T) {
-	c := MustNew(DefaultParams())
+	c := mustNew(DefaultParams())
 	w := testWorld()
 	// Exactly on the obstacle axis: outward normal undefined; the
 	// fallback pushes opposite to migration.
@@ -232,7 +223,7 @@ func TestOnAxisFallback(t *testing.T) {
 }
 
 func TestAltitudeHold(t *testing.T) {
-	c := MustNew(DefaultParams())
+	c := mustNew(DefaultParams())
 	w := testWorld()
 	low := c.Terms(perceptionAt(vec.New(0, 0, 5), vec.Zero), nil, w)
 	if low.Altitude.Z <= 0 {
@@ -245,7 +236,7 @@ func TestAltitudeHold(t *testing.T) {
 }
 
 func TestCommandSpeedCapped(t *testing.T) {
-	c := MustNew(DefaultParams())
+	c := mustNew(DefaultParams())
 	w := testWorld()
 	// Pile several extreme influences together.
 	p := perceptionAt(vec.New(0, 95, 0), vec.New(0, 4, 0))
@@ -254,13 +245,13 @@ func TestCommandSpeedCapped(t *testing.T) {
 		neighborAt(2, vec.New(-60, 95, 0), vec.Zero),
 	}
 	cmd := c.Command(p, nbs, w)
-	if got := cmd.Norm(); got > c.Params().VMax+1e-9 {
-		t.Errorf("command speed %v exceeds VMax %v", got, c.Params().VMax)
+	if got := cmd.Norm(); got > c.p.VMax+1e-9 {
+		t.Errorf("command speed %v exceeds VMax %v", got, c.p.VMax)
 	}
 }
 
 func TestCoincidentNeighborIgnored(t *testing.T) {
-	c := MustNew(DefaultParams())
+	c := mustNew(DefaultParams())
 	w := testWorld()
 	pos := vec.New(0, 0, 10)
 	p := perceptionAt(pos, vec.Zero)
@@ -274,7 +265,7 @@ func TestCoincidentNeighborIgnored(t *testing.T) {
 func TestSpoofedNeighborShiftsCommand(t *testing.T) {
 	// The SPV premise: displacing one broadcast position changes the
 	// receiver's command.
-	c := MustNew(DefaultParams())
+	c := mustNew(DefaultParams())
 	w := testWorld()
 	p := perceptionAt(vec.New(0, 0, 10), vec.Zero)
 	// A 10 m broadcast displacement brings the neighbour from outside
@@ -295,7 +286,7 @@ func TestSpoofedNeighborShiftsCommand(t *testing.T) {
 // Command(...). Randomized inputs sweep positions around the obstacle
 // shell, the destination, and dense neighbourhoods.
 func TestTermsSumMatchesCommandRandomized(t *testing.T) {
-	c := MustNew(DefaultParams())
+	c := mustNew(DefaultParams())
 	w := testWorld()
 	src := rng.New(7)
 	for trial := 0; trial < 500; trial++ {
@@ -308,9 +299,9 @@ func TestTermsSumMatchesCommandRandomized(t *testing.T) {
 				pos.Add(vec.New(src.Uniform(-40, 40), src.Uniform(-40, 40), src.Uniform(-5, 5))),
 				vec.New(src.Uniform(-4, 4), src.Uniform(-4, 4), src.Uniform(-2, 2)))
 		}
-		sum := c.Terms(p, nbs, w).Sum().ClampNorm(c.Params().VMax)
+		sum := c.Terms(p, nbs, w).Sum().ClampNorm(c.p.VMax)
 		cmd := c.Command(p, nbs, w)
-		if !sum.ApproxEqual(cmd, 1e-9) {
+		if sum.Dist(cmd) > 1e-9 {
 			t.Fatalf("trial %d: Terms().Sum() clamp %v != Command %v (pos %v, %d neighbours)",
 				trial, sum, cmd, pos, len(nbs))
 		}
@@ -318,16 +309,25 @@ func TestTermsSumMatchesCommandRandomized(t *testing.T) {
 }
 
 func TestTermsSumMatchesCommand(t *testing.T) {
-	c := MustNew(DefaultParams())
+	c := mustNew(DefaultParams())
 	w := testWorld()
 	p := perceptionAt(vec.New(3, 90, 9), vec.New(1, 1, 0))
 	nbs := []comms.State{
 		neighborAt(1, vec.New(7, 92, 10), vec.New(0, 2, 0)),
 		neighborAt(2, vec.New(-20, 80, 10), vec.New(0, 2, 0)),
 	}
-	sum := c.Terms(p, nbs, w).Sum().ClampNorm(c.Params().VMax)
+	sum := c.Terms(p, nbs, w).Sum().ClampNorm(c.p.VMax)
 	cmd := c.Command(p, nbs, w)
-	if !sum.ApproxEqual(cmd, 1e-12) {
+	if sum.Dist(cmd) > 1e-12 {
 		t.Errorf("Terms().Sum() clamp %v != Command %v", sum, cmd)
 	}
+}
+
+// mustNew is New for parameters known to be valid.
+func mustNew(p Params) *Controller {
+	c, err := New(p)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }

@@ -147,18 +147,10 @@ func (p SpoofPlan) Active(t float64) bool {
 // End returns t_s + Δt.
 func (p SpoofPlan) End() float64 { return p.Start + p.Duration }
 
-// Offset returns the spoofing offset added to the perceived position at
-// time t, given the mission's horizontal migration axis. The offset is
-// perpendicular to the axis: Direction selects which side the perceived
-// position is pushed toward. Outside the attack window it is zero.
-func (p SpoofPlan) Offset(migrationAxis vec.Vec3, t float64) vec.Vec3 {
-	if !p.Active(t) {
-		return vec.Zero
-	}
-	return p.shift(migrationAxis)
-}
-
-// shift is the offset Offset returns inside the attack window.
+// shift is the spoofing offset added to the perceived position inside
+// the attack window, given the mission's horizontal migration axis. It
+// is perpendicular to the axis: Direction selects which side the
+// perceived position is pushed toward.
 func (p SpoofPlan) shift(migrationAxis vec.Vec3) vec.Vec3 {
 	return migrationAxis.PerpXY().Scale(float64(p.Direction) * p.Distance)
 }

@@ -58,23 +58,6 @@ func (g *Digraph) SetEdge(u, v int, w float64) error {
 	return nil
 }
 
-// Weight returns the weight of edge u->v and whether it exists.
-func (g *Digraph) Weight(u, v int) (float64, bool) {
-	if u < 0 || u >= g.n {
-		return 0, false
-	}
-	if i, ok := g.find(u, v); ok {
-		return g.out[u][i].w, true
-	}
-	return 0, false
-}
-
-// HasEdge reports whether edge u->v exists.
-func (g *Digraph) HasEdge(u, v int) bool {
-	_, ok := g.Weight(u, v)
-	return ok
-}
-
 // NumEdges returns the total edge count.
 func (g *Digraph) NumEdges() int {
 	total := 0

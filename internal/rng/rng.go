@@ -20,16 +20,12 @@ import (
 // contract every recorded golden rests on.
 type Source struct {
 	*rand.Rand
-	seed uint64
 }
 
 // New returns a Source seeded with the given seed.
 func New(seed uint64) *Source {
-	return &Source{Rand: rand.New(rand.NewSource(int64(seed))), seed: seed} //nolint:gosec // determinism is the point
+	return &Source{Rand: rand.New(rand.NewSource(int64(seed)))} //nolint:gosec // determinism is the point
 }
-
-// Seed returns the seed this source was created with.
-func (s *Source) Seed() uint64 { return s.seed }
 
 // Derive returns a new Source whose seed is a hash of the parent seed
 // and the label. Distinct labels yield independent streams; the same

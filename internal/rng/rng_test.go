@@ -17,12 +17,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestSeedAccessor(t *testing.T) {
-	if got := New(7).Seed(); got != 7 {
-		t.Errorf("Seed = %d, want 7", got)
-	}
-}
-
 func TestDeriveIndependence(t *testing.T) {
 	a := Derive(1, "gps")
 	b := Derive(1, "placement")

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -13,6 +14,23 @@ import (
 	"swarmfuzz/internal/serve/client"
 	"swarmfuzz/internal/telemetry"
 )
+
+// getJSON decodes the body of a 200 answer to a GET on url into v and
+// returns the response.
+func getJSON(t *testing.T, url string, v any) *http.Response {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp
+}
 
 func TestListPagination(t *testing.T) {
 	c, _ := newTestDaemon(t, map[string]fuzz.Fuzzer{"stub": &okFuzzer{}})
@@ -30,10 +48,12 @@ func TestListPagination(t *testing.T) {
 	var got []string
 	after := ""
 	for {
-		page, next, err := c.ListPage(ctx, after, 2)
-		if err != nil {
-			t.Fatal(err)
+		var page []serve.JobStatus
+		resp := getJSON(t, c.Base+"/v1/jobs?limit=2&after="+after, &page)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("page after %q: HTTP %d", after, resp.StatusCode)
 		}
+		next := resp.Header.Get("X-Next-After")
 		for _, st := range page {
 			got = append(got, st.ID)
 		}
@@ -52,10 +72,8 @@ func TestListPagination(t *testing.T) {
 	}
 
 	// A bad limit is a 400, not a silent full listing.
-	if _, _, err := c.ListPage(ctx, "", -3); err == nil {
-		t.Error("negative limit accepted")
-	} else if client.StatusCode(err) != http.StatusBadRequest {
-		t.Errorf("negative limit = %v, want HTTP 400", err)
+	if resp := getJSON(t, c.Base+"/v1/jobs?limit=-3", nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("negative limit = HTTP %d, want 400", resp.StatusCode)
 	}
 }
 

@@ -16,11 +16,9 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"time"
 
-	"swarmfuzz/internal/fabric"
 	"swarmfuzz/internal/robust"
 	"swarmfuzz/internal/serve"
 	"swarmfuzz/internal/telemetry"
@@ -73,13 +71,6 @@ func StatusCode(err error) int {
 // do issues one request and decodes the JSON response into out (when
 // non-nil), mapping non-2xx responses to *apiError.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	return c.doFunc(ctx, method, path, in, out, nil)
-}
-
-// doFunc is do with an inspect hook called on every 2xx response
-// before the body is decoded (for response headers like pagination
-// cursors).
-func (c *Client) doFunc(ctx context.Context, method, path string, in, out any, inspect func(*http.Response)) error {
 	var body io.Reader
 	if in != nil {
 		data, err := json.Marshal(in)
@@ -113,9 +104,6 @@ func (c *Client) doFunc(ctx context.Context, method, path string, in, out any, i
 			msg = decoded.Error
 		}
 		return &apiError{Status: resp.StatusCode, Message: msg}
-	}
-	if inspect != nil {
-		inspect(resp)
 	}
 	if out == nil {
 		return nil
@@ -184,30 +172,6 @@ func (c *Client) List(ctx context.Context) ([]serve.JobStatus, error) {
 	return out, err
 }
 
-// ListPage returns up to limit statuses after the cursor, plus the
-// cursor for the next page ("" when the listing is exhausted).
-func (c *Client) ListPage(ctx context.Context, after string, limit int) ([]serve.JobStatus, string, error) {
-	q := url.Values{}
-	if after != "" {
-		q.Set("after", after)
-	}
-	if limit != 0 {
-		// Non-positive limits go through so the server rejects them:
-		// 0 alone means "no bound".
-		q.Set("limit", strconv.Itoa(limit))
-	}
-	path := "/v1/jobs"
-	if len(q) > 0 {
-		path += "?" + q.Encode()
-	}
-	var out []serve.JobStatus
-	next := ""
-	err := c.doFunc(ctx, http.MethodGet, path, nil, &out, func(resp *http.Response) {
-		next = resp.Header.Get("X-Next-After")
-	})
-	return out, next, err
-}
-
 // Get returns one job's status.
 func (c *Client) Get(ctx context.Context, id string) (serve.JobStatus, error) {
 	var st serve.JobStatus
@@ -226,15 +190,6 @@ func (c *Client) Report(ctx context.Context, id string) ([]byte, error) {
 func (c *Client) Stats(ctx context.Context) (serve.FleetStats, error) {
 	var st serve.FleetStats
 	err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &st)
-	return st, err
-}
-
-// FabricStatus returns the coordinator's fabric status: live workers,
-// pending/leased cell units and the lease counters. Only daemons
-// started with `swarmfuzzd coordinate` serve it.
-func (c *Client) FabricStatus(ctx context.Context) (fabric.Status, error) {
-	var st fabric.Status
-	err := c.do(ctx, http.MethodGet, "/fabric/v1/status", nil, &st)
 	return st, err
 }
 

@@ -364,7 +364,7 @@ func TestJobsOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	jobs := e.Jobs()
+	jobs, _ := e.JobsPage("", 0)
 	if len(jobs) != 3 {
 		t.Fatalf("Jobs() returned %d entries, want 3", len(jobs))
 	}

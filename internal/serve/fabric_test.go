@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -89,12 +90,12 @@ func TestFabricGridShardingByteIdentity(t *testing.T) {
 	// first poll to register it.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		st, err := c.FabricStatus(ctx)
-		if err == nil && st.LiveWorkers >= 1 {
+		var st fabric.Status
+		if getJSON(t, c.Base+"/fabric/v1/status", &st); st.LiveWorkers >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("worker never registered: %+v, %v", st, err)
+			t.Fatalf("worker never registered: %+v", st)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -171,9 +172,9 @@ func TestFabricGridShardingByteIdentity(t *testing.T) {
 
 	// The kill shows in the lease ledger: one expiry, and every cell
 	// completed exactly once.
-	fst, err := c.FabricStatus(ctx)
-	if err != nil {
-		t.Fatal(err)
+	var fst fabric.Status
+	if resp := getJSON(t, c.Base+"/fabric/v1/status", &fst); resp.StatusCode != http.StatusOK {
+		t.Fatalf("fabric status: HTTP %d", resp.StatusCode)
 	}
 	if fst.LeasesExpired < 1 {
 		t.Errorf("leases_expired = %d, want >= 1 after killing w1 mid-lease", fst.LeasesExpired)

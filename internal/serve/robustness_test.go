@@ -227,7 +227,7 @@ func TestIdempotentSubmitDedupes(t *testing.T) {
 	if st3.ID != st1.ID {
 		t.Errorf("post-restart resubmission got %s, want %s", st3.ID, st1.ID)
 	}
-	if jobs := e2.Jobs(); len(jobs) != 1 {
+	if jobs, _ := e2.JobsPage("", 0); len(jobs) != 1 {
 		t.Errorf("store holds %d jobs, want 1", len(jobs))
 	}
 }

@@ -34,7 +34,7 @@ func TestBodyConvergesToCommand(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		b.Step(cmd, &l)
 	}
-	if !b.Vel.ApproxEqual(cmd, 0.01) {
+	if b.Vel.Dist(cmd) > 0.01 {
 		t.Errorf("velocity %v did not converge to command %v", b.Vel, cmd)
 	}
 	if b.Pos.X <= 0 {

@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -12,11 +11,6 @@ import (
 	"swarmfuzz/internal/sim"
 	"swarmfuzz/internal/vec"
 )
-
-// rowController hides every method but Command, so a Stepper running
-// it takes the row path (bus exchange plus per-drone Command) even
-// when the wrapped controller has the batch kernel.
-type rowController struct{ sim.Controller }
 
 // sameBits reports whether a and b hold the same bits in every float
 // they reach, unexported fields included. reflect.DeepEqual compares
@@ -61,114 +55,6 @@ func requireBitIdentical(t *testing.T, label string, got, want *sim.Result) {
 	}
 }
 
-// requireSamePaths runs m with opts through the batch path (ctrl as
-// given) and the row path (ctrl behind rowController) and requires
-// bit-identical results or identical errors, and equal step counts.
-// It returns the batch path's result.
-func requireSamePaths(t *testing.T, label string, m *sim.Mission, ctrl *flock.Controller, opts sim.RunOptions) *sim.Result {
-	t.Helper()
-	run := func(c sim.Controller, prefix *sim.Trajectory) (*sim.Result, int, error) {
-		o := opts
-		o.Controller = c
-		if o.Prefix != nil {
-			o.Prefix = prefix
-		}
-		st, err := sim.NewStepper(m, o)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		for {
-			done, err := st.Step()
-			if err != nil {
-				return nil, st.StepsRun(), err
-			}
-			if done {
-				return st.Result(), st.StepsRun(), nil
-			}
-		}
-	}
-	batch, batchSteps, batchErr := run(ctrl, opts.Prefix)
-	// A row-path Prefix must come from a row-path clean run too, so the
-	// fork points it resumes from are the row path's own.
-	var rowPrefix *sim.Trajectory
-	if opts.Prefix != nil {
-		clean, err := sim.Run(m, sim.RunOptions{Controller: rowController{ctrl}, RecordTrajectory: true})
-		if err != nil {
-			t.Fatalf("%s: row clean run: %v", label, err)
-		}
-		rowPrefix = clean.Trajectory
-	}
-	row, rowSteps, rowErr := run(rowController{ctrl}, rowPrefix)
-	if batchSteps != rowSteps {
-		t.Fatalf("%s: batch path ran %d steps, row path %d", label, batchSteps, rowSteps)
-	}
-	if (batchErr == nil) != (rowErr == nil) || (batchErr != nil && batchErr.Error() != rowErr.Error()) {
-		t.Fatalf("%s: batch path error %v, row path error %v", label, batchErr, rowErr)
-	}
-	if batchErr == nil {
-		requireBitIdentical(t, label, batch, row)
-	}
-	return batch
-}
-
-// TestBatchPathMatchesRowPath pins the Stepper's two decide paths to
-// each other: the same missions run through the batch kernel and
-// through per-drone Command over a PerfectBus give bit-identical
-// results — clean runs with trajectories and fork points, spoofed runs
-// resumed from a prefix and drone-drone collisions — on both sides of
-// the collision grid's swarm-size crossover.
-func TestBatchPathMatchesRowPath(t *testing.T) {
-	ctrl := flock.MustNew(flock.DefaultParams())
-	for _, n := range []int{3, 5, 15, 50} {
-		m, err := sim.NewMission(sim.DefaultMissionConfig(n, uint64(n)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		clean := requireSamePaths(t, fmt.Sprintf("n=%d clean", n), m, ctrl, sim.RunOptions{RecordTrajectory: true})
-		if len(clean.Trajectory.Times) == 0 {
-			t.Fatalf("n=%d: clean run recorded no trajectory", n)
-		}
-		for i, start := range []float64{0, clean.Duration / 3, clean.Duration / 2} {
-			plan := &gps.SpoofPlan{Target: i % n, Start: start, Duration: 12, Direction: []gps.Direction{gps.Right, gps.Left}[i%2], Distance: 10}
-			requireSamePaths(t, fmt.Sprintf("n=%d %v", n, plan), m, ctrl, sim.RunOptions{Spoof: plan, Prefix: clean.Trajectory})
-		}
-	}
-}
-
-// TestBatchPathMatchesRowPathWithDroneCollisions covers drone-drone
-// collisions on both paths: without repulsion and with strong
-// cohesion the swarm folds onto itself, so the collision scan — which
-// the batch path culls only when it can prove it empty — must fire.
-// Noise-free GPS leaves motion as the bound's only slack.
-func TestBatchPathMatchesRowPathWithDroneCollisions(t *testing.T) {
-	p := flock.DefaultParams()
-	p.RRep, p.PRep = 0.05, 0
-	p.RAtt, p.PAtt, p.VAttMax = 0.1, 2, p.VMax
-	ctrl := flock.MustNew(p)
-	for _, n := range []int{5, 50} {
-		for _, noisy := range []bool{true, false} {
-			cfg := sim.DefaultMissionConfig(n, 3)
-			if !noisy {
-				cfg.GPSBias, cfg.GPSNoise = 0, 0
-			}
-			m, err := sim.NewMission(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := requireSamePaths(t, fmt.Sprintf("n=%d noisy=%v", n, noisy), m, ctrl, sim.RunOptions{RecordTrajectory: true})
-			drone := 0
-			for _, c := range res.Collisions {
-				if c.Kind == sim.KindDrone {
-					drone++
-				}
-			}
-			if drone == 0 {
-				t.Fatalf("n=%d noisy=%v: no drone-drone collisions (%v)", n, noisy, res.Collisions)
-			}
-		}
-	}
-}
-
 // countingController wraps the flocking controller in a named field,
 // as a Command override must (see sim.BatchController): it does not
 // promote BatchCommands, so its own Command runs.
@@ -187,7 +73,7 @@ func (c countingController) Command(p sim.Perception, nb []comms.State, w *sim.W
 // drone's command each step goes through it, and the result is the
 // plain controller's.
 func TestCommandOverrideRuns(t *testing.T) {
-	ctrl := flock.MustNew(flock.DefaultParams())
+	ctrl := flockController(t, flock.DefaultParams())
 	m, err := sim.NewMission(sim.DefaultMissionConfig(5, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -227,13 +113,13 @@ func warmStepAllocs(t *testing.T, st *sim.Stepper) float64 {
 // trajectory recording, and on a spoofed run resumed from a prefix
 // whose noise table an earlier run already filled.
 func TestStepperZeroAlloc(t *testing.T) {
-	ctrl := flock.MustNew(flock.DefaultParams())
+	ctrl := flockController(t, flock.DefaultParams())
 	paths := []struct {
 		name string
 		opts sim.RunOptions
 	}{
 		{"batch", sim.RunOptions{Controller: ctrl}},
-		{"row", sim.RunOptions{Controller: rowController{ctrl}, Bus: comms.NewPerfectBus()}},
+		{"row", sim.RunOptions{Controller: countingController{ctrl, new(int)}, Bus: comms.NewPerfectBus()}},
 	}
 	for _, n := range []int{5, 10, 50} {
 		mission, err := sim.NewMission(sim.DefaultMissionConfig(n, 7))

@@ -117,7 +117,7 @@ func TestFlightRecorderStepConsistency(t *testing.T) {
 		ctrl sim.Controller
 	}{
 		{"row path", 3, sim.Straight(2)},
-		{"batch path", 5, flock.MustNew(flock.DefaultParams())},
+		{"batch path", 5, flockController(t, flock.DefaultParams())},
 	}
 	for _, tc := range cases {
 		m, err := sim.NewMission(sim.SmallConfig(tc.n, 5))

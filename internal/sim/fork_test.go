@@ -14,7 +14,6 @@ import (
 	"swarmfuzz/internal/rng"
 	"swarmfuzz/internal/sim"
 	"swarmfuzz/internal/telemetry"
-	"swarmfuzz/internal/vec"
 )
 
 // countedRun runs m and returns the result with the run's sim_runs and
@@ -75,103 +74,13 @@ func forkPlans(m *sim.Mission, clean *sim.Result, target int, src *rng.Source) [
 	return plans
 }
 
-// checkFork runs every plan in full and resumed from the clean run of
-// m, and requires bit-identical results, one counted simulation each,
-// and a resumed step count of the full run's minus the fork step.
-func checkFork(t *testing.T, m *sim.Mission, ctrl sim.Controller, plans []gps.SpoofPlan) {
-	t.Helper()
-	clean, _, cleanSteps := countedRun(t, m, sim.RunOptions{Controller: ctrl, RecordTrajectory: true})
-	for i := range plans {
-		plan := &plans[i]
-		full, fullRuns, fullSteps := countedRun(t, m, sim.RunOptions{Controller: ctrl, Spoof: plan})
-		got, runs, steps := countedRun(t, m, sim.RunOptions{Controller: ctrl, Spoof: plan, Prefix: clean.Trajectory})
-		requireBitIdentical(t, plan.String(), got, full)
-		if fullRuns != 1 || runs != 1 {
-			t.Fatalf("%v: sim_runs full=%d resumed=%d, want 1 each", plan, fullRuns, runs)
-		}
-		fork := expectedForkStep(cleanSteps, m.Config.Dt, plan)
-		if steps != fullSteps-fork {
-			t.Fatalf("%v: resumed run took %d steps, want %d (full %d − fork step %d)",
-				plan, steps, fullSteps-fork, fullSteps, fork)
-		}
-	}
-	// Without a spoof plan the run resumes from the clean run's last
-	// fork point and reproduces its outcome.
-	got, _, steps := countedRun(t, m, sim.RunOptions{Controller: ctrl, Prefix: clean.Trajectory})
-	want := *clean
-	want.Trajectory = nil
-	requireBitIdentical(t, "no spoof", got, &want)
-	if fork := expectedForkStep(cleanSteps, m.Config.Dt, nil); steps != cleanSteps-fork {
-		t.Fatalf("no spoof: resumed run took %d steps, want %d", steps, cleanSteps-fork)
-	}
-}
-
-// TestPrefixResumeMatchesFullRun pins the fork contract: a spoofed run
-// resumed from the clean run's trajectory is bit-identical to the same
-// run from t=0, counts as one simulation, and executes exactly the
-// full run's steps minus the steps before its fork point.
-func TestPrefixResumeMatchesFullRun(t *testing.T) {
-	ctrl := flock.MustNew(flock.DefaultParams())
-	for _, n := range []int{3, 5, 15} {
-		for seed := uint64(1); seed <= 4; seed++ {
-			m, err := sim.NewMission(sim.DefaultMissionConfig(n, seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			clean, err := sim.Run(m, sim.RunOptions{Controller: ctrl})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkFork(t, m, ctrl, forkPlans(m, clean, int(seed)%n, rng.New(seed*100+uint64(n))))
-		}
-	}
-}
-
-// rammingController flies drones 0 and 1 straight at each other and
-// leaves the rest to the flocking controller, so the clean run records
-// an early drone-drone collision before most of its fork points.
-// It holds the flocking controller in a named field: embedding it
-// would promote BatchCommands and the Stepper would never call this
-// Command.
-type rammingController struct{ ctrl *flock.Controller }
-
-func (c rammingController) Command(p sim.Perception, nb []comms.State, w *sim.World) vec.Vec3 {
-	if p.ID > 1 {
-		return c.ctrl.Command(p, nb, w)
-	}
-	for _, s := range nb {
-		if s.ID == 1-p.ID {
-			return s.Position.Sub(p.GPS.Position).Unit().Scale(8)
-		}
-	}
-	return vec.Zero
-}
-
-// TestPrefixResumeAfterCollision forks from snapshots that already
-// hold a collision and crashed drones.
-func TestPrefixResumeAfterCollision(t *testing.T) {
-	ctrl := rammingController{flock.MustNew(flock.DefaultParams())}
-	m, err := sim.NewMission(sim.DefaultMissionConfig(5, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, err := sim.Run(m, sim.RunOptions{Controller: ctrl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(clean.Collisions) == 0 || clean.Collisions[0].Time >= float64(10*sim.ForkEvery)*m.Config.Dt {
-		t.Fatalf("clean run should collide before the fork boundary plans; collisions %v", clean.Collisions)
-	}
-	checkFork(t, m, ctrl, forkPlans(m, clean, 3, rng.New(7)))
-}
-
 // TestNoOpPlansReproduceCleanRun pins two plans that cannot act: a
 // zero spoofing distance over the whole run, and a window that opens
 // one Dt after the clean run has ended. Each must reproduce the
 // unrecorded clean run's result bit for bit, run fresh and resumed
 // from the clean trajectory.
 func TestNoOpPlansReproduceCleanRun(t *testing.T) {
-	ctrl := flock.MustNew(flock.DefaultParams())
+	ctrl := flockController(t, flock.DefaultParams())
 	for _, n := range []int{3, 5, 15} {
 		for seed := uint64(1); seed <= 2; seed++ {
 			m, err := sim.NewMission(sim.DefaultMissionConfig(n, seed))
@@ -220,7 +129,7 @@ func (nopFlight) EndFlight(*sim.Result, error)             {}
 // cannot honour, and every trajectory that carries no usable fork
 // points for the mission.
 func TestPrefixValidation(t *testing.T) {
-	ctrl := flock.MustNew(flock.DefaultParams())
+	ctrl := flockController(t, flock.DefaultParams())
 	m, err := sim.NewMission(sim.DefaultMissionConfig(3, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -269,35 +178,12 @@ func TestPrefixValidation(t *testing.T) {
 	}
 }
 
-// TestPrefixResumeWithoutNoiseOrBias runs the fork check on missions
-// whose receivers have no noise, no bias, or neither: the shared noise
-// table must reproduce each fresh sensor, including the bias draw that
-// still leads every noisy stream.
-func TestPrefixResumeWithoutNoiseOrBias(t *testing.T) {
-	ctrl := flock.MustNew(flock.DefaultParams())
-	for _, gpsErr := range [][2]float64{{0.4, 0}, {0, 0.12}, {0, 0}} {
-		for seed := uint64(1); seed <= 2; seed++ {
-			cfg := sim.DefaultMissionConfig(5, seed)
-			cfg.GPSBias, cfg.GPSNoise = gpsErr[0], gpsErr[1]
-			m, err := sim.NewMission(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			clean, err := sim.Run(m, sim.RunOptions{Controller: ctrl})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkFork(t, m, ctrl, forkPlans(m, clean, int(seed), rng.New(seed+50)))
-		}
-	}
-}
-
 // TestPrefixResumeConcurrent resumes every fork plan from one fresh
 // clean trajectory at once, so the runs grow its shared noise table
 // concurrently (under -race, the detector watches the growth), and
 // requires each result to equal its full run bit for bit.
 func TestPrefixResumeConcurrent(t *testing.T) {
-	ctrl := flock.MustNew(flock.DefaultParams())
+	ctrl := flockController(t, flock.DefaultParams())
 	m, err := sim.NewMission(sim.DefaultMissionConfig(5, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +225,7 @@ func TestPrefixResumeConcurrent(t *testing.T) {
 // past it, or past the clean run's end; complete runs that end before
 // and after the clean run do the same with whole results.
 func TestNoiseTableOrderIndependence(t *testing.T) {
-	ctrl := flock.MustNew(flock.DefaultParams())
+	ctrl := flockController(t, flock.DefaultParams())
 	m, err := sim.NewMission(sim.DefaultMissionConfig(5, 1))
 	if err != nil {
 		t.Fatal(err)

@@ -13,9 +13,9 @@ import (
 	"swarmfuzz/internal/vec"
 )
 
-func flockController(t *testing.T) *flock.Controller {
+func flockController(t *testing.T, p flock.Params) *flock.Controller {
 	t.Helper()
-	c, err := flock.New(flock.DefaultParams())
+	c, err := flock.New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func flockController(t *testing.T) *flock.Controller {
 }
 
 func TestFlockMissionCompletesSafely(t *testing.T) {
-	ctrl := flockController(t)
+	ctrl := flockController(t, flock.DefaultParams())
 	for _, n := range []int{5, 10} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			m, err := sim.NewMission(sim.DefaultMissionConfig(n, seed))
@@ -47,7 +47,7 @@ func TestFlockMissionCompletesSafely(t *testing.T) {
 func TestFlockMissionDurationPlausible(t *testing.T) {
 	// A 233.5 m mission at VFlock = 2 m/s should take roughly two
 	// minutes, like the paper's ~120 s missions.
-	ctrl := flockController(t)
+	ctrl := flockController(t, flock.DefaultParams())
 	m, err := sim.NewMission(sim.DefaultMissionConfig(5, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestFlockMissionDurationPlausible(t *testing.T) {
 }
 
 func TestFlockKeepsSeparation(t *testing.T) {
-	ctrl := flockController(t)
+	ctrl := flockController(t, flock.DefaultParams())
 	m, err := sim.NewMission(sim.DefaultMissionConfig(10, 5))
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestFlockKeepsSeparation(t *testing.T) {
 func TestSpoofedFlockTargetBroadcastsOffset(t *testing.T) {
 	// Under spoofing the swarm behaviour changes measurably: compare
 	// trajectories with and without the attack.
-	ctrl := flockController(t)
+	ctrl := flockController(t, flock.DefaultParams())
 	m, err := sim.NewMission(sim.DefaultMissionConfig(5, 8))
 	if err != nil {
 		t.Fatal(err)
@@ -135,14 +135,14 @@ func TestFlockMultiObstacleMission(t *testing.T) {
 	// obstacle inputs. The world supports multiple obstacles: add a
 	// second cylinder later on the path and check the swarm threads
 	// both safely.
-	ctrl := flockController(t)
+	ctrl := flockController(t, flock.DefaultParams())
 	m, err := sim.NewMission(sim.DefaultMissionConfig(5, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := m.Obstacle()
 	second := sim.Obstacle{
-		Center: first.Center.Add(vecNew3(10, 60, 0)),
+		Center: first.Center.Add(vec.New(10, 60, 0)),
 		Radius: first.Radius,
 	}
 	m.World.Obstacles = append(m.World.Obstacles, second)
@@ -157,5 +157,3 @@ func TestFlockMultiObstacleMission(t *testing.T) {
 		t.Errorf("two-obstacle mission collided: %v", res.Collisions)
 	}
 }
-
-func vecNew3(x, y, z float64) vec.Vec3 { return vec.New(x, y, z) }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"swarmfuzz/internal/vec"
 )
 
 func TestDefaultMissionConfigValid(t *testing.T) {
@@ -109,12 +111,12 @@ func TestNewMissionGeometry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Migration axis is +Y.
-	if m.Axis != (vecNew(0, 1, 0)) {
+	if m.Axis != vec.New(0, 1, 0) {
 		t.Errorf("axis = %v, want +Y", m.Axis)
 	}
 	// The obstacle is near the half-way mark along the axis.
 	ob := m.Obstacle()
-	centre := meanVec(m.Start)
+	centre := vec.Mean(m.Start)
 	alongObs := ob.Center.Y - centre.Y
 	if math.Abs(alongObs-cfg.MissionLength/2) > cfg.MissionLength/4 {
 		t.Errorf("obstacle at %.1fm along path, want near %.1f", alongObs, cfg.MissionLength/2)
@@ -139,7 +141,7 @@ func TestPropMissionObstacleJitterBounded(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		centre := meanVec(m.Start)
+		centre := vec.Mean(m.Start)
 		lateral := math.Abs(m.Obstacle().Center.X - centre.X)
 		// Obstacle lateral offset is bounded by jitter plus the spread
 		// of the start positions around their centre.

@@ -253,10 +253,10 @@ func validatePrefix(m *Mission, opts RunOptions) error {
 // hands the columns to BatchCommands (the batch path); every run any
 // entry point starts takes it. Otherwise the Stepper publishes State
 // rows from the columns, exchanges them over the bus and calls Command
-// per drone (the row path). The row path stays as the reference the
-// batch-equivalence tests hold the kernel to, and for callers that wrap
-// the controller or the bus to time them. Both paths share sense,
-// actuate, collision, recording and arrival.
+// per drone (the row path). The row path stays only for callers that
+// wrap the controller or the bus to time them, such as cellbench's
+// timedController and timedBus; no test holds the kernel to it. Both
+// paths share sense, actuate, collision, recording and arrival.
 //
 // A Stepper is single-use and not safe for concurrent use. Slices
 // handed to the FlightRecorder and the trajectory rows alias the

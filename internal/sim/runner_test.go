@@ -306,10 +306,6 @@ func TestCollisionKindString(t *testing.T) {
 	}
 }
 
-func vecNew(x, y, z float64) vec.Vec3 { return vec.New(x, y, z) }
-
-func meanVec(vs []vec.Vec3) vec.Vec3 { return vec.Mean(vs) }
-
 // nanController returns a non-finite command after the given time,
 // driving the integrator's state out of the finite domain.
 type nanController struct{ after float64 }

@@ -119,7 +119,7 @@ func refMeanInterDist(ps []vec.Vec3) float64 {
 // pick the reference's first minimum, globally and inside the ±40 m
 // window SwarmFuzz uses.
 func TestTCloMatchesRecordedSeries(t *testing.T) {
-	ctrl := flock.MustNew(flock.DefaultParams())
+	ctrl := flockController(t, flock.DefaultParams())
 	const window = 40
 	for _, n := range []int{3, 5, 15} {
 		found := 0

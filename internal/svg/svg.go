@@ -128,15 +128,6 @@ type Config struct {
 	PageRank graph.PageRankOptions
 }
 
-// DefaultConfig returns the configuration used by SwarmFuzz.
-func DefaultConfig(spoofDistance float64) Config {
-	return Config{
-		SpoofDistance:      spoofDistance,
-		InfluenceThreshold: 0.05,
-		PageRank:           graph.DefaultPageRankOptions(),
-	}
-}
-
 // Validate returns an error describing the first invalid field.
 func (c Config) Validate() error {
 	if c.SpoofDistance <= 0 {

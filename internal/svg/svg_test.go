@@ -67,18 +67,18 @@ func TestClosestSnapshotNil(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig(10).Validate(); err != nil {
+	if err := defaultConfig(10).Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
-	if err := DefaultConfig(0).Validate(); err == nil {
+	if err := defaultConfig(0).Validate(); err == nil {
 		t.Error("zero spoof distance accepted")
 	}
-	c := DefaultConfig(10)
+	c := defaultConfig(10)
 	c.InfluenceThreshold = -1
 	if err := c.Validate(); err == nil {
 		t.Error("negative threshold accepted")
 	}
-	c = DefaultConfig(10)
+	c = defaultConfig(10)
 	c.PageRank.Damping = 2
 	if err := c.Validate(); err == nil {
 		t.Error("bad pagerank options accepted")
@@ -86,37 +86,37 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	ctrl := flock.MustNew(flock.DefaultParams())
+	ctrl := flockController(t, flock.DefaultParams())
 	w := figure4World()
 	snap := testSnapshot(vec.New(-3, 30, 10), vec.New(3, 30, 10))
 
-	if _, err := Build(nil, w, northAxis, snap, gps.Right, DefaultConfig(10)); err == nil {
+	if _, err := Build(nil, w, northAxis, snap, gps.Right, defaultConfig(10)); err == nil {
 		t.Error("nil controller accepted")
 	}
-	if _, err := Build(ctrl, w, northAxis, snap, gps.Direction(0), DefaultConfig(10)); err == nil {
+	if _, err := Build(ctrl, w, northAxis, snap, gps.Direction(0), defaultConfig(10)); err == nil {
 		t.Error("invalid direction accepted")
 	}
-	if _, err := Build(ctrl, w, vec.New(0, 0, 1), snap, gps.Right, DefaultConfig(10)); err == nil {
+	if _, err := Build(ctrl, w, vec.New(0, 0, 1), snap, gps.Right, defaultConfig(10)); err == nil {
 		t.Error("vertical axis accepted")
 	}
 	badSnap := snap
 	badSnap.Velocities = badSnap.Velocities[:1]
-	if _, err := Build(ctrl, w, northAxis, badSnap, gps.Right, DefaultConfig(10)); err == nil {
+	if _, err := Build(ctrl, w, northAxis, badSnap, gps.Right, defaultConfig(10)); err == nil {
 		t.Error("mismatched snapshot accepted")
 	}
 	noObstacles := &sim.World{Destination: w.Destination, DestRadius: 8}
-	if _, err := Build(ctrl, noObstacles, northAxis, snap, gps.Right, DefaultConfig(10)); err == nil {
+	if _, err := Build(ctrl, noObstacles, northAxis, snap, gps.Right, defaultConfig(10)); err == nil {
 		t.Error("world without obstacles accepted")
 	}
 }
 
 func TestBuildProducesGraph(t *testing.T) {
-	ctrl := flock.MustNew(flock.DefaultParams())
+	ctrl := flockController(t, flock.DefaultParams())
 	w := figure4World()
 	// Two drones abreast south of the obstacle, inside interaction
 	// range of each other.
 	snap := testSnapshot(vec.New(-4, 48, 10), vec.New(4, 48, 10))
-	g, err := Build(ctrl, w, northAxis, snap, gps.Right, DefaultConfig(10))
+	g, err := Build(ctrl, w, northAxis, snap, gps.Right, defaultConfig(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +134,10 @@ func TestBuildEdgeMeansInwardInfluence(t *testing.T) {
 	// Manually verify one edge: recompute the command displacement for
 	// an edge reported by Build and check it points inward.
 	p := flock.DefaultParams()
-	ctrl := flock.MustNew(p)
+	ctrl := flockController(t, p)
 	w := figure4World()
 	snap := testSnapshot(vec.New(-4, 48, 10), vec.New(4, 48, 10))
-	cfg := DefaultConfig(10)
+	cfg := defaultConfig(10)
 	g, err := Build(ctrl, w, northAxis, snap, gps.Right, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestBuildEdgeMeansInwardInfluence(t *testing.T) {
 	checked := 0
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			if i == j || !g.HasEdge(i, j) {
+			if i == j || !hasEdge(g, i, j) {
 				continue
 			}
 			checked++
@@ -172,7 +172,7 @@ func TestBuildEdgeMeansInwardInfluence(t *testing.T) {
 }
 
 func TestBuildWeightsDecreaseWithDistance(t *testing.T) {
-	cfg := DefaultConfig(10)
+	cfg := defaultConfig(10)
 	w1 := cfg.SpoofDistance / math.Sqrt(cfg.SpoofDistance*cfg.SpoofDistance+5*5)
 	w2 := cfg.SpoofDistance / math.Sqrt(cfg.SpoofDistance*cfg.SpoofDistance+20*20)
 	if w1 <= w2 {
@@ -184,23 +184,23 @@ func TestBuildWeightsDecreaseWithDistance(t *testing.T) {
 }
 
 func TestBuildDirectionMatters(t *testing.T) {
-	ctrl := flock.MustNew(flock.DefaultParams())
+	ctrl := flockController(t, flock.DefaultParams())
 	w := figure4World()
 	// Asymmetric arrangement: drone 1 east of drone 0, obstacle dead
 	// ahead of both.
 	snap := testSnapshot(vec.New(-6, 48, 10), vec.New(2, 48, 10))
-	right, err := Build(ctrl, w, northAxis, snap, gps.Right, DefaultConfig(10))
+	right, err := Build(ctrl, w, northAxis, snap, gps.Right, defaultConfig(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	left, err := Build(ctrl, w, northAxis, snap, gps.Left, DefaultConfig(10))
+	left, err := Build(ctrl, w, northAxis, snap, gps.Left, defaultConfig(10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	same := true
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			if right.HasEdge(i, j) != left.HasEdge(i, j) {
+			if hasEdge(right, i, j) != hasEdge(left, i, j) {
 				same = false
 			}
 		}
@@ -352,4 +352,29 @@ func TestSeedString(t *testing.T) {
 	if got := s.String(); got != "seed{T=1 V=2 θ=left I=0.500 VDO=3.25m}" {
 		t.Errorf("String = %q", got)
 	}
+}
+
+// hasEdge reports whether g has the edge u->v.
+func hasEdge(g *graph.Digraph, u, v int) bool {
+	has := false
+	g.OutNeighbors(u, func(w int, _ float64) { has = has || w == v })
+	return has
+}
+
+// defaultConfig is the configuration SwarmFuzz builds its SVGs with.
+func defaultConfig(spoofDistance float64) Config {
+	return Config{
+		SpoofDistance:      spoofDistance,
+		InfluenceThreshold: 0.05,
+		PageRank:           graph.DefaultPageRankOptions(),
+	}
+}
+
+func flockController(t *testing.T, p flock.Params) *flock.Controller {
+	t.Helper()
+	c, err := flock.New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

@@ -16,8 +16,6 @@ const (
 	LevelInfo
 	LevelWarn
 	LevelError
-	// LevelSilent suppresses all output.
-	LevelSilent
 )
 
 // String implements fmt.Stringer.
@@ -32,7 +30,7 @@ func (l Level) String() string {
 	case LevelError:
 		return "error"
 	default:
-		return "silent"
+		return fmt.Sprintf("Level(%d)", int(l))
 	}
 }
 

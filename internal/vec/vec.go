@@ -144,14 +144,6 @@ func (v Vec3) IsFinite() bool {
 	return v.X-v.X == 0 && v.Y-v.Y == 0 && v.Z-v.Z == 0
 }
 
-// ApproxEqual reports whether v and w differ by at most tol in every
-// component.
-func (v Vec3) ApproxEqual(w Vec3, tol float64) bool {
-	return math.Abs(v.X-w.X) <= tol &&
-		math.Abs(v.Y-w.Y) <= tol &&
-		math.Abs(v.Z-w.Z) <= tol
-}
-
 // String implements fmt.Stringer.
 func (v Vec3) String() string {
 	return fmt.Sprintf("(%.3f, %.3f, %.3f)", v.X, v.Y, v.Z)

@@ -184,12 +184,12 @@ func TestClampNormMatchesReference(t *testing.T) {
 func TestPerpXY(t *testing.T) {
 	// Flying north (+Y): right is east (+X).
 	north := New(0, 1, 0)
-	if got := north.PerpXY(); !got.ApproxEqual(New(1, 0, 0), 1e-12) {
+	if got := north.PerpXY(); got.Dist(New(1, 0, 0)) > 1e-12 {
 		t.Errorf("PerpXY(north) = %v, want east", got)
 	}
 	// Flying east (+X): right is south (-Y).
 	east := New(1, 0, 0)
-	if got := east.PerpXY(); !got.ApproxEqual(New(0, -1, 0), 1e-12) {
+	if got := east.PerpXY(); got.Dist(New(0, -1, 0)) > 1e-12 {
 		t.Errorf("PerpXY(east) = %v, want south", got)
 	}
 	// Purely vertical vector has no horizontal perpendicular.
@@ -260,7 +260,7 @@ func TestMean(t *testing.T) {
 		t.Errorf("Mean(nil) = %v, want zero", got)
 	}
 	vs := []Vec3{New(1, 0, 0), New(3, 2, -2)}
-	if got, want := Mean(vs), New(2, 1, -1); !got.ApproxEqual(want, 1e-12) {
+	if got, want := Mean(vs), New(2, 1, -1); got.Dist(want) > 1e-12 {
 		t.Errorf("Mean = %v, want %v", got, want)
 	}
 }
@@ -297,7 +297,7 @@ func TestPropSubAddInverse(t *testing.T) {
 	f := func(a, b Vec3) bool {
 		a, b = clampComponents(a), clampComponents(b)
 		got := a.Add(b).Sub(b)
-		return got.ApproxEqual(a, 1e-6)
+		return got.Dist(a) <= 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
