@@ -104,8 +104,9 @@ chaos-smoke:
 
 # atlas-smoke proves the search atlas end to end: the golden and
 # checkpoint-resume byte-identity pins, two identical CLI runs
-# diffing clean, and a served grid job whose artifact frames a
-# populated cell and whose XHTML page parses as strict XML.
+# diffing clean, a served fuzz job equal to the CLI file, and a
+# served grid job whose artifact frames a populated cell and whose
+# XHTML page parses as strict XML.
 atlas-smoke:
 	$(GO) test -count=1 -run 'TestGridAtlas' ./internal/experiments/
 	$(GO) test -count=1 -run 'TestObserverParallelWalkByteIdentity|TestCollector' ./internal/fuzz/ ./internal/atlas/

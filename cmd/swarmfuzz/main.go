@@ -22,19 +22,17 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"swarmfuzz/internal/atlas"
-	"swarmfuzz/internal/flightlog"
-	flreport "swarmfuzz/internal/flightlog/report"
-	"swarmfuzz/internal/flock"
+	"swarmfuzz/internal/experiments"
 	"swarmfuzz/internal/fuzz"
 	"swarmfuzz/internal/robust"
-	"swarmfuzz/internal/sim"
 	"swarmfuzz/internal/telemetry"
 )
 
@@ -42,7 +40,7 @@ func main() {
 	log := telemetry.NewLogger(os.Stderr, telemetry.LevelInfo)
 	ctx, stop := telemetry.WithInterrupt(context.Background(), log)
 	defer stop()
-	if err := run(ctx, os.Args[1:], log); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout, log); err != nil {
 		if errors.Is(err, context.Canceled) {
 			log.Errorf("swarmfuzz: interrupted")
 			os.Exit(130)
@@ -52,27 +50,27 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, args []string, log *telemetry.Logger) (err error) {
+func run(ctx context.Context, args []string, stdout io.Writer, log *telemetry.Logger) (err error) {
 	fs := flag.NewFlagSet("swarmfuzz", flag.ContinueOnError)
-	var (
-		n         = fs.Int("n", 5, "swarm size")
-		seed      = fs.Uint64("seed", 1, "mission seed")
-		dist      = fs.Float64("dist", 10, "GPS spoofing deviation d (m)")
-		name      = fs.String("fuzzer", "swarmfuzz", "fuzzer: swarmfuzz|r_fuzz|g_fuzz|s_fuzz")
-		maxIter   = fs.Int("iters", 20, "max search iterations per seed")
-		timeout   = fs.Duration("timeout", 0, "fuzzing deadline (0 = none)")
-		workers   = fs.Int("seed-workers", 0, "speculative seed-search workers (0/1 = sequential; report is identical either way)")
-		flight    = fs.String("flightlog", "", "directory to write the mission's flight log into")
-		postmor   = fs.Bool("postmortem", false, "render an HTML post-mortem next to the flight log (needs -flightlog)")
-		atlasFile = fs.String("atlas", "", "file to write the search-atlas artifact into (per-seed convergence trails, JSONL)")
-	)
+	spec := experiments.MissionSpec{Fuzz: fuzz.DefaultOptions()}
+	fs.IntVar(&spec.SwarmSize, "n", 5, "swarm size")
+	fs.Uint64Var(&spec.Seed, "seed", 1, "mission seed")
+	fs.Float64Var(&spec.SpoofDistance, "dist", 10, "GPS spoofing deviation d (m)")
+	name := fs.String("fuzzer", "swarmfuzz", "fuzzer: swarmfuzz|r_fuzz|g_fuzz|s_fuzz")
+	fs.IntVar(&spec.Fuzz.MaxIterPerSeed, "iters", 20, "max search iterations per seed")
+	fs.DurationVar(&spec.Timeout, "timeout", 0, "fuzzing deadline (0 = none)")
+	fs.IntVar(&spec.Fuzz.SeedWorkers, "seed-workers", 0, "speculative seed-search workers (0/1 = sequential; report is identical either way)")
+	fs.StringVar(&spec.FlightDir, "flightlog", "", "directory to write the mission's flight log into")
+	fs.BoolVar(&spec.Postmortem, "postmortem", false, "render an HTML post-mortem next to the flight log (needs -flightlog)")
+	atlasFile := fs.String("atlas", "", "file to write the search-atlas artifact into (per-seed convergence trails, JSONL)")
 	tf := telemetry.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *postmor && *flight == "" {
+	if spec.Postmortem && spec.FlightDir == "" {
 		return errors.New("-postmortem needs -flightlog")
 	}
+	spec.Atlas = *atlasFile != ""
 
 	fuzzer, err := fuzz.ByName(*name)
 	if err != nil {
@@ -87,110 +85,63 @@ func run(ctx context.Context, args []string, log *telemetry.Logger) (err error) 
 			err = cerr
 		}
 	}()
-	ctrl, err := flock.New(flock.DefaultParams())
-	if err != nil {
-		return err
-	}
-	mission, err := sim.NewMission(sim.DefaultMissionConfig(*n, *seed))
-	if err != nil {
-		return err
-	}
-	opts := fuzz.DefaultOptions()
-	opts.MaxIterPerSeed = *maxIter
-	opts.SeedWorkers = *workers
-	opts.Telemetry = tel.Rec
-	if *flight != "" {
-		flog, flightPath, aerr := flightlog.Create(*flight, flightlog.MissionName(*n, *dist, *seed), ctrl)
-		if aerr != nil {
-			return aerr
-		}
-		opts.Flight = flog
-		defer func() {
-			if cerr := flog.Close(); cerr != nil {
-				if err == nil {
-					err = cerr
-				}
-				return
-			}
-			log.Infof("flight log written to %s", flightPath)
-			if !*postmor {
-				return
-			}
-			html := flightlog.PostmortemPath(flightPath)
-			if perr := flreport.GenerateFile(flightPath, html); perr != nil {
-				log.Warnf("post-mortem: %v", perr)
-				return
-			}
-			log.Infof("post-mortem written to %s", html)
-		}()
-	}
-
-	if *atlasFile != "" {
-		af, aerr := os.Create(*atlasFile)
-		if aerr != nil {
-			return aerr
-		}
-		if aerr := atlas.WriteHeader(af, fuzzer.Name()); aerr != nil {
-			af.Close()
-			return aerr
-		}
-		col := atlas.NewCollector(af, tel.Rec)
-		opts.Observer = col
-		defer func() {
-			// Finalize only a healthy run: a deadline-killed attempt may
-			// still be streaming into the file, so an errored run leaves
-			// the artifact unframed rather than racing it. The framing
-			// (0 cells, 1 mission) matches a served fuzz job's bytes.
-			if err == nil {
-				if cerr := col.Err(); cerr != nil {
-					err = cerr
-				} else if cerr := atlas.WriteAtlasEnd(af, 0, 1); cerr != nil {
-					err = cerr
-				} else {
-					log.Infof("search atlas written to %s", *atlasFile)
-				}
-			}
-			if cerr := af.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
-	}
-
 	span := tel.Rec.StartSpan(0, "mission",
 		telemetry.KV("fuzzer", fuzzer.Name()),
-		telemetry.KV("seed", *seed),
-		telemetry.KV("swarm_size", *n))
-	opts.TraceParent = span.ID()
-	log.Debugf("fuzzing mission seed %d (%d drones, d=%gm) with %s", *seed, *n, *dist, fuzzer.Name())
-	rep, err := robust.Call(ctx, *timeout, func() (*fuzz.Report, error) {
-		return fuzzer.Fuzz(fuzz.Input{
-			Mission:       mission,
-			Controller:    ctrl,
-			SpoofDistance: *dist,
-		}, opts)
-	})
-	span.End(telemetry.KV("found", rep != nil && rep.Found))
+		telemetry.KV("seed", spec.Seed),
+		telemetry.KV("swarm_size", spec.SwarmSize))
+	spec.Fuzz.Telemetry, spec.Fuzz.TraceParent = tel.Rec, span.ID()
+	log.Debugf("fuzzing mission seed %d (%d drones, d=%gm) with %s", spec.Seed, spec.SwarmSize, spec.SpoofDistance, fuzzer.Name())
+	res, err := experiments.RunMission(ctx, spec, fuzzer)
+	span.End(telemetry.KV("found", res.Report != nil && res.Report.Found))
+	defer func() {
+		if aerr := saveArtifacts(log, res, *atlasFile); err == nil {
+			err = aerr
+		}
+	}()
 	if errors.Is(err, fuzz.ErrUnsafeMission) {
-		fmt.Println("mission fails its initial no-attack test; pick another seed")
+		fmt.Fprintln(stdout, "mission fails its initial no-attack test; pick another seed")
 		return nil
 	}
 	if errors.Is(err, robust.ErrDeadline) {
-		return fmt.Errorf("no verdict within %v; raise -timeout or lower -iters", *timeout)
+		return fmt.Errorf("no verdict within %v; raise -timeout or lower -iters", spec.Timeout)
 	}
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("%s on %d drones, seed %d, d=%.0fm\n", rep.Fuzzer, *n, *seed, *dist)
-	fmt.Printf("clean run: duration %.1fs, VDO %.2fm\n", rep.Clean.Duration, rep.VDO)
-	fmt.Printf("seeds tried: %d, search iterations: %d, simulations: %d\n",
+	rep := res.Report
+	fmt.Fprintf(stdout, "%s on %d drones, seed %d, d=%.0fm\n", rep.Fuzzer, spec.SwarmSize, spec.Seed, spec.SpoofDistance)
+	fmt.Fprintf(stdout, "clean run: duration %.1fs, VDO %.2fm\n", rep.Clean.Duration, rep.VDO)
+	fmt.Fprintf(stdout, "seeds tried: %d, search iterations: %d, simulations: %d\n",
 		rep.SeedsTried, rep.IterationsToFind, rep.SimRuns)
 	if !rep.Found {
-		fmt.Println("no SPV found: the mission is resilient under this budget")
+		fmt.Fprintln(stdout, "no SPV found: the mission is resilient under this budget")
 		return nil
 	}
 	for _, f := range rep.Findings {
-		fmt.Printf("FOUND %s\n", f)
+		fmt.Fprintf(stdout, "FOUND %s\n", f)
 	}
 	return nil
+}
+
+// saveArtifacts writes the atlas file and logs where the artifacts
+// went. It returns the first requested artifact that could not be made;
+// a post-mortem that could not be rendered is only a warning.
+func saveArtifacts(log *telemetry.Logger, res experiments.MissionResult, atlasFile string) error {
+	err := res.AtlasErr
+	if res.Atlas != nil {
+		if err = os.WriteFile(atlasFile, res.Atlas, 0o644); err == nil {
+			log.Infof("search atlas written to %s", atlasFile)
+		}
+	}
+	if res.FlightPath == "" || res.FlightErr != nil {
+		return cmp.Or(err, res.FlightErr)
+	}
+	log.Infof("flight log written to %s", res.FlightPath)
+	if res.PostmortemErr != nil {
+		log.Warnf("post-mortem: %v", res.PostmortemErr)
+	} else if res.PostmortemPath != "" {
+		log.Infof("post-mortem written to %s", res.PostmortemPath)
+	}
+	return err
 }

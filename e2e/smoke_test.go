@@ -122,10 +122,11 @@ func TestChaosSmoke(t *testing.T) {
 }
 
 // TestAtlasSmoke proves the search atlas on real binaries: two
-// identical `swarmfuzz -atlas` runs write identical artifacts, two
-// identical served grid jobs yield identical framed artifacts with a
-// populated cell, a summary table and a well-formed XHTML page, and a
-// job recorded without the atlas is a clear non-zero exit. (The golden
+// identical `swarmfuzz -atlas` runs write identical artifacts, a served
+// fuzz job of the same spec serves those very bytes, two identical
+// served grid jobs yield identical framed artifacts with a populated
+// cell, a summary table and a well-formed XHTML page, and a job
+// recorded without the atlas is a clear non-zero exit. (The golden
 // and checkpoint-resume pins are Go tests of their own packages; `make
 // atlas-smoke` runs them alongside.)
 func TestAtlasSmoke(t *testing.T) {
@@ -160,6 +161,14 @@ func TestAtlasSmoke(t *testing.T) {
 		t.Fatal("served atlas is not deterministic across jobs")
 	}
 	checkPopulatedCell(t, served[0])
+
+	fuzzJob := d.submit(t, "-kind", "fuzz", "-n", "3", "-seed", "1", "-dist", "10", "-iters", "2", "-atlas")
+	d.waitDone(t, fuzzJob)
+	fuzzPath := filepath.Join(tmp, "served-fuzz.jsonl")
+	d.client(t, "atlas", "-o", fuzzPath, fuzzJob)
+	if got := readFile(t, fuzzPath); !bytes.Equal(got, cli[0]) {
+		t.Errorf("served fuzz-job atlas differs from the swarmfuzz -atlas file (%d vs %d bytes)", len(got), len(cli[0]))
+	}
 	mustContain(t, "atlas summary", d.client(t, "atlas", "-summary", jobs[0]), "CRACK-RATE")
 
 	html := filepath.Join(tmp, "atlas.xhtml")

@@ -91,10 +91,7 @@ func writeAtlasArtifact(path, fuzzer string, cells []*CampaignResult) error {
 	if err := atlas.WriteAtlasEnd(&buf, len(cells), missions); err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("experiments: write atlas artifact: %w", err)
-	}
-	return nil
+	return writeFileAtomic(filepath.Dir(path), filepath.Base(path), buf.Bytes(), "atlas artifact")
 }
 
 // writeAtlasAggregate persists the campaign-level Atlas document next
@@ -110,8 +107,5 @@ func writeAtlasAggregate(dir, fuzzer string, cells []*CampaignResult) error {
 		return fmt.Errorf("experiments: encode atlas aggregate: %w", err)
 	}
 	data = append(data, '\n')
-	if err := os.WriteFile(filepath.Join(dir, atlasAggregateFile), data, 0o644); err != nil {
-		return fmt.Errorf("experiments: write atlas aggregate: %w", err)
-	}
-	return nil
+	return writeFileAtomic(dir, atlasAggregateFile, data, "atlas aggregate")
 }

@@ -39,11 +39,16 @@ func writeFileAtomic(dir, name string, data []byte, what string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("experiments: %s dir: %w", what, err)
 	}
-	tmp, err := os.CreateTemp(dir, "cell_*.tmp")
+	tmp, err := os.CreateTemp(dir, "."+name+"-*.tmp")
 	if err != nil {
 		return fmt.Errorf("experiments: %s temp file: %w", what, err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	// Readable like os.WriteFile's output, not CreateTemp's 0600.
+	if err := tmp.Chmod(0o644); err != nil {
+		tmp.Close()
+		return fmt.Errorf("experiments: %s temp file: %w", what, err)
+	}
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return fmt.Errorf("experiments: write %s: %w", what, err)

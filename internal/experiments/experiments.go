@@ -9,7 +9,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -362,10 +361,8 @@ func selectCleanSafe(ctx context.Context, cfg Config, ctrl sim.Controller,
 //
 // With cfg.AtlasPath set the mission's search is recorded into an atlas
 // collector and the record stream returned alongside the outcome. Each
-// retry attempt gets a fresh collector and buffer — an abandoned
-// (deadline-killed) attempt's goroutine can only ever write into its
-// own abandoned buffer — and a mission that ultimately degrades
-// contributes no atlas bytes at all.
+// retry attempt records afresh (see fuzzAttempt), and a mission that
+// ultimately degrades contributes no atlas bytes at all.
 func fuzzMission(ctx context.Context, cfg Config, fuzzer fuzz.Fuzzer, ctrl sim.Controller,
 	spoofDistance float64, seed uint64, mission *sim.Mission, cleanVDO float64,
 	campaign telemetry.SpanID) (MissionOutcome, []byte) {
@@ -375,22 +372,9 @@ func fuzzMission(ctx context.Context, cfg Config, fuzzer fuzz.Fuzzer, ctrl sim.C
 	fopts := cfg.Fuzz
 	fopts.Telemetry = cfg.Telemetry
 	fopts.TraceParent = span.ID()
-	var atl *atlas.Collector
-	var atlBuf *bytes.Buffer
-	rep, attempts, err := robust.Retry(ctx, cfg.Retry, func(ctx context.Context) (*fuzz.Report, error) {
-		fo := fopts
-		if cfg.AtlasPath != "" {
-			atlBuf = &bytes.Buffer{}
-			atl = atlas.NewCollector(atlBuf, cfg.Telemetry)
-			fo.Observer = atl
-		}
-		return robust.Call(ctx, cfg.MissionTimeout, func() (*fuzz.Report, error) {
-			return fuzzer.Fuzz(fuzz.Input{
-				Mission:       mission,
-				Controller:    ctrl,
-				SpoofDistance: spoofDistance,
-			}, fo)
-		})
+	in := fuzz.Input{Mission: mission, Controller: ctrl, SpoofDistance: spoofDistance}
+	a, attempts, err := robust.Retry(ctx, cfg.Retry, func(ctx context.Context) (attempt, error) {
+		return fuzzAttempt(ctx, fuzzer, in, fopts, cfg.MissionTimeout, cfg.AtlasPath != "")
 	})
 	o.Retries = attempts - 1
 	defer func() {
@@ -417,6 +401,7 @@ func fuzzMission(ctx context.Context, cfg Config, fuzzer fuzz.Fuzzer, ctrl sim.C
 		o.Err = err.Error()
 		return o, nil
 	}
+	rep := a.rep
 	o.VDO = rep.VDO
 	o.Found = rep.Found
 	if rep.Found {
@@ -428,12 +413,8 @@ func fuzzMission(ctx context.Context, cfg Config, fuzzer fuzz.Fuzzer, ctrl sim.C
 		o.Direction = int(rep.Findings[0].Plan.Direction)
 		o.Objective = rep.Findings[0].Objective
 	}
-	if atl != nil && atl.Err() == nil {
-		sum := atl.Summary()
-		o.Search = &sum
-		return o, atlBuf.Bytes()
-	}
-	return o, nil
+	o.Search = a.search
+	return o, a.stream
 }
 
 // Grid runs the full size × distance campaign grid (Tables I and II,

@@ -341,36 +341,22 @@ func (r *Runner) findExampleSPV(ctx context.Context) (*fuzz.Finding, *sim.Missio
 		}
 	}
 
-	ctrl, err := flock.New(flock.DefaultParams())
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	fopts := r.cfg.Fuzz
-	fopts.Telemetry = r.cfg.Telemetry
+	spec := MissionSpec{SwarmSize: 5, SpoofDistance: 10, Fuzz: r.cfg.Fuzz}
+	spec.Fuzz.Telemetry = r.cfg.Telemetry
 	scanned := 0
 	limit := uint64(r.cfg.Missions) * 10
-	for seed := r.cfg.BaseSeed; seed < r.cfg.BaseSeed+limit; seed++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, scanned, err
-		}
+	for spec.Seed = r.cfg.BaseSeed; spec.Seed < r.cfg.BaseSeed+limit; spec.Seed++ {
 		scanned++
-		mission, err := sim.NewMission(sim.DefaultMissionConfig(5, seed))
-		if err != nil {
-			return nil, nil, scanned, err
-		}
-		rep, err := fuzz.SwarmFuzz{}.Fuzz(fuzz.Input{
-			Mission:       mission,
-			Controller:    ctrl,
-			SpoofDistance: 10,
-		}, fopts)
+		res, err := RunMission(ctx, spec, fuzz.SwarmFuzz{})
 		if errors.Is(err, fuzz.ErrUnsafeMission) {
 			continue // unsafe mission: skip, like the campaign
 		}
 		if err != nil {
 			return nil, nil, scanned, err
 		}
-		if rep.Found {
-			return &rep.Findings[0], mission, scanned, nil
+		if res.Report.Found {
+			mission, err := sim.NewMission(sim.DefaultMissionConfig(5, spec.Seed))
+			return &res.Report.Findings[0], mission, scanned, err
 		}
 	}
 	return nil, nil, scanned, nil

@@ -104,8 +104,10 @@ func TestAtlasEndpointGridByteIdentity(t *testing.T) {
 	}
 }
 
-// TestAtlasEndpointFuzzJob checks the single-mission artifact shape and
-// that the collector's framing matches what cmd/swarmfuzz writes.
+// TestAtlasEndpointFuzzJob requires a fuzz job's served artifact to be
+// byte-identical to experiments.RunMission's for the same spec, the
+// runner cmd/swarmfuzz writes its -atlas file from, and checks the
+// single-mission framing.
 func TestAtlasEndpointFuzzJob(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz-job test in -short mode")
@@ -129,6 +131,16 @@ func TestAtlasEndpointFuzzJob(t *testing.T) {
 	raw, err := c.Atlas(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
+	}
+	refSpec := spec
+	refSpec.Normalize()
+	ref, err := experiments.RunMission(ctx, refSpec.MissionSpec(), fuzz.SwarmFuzz{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, ref.Atlas) {
+		t.Errorf("served atlas differs from the direct same-spec run (%d vs %d bytes):\n got %s\nwant %s",
+			len(raw), len(ref.Atlas), raw, ref.Atlas)
 	}
 	doc, err := atlas.ReadAtlas(bytes.NewReader(raw))
 	if err != nil {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,16 +10,11 @@ import (
 	"sync"
 	"time"
 
-	"swarmfuzz/internal/atlas"
 	"swarmfuzz/internal/chaos"
 	"swarmfuzz/internal/experiments"
 	"swarmfuzz/internal/fabric"
-	"swarmfuzz/internal/flightlog"
-	flreport "swarmfuzz/internal/flightlog/report"
-	"swarmfuzz/internal/flock"
 	"swarmfuzz/internal/fuzz"
 	"swarmfuzz/internal/robust"
-	"swarmfuzz/internal/sim"
 	"swarmfuzz/internal/telemetry"
 )
 
@@ -920,72 +914,34 @@ func (e *Engine) execute(ctx context.Context, id string, spec JobSpec, rec *jobR
 	})
 }
 
-// runFuzz executes a single-mission fuzz job — the daemon twin of
-// cmd/swarmfuzz.
+// runFuzz executes a single-mission fuzz job through the same
+// experiments.RunMission as cmd/swarmfuzz. Observability never fails a
+// job: an artifact that cannot be made degrades to a warning.
 func (e *Engine) runFuzz(ctx context.Context, id string, spec JobSpec, fuzzer fuzz.Fuzzer,
 	rec telemetry.Recorder) ([]byte, error) {
-	ctrl, err := flock.New(flock.DefaultParams())
-	if err != nil {
-		return nil, err
-	}
-	mission, err := sim.NewMission(sim.DefaultMissionConfig(spec.SwarmSize, spec.Seed))
-	if err != nil {
-		return nil, err
-	}
-	opts := spec.FuzzOptions()
-	opts.Telemetry = rec
-	// The atlas stream is buffered and persisted whole on success, with
-	// the same header/end framing cmd/swarmfuzz writes, so the served
-	// artifact is byte-identical to a same-seed CLI run's.
-	var atlasBuf *bytes.Buffer
-	var atlasCol *atlas.Collector
-	if spec.Atlas {
-		atlasBuf = &bytes.Buffer{}
-		if err := atlas.WriteHeader(atlasBuf, fuzzer.Name()); err != nil {
-			return nil, err
-		}
-		atlasCol = atlas.NewCollector(atlasBuf, rec)
-		opts.Observer = atlasCol
-	}
+	ms := spec.MissionSpec()
+	ms.Fuzz.Telemetry = rec
 	if spec.Flightlog {
-		name := flightlog.MissionName(spec.SwarmSize, spec.SpoofDistance, spec.Seed)
-		flog, path, err := flightlog.Create(e.store.FlightDir(id), name, ctrl)
-		if err != nil {
-			return nil, err
-		}
-		opts.Flight = flog
-		defer func() {
-			if cerr := flog.Close(); cerr != nil {
-				e.log.Warnf("job %s: flight log: %v", id, cerr)
-				return
-			}
-			if spec.Postmortem {
-				writePostmortem(e.log, id, path)
-			}
-		}()
+		ms.FlightDir = e.store.FlightDir(id)
 	}
-	rep, err := robust.Call(ctx, spec.MissionTimeout(), func() (*fuzz.Report, error) {
-		return fuzzer.Fuzz(fuzz.Input{
-			Mission:       mission,
-			Controller:    ctrl,
-			SpoofDistance: spec.SpoofDistance,
-		}, opts)
-	})
+	res, err := experiments.RunMission(ctx, ms, fuzzer)
+	if res.FlightErr != nil {
+		e.log.Warnf("job %s: flight log: %v", id, res.FlightErr)
+	}
+	if res.PostmortemErr != nil {
+		e.log.Warnf("job %s: post-mortem: %v", id, res.PostmortemErr)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if atlasBuf != nil {
-		// Observability never fails a job: an atlas that cannot be
-		// recorded or persisted degrades to a warning.
-		if aerr := atlasCol.Err(); aerr != nil {
-			e.log.Warnf("job %s: atlas collection: %v (artifact not written)", id, aerr)
-		} else if aerr := atlas.WriteAtlasEnd(atlasBuf, 0, 1); aerr != nil {
-			e.log.Warnf("job %s: atlas framing: %v (artifact not written)", id, aerr)
-		} else if werr := e.store.writeFileAtomic(e.store.AtlasPath(id), atlasBuf.Bytes()); werr != nil {
+	if res.AtlasErr != nil {
+		e.log.Warnf("job %s: %v (artifact not written)", id, res.AtlasErr)
+	} else if res.Atlas != nil {
+		if werr := e.store.writeFileAtomic(e.store.AtlasPath(id), res.Atlas); werr != nil {
 			e.log.Warnf("job %s: persist atlas: %v", id, werr)
 		}
 	}
-	return MarshalReport(NewFuzzReport(spec, rep))
+	return MarshalReport(NewFuzzReport(spec, res.Report))
 }
 
 // runCampaign executes a campaign or grid job through experiments.Grid
@@ -1019,15 +975,6 @@ func (e *Engine) runCampaign(ctx context.Context, id string, spec JobSpec, fuzze
 		return MarshalReport(cells[0])
 	}
 	return MarshalReport(cells)
-}
-
-// writePostmortem renders the HTML post-mortem next to a flight log,
-// degrading failures to a warning: forensics never fail a job.
-func writePostmortem(log *telemetry.Logger, id, flightPath string) {
-	html := flightlog.PostmortemPath(flightPath)
-	if err := flreport.GenerateFile(flightPath, html); err != nil {
-		log.Warnf("job %s: post-mortem: %v", id, err)
-	}
 }
 
 // updateMetrics refreshes the engine gauges from current state.

@@ -101,6 +101,7 @@ func TestSubmitValidates(t *testing.T) {
 		{Kind: KindCampaign, SwarmSize: 3, SpoofDistance: 10}, // no missions
 		{Kind: KindGrid, Missions: 1, SwarmSizes: []int{1}},
 		{Kind: KindFuzz, SwarmSize: 3, SpoofDistance: 10, Retries: -1},
+		{Kind: KindFuzz, SwarmSize: 3, SpoofDistance: 10, Postmortem: true}, // no flightlog
 	}
 	for _, spec := range bad {
 		spec.Fuzzer = firstNonEmpty(spec.Fuzzer, "stub")

@@ -164,6 +164,9 @@ func (s JobSpec) Validate(resolve func(string) (fuzz.Fuzzer, error)) error {
 	default:
 		return fmt.Errorf("serve: unknown job kind %q", s.Kind)
 	}
+	if s.Postmortem && !s.Flightlog {
+		return errors.New("serve: postmortem needs flightlog")
+	}
 	if s.MissionTimeoutSec < 0 || s.Retries < 0 || s.Workers < 0 ||
 		s.SeedWorkers < 0 || s.MaxIterPerSeed < 0 || s.MaxSeeds < 0 {
 		return errors.New("serve: job spec knobs must be non-negative")
@@ -212,21 +215,17 @@ func (s JobSpec) Cacheable() bool {
 	return !s.Flightlog && !s.Postmortem && s.MissionTimeoutSec == 0
 }
 
-// MissionTimeout returns the spec's deadline as a duration.
-func (s JobSpec) MissionTimeout() time.Duration {
-	return time.Duration(s.MissionTimeoutSec * float64(time.Second))
-}
-
-// FuzzOptions translates the spec into the fuzzer options a fuzz-kind
-// job runs with — the same defaults cmd/swarmfuzz applies.
-func (s JobSpec) FuzzOptions() fuzz.Options {
-	opts := fuzz.DefaultOptions()
-	if s.MaxIterPerSeed > 0 {
-		opts.MaxIterPerSeed = s.MaxIterPerSeed
+// MissionSpec translates a fuzz spec into the single-mission run the
+// job executes, taking its fuzzer options and deadline from
+// CampaignConfig. Runtime wiring (Fuzz.Telemetry, FlightDir) is left
+// zero for the engine to fill in, as there.
+func (s JobSpec) MissionSpec() experiments.MissionSpec {
+	cfg := s.CampaignConfig()
+	return experiments.MissionSpec{
+		SwarmSize: s.SwarmSize, Seed: s.Seed, SpoofDistance: s.SpoofDistance,
+		Fuzz: cfg.Fuzz, Timeout: cfg.MissionTimeout,
+		Postmortem: s.Postmortem, Atlas: s.Atlas,
 	}
-	opts.MaxSeeds = s.MaxSeeds
-	opts.SeedWorkers = s.SeedWorkers
-	return opts
 }
 
 // CampaignConfig translates a campaign or grid spec into the
@@ -256,7 +255,7 @@ func (s JobSpec) CampaignConfig() experiments.Config {
 	cfg.Fuzz.MaxSeeds = s.MaxSeeds
 	cfg.Fuzz.SeedWorkers = s.SeedWorkers
 	cfg.Workers = s.Workers
-	cfg.MissionTimeout = s.MissionTimeout()
+	cfg.MissionTimeout = time.Duration(s.MissionTimeoutSec * float64(time.Second))
 	if s.Retries > 0 {
 		cfg.Retry = robust.Policy{MaxAttempts: 1 + s.Retries,
 			BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second}

@@ -11,9 +11,9 @@
 //
 //   - Job model: JobSpec describes a single-mission fuzz run, one
 //     campaign cell, or a full experiments grid; it is validated on
-//     submit and translated into the existing fuzz/experiments
-//     configurations by FuzzOptions and CampaignConfig, so a job's
-//     report is byte-identical to the same-seed CLI run.
+//     submit and translated by MissionSpec and CampaignConfig into
+//     the experiments runs the CLIs make, so a job's report is
+//     byte-identical to the same-seed CLI run.
 //   - Lifecycle: queued → running → done | failed | cancelled. A FIFO
 //     queue with a bounded backlog feeds a fixed worker pool; each
 //     running job has its own cancellable context.
