@@ -28,8 +28,8 @@ metrics-lint:
 # unit pins under the race detector. TestRunMatchesSpec holds sim.Run,
 # fast paths and all, to a brute-force reference run bit for bit:
 # every Result field, trajectory sample and step count, full and
-# resumed from fork points, on Table I sizes (n = 3 to 50, past the
-# collision grid), spoofed runs at 5 and 10 m, drone collisions,
+# resumed from fork points, on Table I sizes and past them (n = 3 to
+# 50), spoofed runs at 5 and 10 m, drone collisions,
 # receivers without noise or bias, random flock radii, and scripted
 # obstacle and head-on cases. The unit pins hold each square-root-free
 # gate to its exact formula at the ulp edges random missions never

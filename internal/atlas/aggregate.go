@@ -1,8 +1,7 @@
 package atlas
 
-// Cell and campaign aggregation: per-mission summaries fold into
-// per-cell statistics, and cells into the campaign Atlas document that
-// is persisted next to grid checkpoints.
+// Cell aggregation: per-mission summaries fold into the per-cell
+// statistics of a cell_end record.
 
 // CellStats are one grid cell's aggregated search statistics.
 type CellStats struct {
@@ -70,11 +69,4 @@ func AggregateCell(n int, dist float64, sums []*MissionSearch) CellStats {
 		st.StallFraction = r6(float64(stalled) / float64(st.Seeds))
 	}
 	return st
-}
-
-// Atlas is the campaign-level aggregate document (atlas.json next to
-// the grid checkpoints): one CellStats per grid cell, in run order.
-type Atlas struct {
-	Fuzzer string      `json:"fuzzer"`
-	Cells  []CellStats `json:"cells"`
 }

@@ -13,7 +13,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -26,10 +25,6 @@ import (
 func atlasFragmentFile(swarmSize int, spoofDistance float64) string {
 	return fmt.Sprintf("cell_n%d_d%g.atlas.jsonl", swarmSize, spoofDistance)
 }
-
-// atlasAggregateFile is the campaign-level aggregate document written
-// next to the checkpoints.
-const atlasAggregateFile = "atlas.json"
 
 // searchSummaries extracts the per-mission search summaries of a cell
 // (nil entries for missions without one, e.g. degraded missions).
@@ -92,20 +87,4 @@ func writeAtlasArtifact(path, fuzzer string, cells []*CampaignResult) error {
 		return err
 	}
 	return writeFileAtomic(filepath.Dir(path), filepath.Base(path), buf.Bytes(), "atlas artifact")
-}
-
-// writeAtlasAggregate persists the campaign-level Atlas document next
-// to the checkpoints. It is rebuilt from the checkpointed per-mission
-// summaries, so resumed cells aggregate exactly like fresh ones.
-func writeAtlasAggregate(dir, fuzzer string, cells []*CampaignResult) error {
-	a := atlas.Atlas{Fuzzer: fuzzer, Cells: make([]atlas.CellStats, 0, len(cells))}
-	for _, cell := range cells {
-		a.Cells = append(a.Cells, atlas.AggregateCell(cell.SwarmSize, cell.SpoofDistance, searchSummaries(cell.Outcomes)))
-	}
-	data, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("experiments: encode atlas aggregate: %w", err)
-	}
-	data = append(data, '\n')
-	return writeFileAtomic(dir, atlasAggregateFile, data, "atlas aggregate")
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -106,7 +105,7 @@ func TestGridAtlasGolden(t *testing.T) {
 
 // TestGridAtlasCheckpointResume pins the resume contract: an
 // interrupted, checkpoint-resumed grid must write the exact artifact an
-// uninterrupted run would, and the atlas.json aggregate must match.
+// uninterrupted run would, its cell_end statistics included.
 func TestGridAtlasCheckpointResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
@@ -128,18 +127,6 @@ func TestGridAtlasCheckpointResume(t *testing.T) {
 	if !bytes.Equal(ref, full) {
 		t.Fatal("checkpointed atlas differs from plain atlas")
 	}
-	aggregate, err := os.ReadFile(filepath.Join(dir, atlasAggregateFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var agg atlas.Atlas
-	if err := json.Unmarshal(aggregate, &agg); err != nil {
-		t.Fatal(err)
-	}
-	if agg.Fuzzer != "SwarmFuzz" || len(agg.Cells) != 2 {
-		t.Errorf("aggregate = %+v", agg)
-	}
-
 	// Simulate a kill between cells: drop the second cell's checkpoint
 	// and fragment, then resume into a fresh artifact path. Cell one
 	// replays recorded bytes, cell two re-fuzzes, and the artifact must
@@ -160,13 +147,6 @@ func TestGridAtlasCheckpointResume(t *testing.T) {
 	}
 	if !bytes.Equal(ref, resumed) {
 		t.Fatal("resumed atlas differs from uninterrupted atlas")
-	}
-	resumedAgg, err := os.ReadFile(filepath.Join(dir, atlasAggregateFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(aggregate, resumedAgg) {
-		t.Fatal("resumed atlas.json differs from uninterrupted aggregate")
 	}
 }
 

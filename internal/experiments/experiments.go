@@ -126,8 +126,9 @@ type MissionOutcome struct {
 	Retries int `json:",omitempty"`
 	// Search summarises the mission's seed-search convergence (recorded
 	// only when atlas collection is enabled; nil for degraded missions).
-	// It is persisted in checkpoints so resumed cells aggregate exactly
-	// like fresh ones.
+	// A fresh cell folds it into its cell_end record; a resumed cell
+	// replays its recorded fragment and reads none. It stays in the
+	// checkpoint so that checkpoint bytes do not change.
 	Search *atlas.MissionSearch `json:",omitempty"`
 }
 
@@ -465,11 +466,6 @@ func Grid(ctx context.Context, cfg Config, fuzzer fuzz.Fuzzer) ([]*CampaignResul
 	if cfg.AtlasPath != "" {
 		if err := writeAtlasArtifact(cfg.AtlasPath, fuzzer.Name(), out); err != nil {
 			return out, err
-		}
-		if cfg.Checkpoint != "" {
-			if err := writeAtlasAggregate(cfg.Checkpoint, fuzzer.Name(), out); err != nil {
-				return out, err
-			}
 		}
 	}
 	return out, nil

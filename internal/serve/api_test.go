@@ -209,6 +209,11 @@ func TestAPIErrorMapping(t *testing.T) {
 	if client.StatusCode(err) != http.StatusBadRequest {
 		t.Errorf("Submit(bad kind) status = %d (%v), want 400", client.StatusCode(err), err)
 	}
+	// The message names no program: cmd/swarmfuzzd adds its own prefix.
+	_, err = c.Submit(ctx, serve.JobSpec{Kind: serve.KindFuzz, Fuzzer: "stub", SwarmSize: 3, SpoofDistance: 10, Postmortem: true})
+	if want := "serve: postmortem needs flightlog (HTTP 400)"; err == nil || err.Error() != want {
+		t.Errorf("Submit(postmortem only) error = %v, want %q", err, want)
+	}
 	// Unknown JSON fields are rejected, not silently dropped.
 	resp, err := http.Post(c.Base+"/v1/jobs", "application/json",
 		strings.NewReader(`{"kind":"fuzz","swarm_size":3,"spoof_distance":10,"bogus":1}`))

@@ -55,7 +55,7 @@ type apiError struct {
 }
 
 func (e *apiError) Error() string {
-	return fmt.Sprintf("swarmfuzzd: %s (HTTP %d)", e.Message, e.Status)
+	return fmt.Sprintf("%s (HTTP %d)", e.Message, e.Status)
 }
 
 // StatusCode returns the HTTP status of an API error, or 0 when err

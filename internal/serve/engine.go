@@ -915,8 +915,10 @@ func (e *Engine) execute(ctx context.Context, id string, spec JobSpec, rec *jobR
 }
 
 // runFuzz executes a single-mission fuzz job through the same
-// experiments.RunMission as cmd/swarmfuzz. Observability never fails a
-// job: an artifact that cannot be made degrades to a warning.
+// experiments.RunMission as cmd/swarmfuzz. A mission that fails its
+// no-attack test is a verdict, as in the CLI: the job is done, its
+// report is marked unsafe and it has no atlas. Observability never
+// fails a job: an artifact that cannot be made degrades to a warning.
 func (e *Engine) runFuzz(ctx context.Context, id string, spec JobSpec, fuzzer fuzz.Fuzzer,
 	rec telemetry.Recorder) ([]byte, error) {
 	ms := spec.MissionSpec()
@@ -930,6 +932,9 @@ func (e *Engine) runFuzz(ctx context.Context, id string, spec JobSpec, fuzzer fu
 	}
 	if res.PostmortemErr != nil {
 		e.log.Warnf("job %s: post-mortem: %v", id, res.PostmortemErr)
+	}
+	if errors.Is(err, fuzz.ErrUnsafeMission) && res.Report != nil {
+		err = nil
 	}
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -180,6 +181,39 @@ func TestFuzzJobProducesCanonicalReport(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("report bytes:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestFuzzJobUnsafeMissionIsDone pins that a mission failing its
+// no-attack test settles its job done, as cmd/swarmfuzz exits 0 on it:
+// the report is marked unsafe, counts the one clean run, and the job
+// has no atlas to serve.
+func TestFuzzJobUnsafeMissionIsDone(t *testing.T) {
+	e, err := NewEngine(Options{Store: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start(context.Background())
+	defer e.Drain(time.Second)
+
+	st, err := e.Submit(JobSpec{Kind: KindFuzz, SwarmSize: 15, Seed: 14, SpoofDistance: 10, Atlas: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, e, st.ID, StateDone)
+	got, err := e.Report(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep map[string]any
+	if err := json.Unmarshal(got, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep["unsafe"] != true || rep["sim_runs"] != 1.0 || rep["found"] != false {
+		t.Errorf("report = %s, want unsafe, one sim run and nothing found", got)
+	}
+	if _, err := e.Atlas(st.ID); !errors.Is(err, ErrConflict) {
+		t.Errorf("Atlas = %v, want ErrConflict", err)
 	}
 }
 

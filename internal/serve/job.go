@@ -302,7 +302,8 @@ type JobStatus struct {
 
 // FuzzReport is the persisted report of a fuzz-kind job: the
 // fuzz.Report minus the bulky clean-run trajectory, plus the job's
-// identifying parameters so the report stands alone.
+// identifying parameters so the report stands alone. Unsafe marks a
+// mission whose clean run already collided: its search never ran.
 type FuzzReport struct {
 	Fuzzer           string         `json:"fuzzer"`
 	SwarmSize        int            `json:"swarm_size"`
@@ -311,6 +312,7 @@ type FuzzReport struct {
 	CleanDuration    float64        `json:"clean_duration_seconds"`
 	VDO              float64        `json:"vdo"`
 	Found            bool           `json:"found"`
+	Unsafe           bool           `json:"unsafe,omitempty"`
 	SeedsTried       int            `json:"seeds_tried"`
 	IterationsToFind int            `json:"iterations_to_find"`
 	SimRuns          int            `json:"sim_runs"`
@@ -333,6 +335,7 @@ func NewFuzzReport(spec JobSpec, rep *fuzz.Report) FuzzReport {
 	}
 	if rep.Clean != nil {
 		out.CleanDuration = rep.Clean.Duration
+		out.Unsafe = len(rep.Clean.Collisions) > 0
 	}
 	return out
 }

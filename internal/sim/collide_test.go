@@ -2,106 +2,71 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
-	"swarmfuzz/internal/rng"
 	"swarmfuzz/internal/vec"
 )
 
-// randomBodies builds a swarm clustered tightly enough that collisions
-// actually occur, with a sprinkling of pre-crashed drones.
-func randomBodies(src *rng.Source, n int, spread float64) []Body {
-	bodies := make([]Body, n)
-	for i := range bodies {
-		bodies[i] = Body{
-			Pos:     vec.New(src.Uniform(-spread, spread), src.Uniform(-spread, spread), src.Uniform(-0.3, 0.3)),
-			Crashed: src.Uniform(0, 1) < 0.15,
-		}
-	}
-	return bodies
-}
-
-func cloneBodies(b []Body) []Body {
-	out := make([]Body, len(b))
-	copy(out, b)
-	return out
-}
-
-// TestCollideGridMatchesBrute is the exact-equivalence property test
-// behind the spatial hash: across many random swarms — dense and
-// sparse, small and large, with pre-crashed drones and negative
-// coordinates — the grid must produce the identical pair list (same
-// pairs, same order) and identical Crashed flags as the brute-force
-// reference scan, because pair order and intra-pass crash suppression
-// are observable simulation behaviour.
-func TestCollideGridMatchesBrute(t *testing.T) {
+// TestCollidePairRule pins collide's pair rule on hand-built bodies.
+// Random missions never put two partners in range of one drone, so no
+// mission-level test reaches the rule: each drone i, ascending, pairs
+// with the least live j > i in range, and that pair's crashes take both
+// out of the rest of the pass.
+func TestCollidePairRule(t *testing.T) {
 	const threshold = 0.5
-	src := rng.Derive(1234, "collide-prop")
-	for trial := 0; trial < 300; trial++ {
-		n := 2 + int(src.Uniform(0, 79))
-		// Mix densities: tight clusters force many collisions, loose
-		// ones force none.
-		spread := []float64{0.8, 2, 6, 40}[trial%4]
-		ref := randomBodies(src, n, spread)
-		grid := cloneBodies(ref)
-
-		refPairs := collideBrute(ref, threshold, nil)
-		var c droneCollider
-		gridPairs := c.collideGrid(grid, threshold, nil)
-
-		if len(refPairs) != len(gridPairs) {
-			t.Fatalf("trial %d (n=%d spread=%g): %d pairs vs %d", trial, n, spread, len(refPairs), len(gridPairs))
-		}
-		for k := range refPairs {
-			if refPairs[k] != gridPairs[k] {
-				t.Fatalf("trial %d pair %d: brute %v vs grid %v", trial, k, refPairs[k], gridPairs[k])
+	at := func(x float64) Body { return Body{Pos: vec.New(x, 0, 0)} }
+	crashedAt := func(x float64) Body { return Body{Pos: vec.New(x, 0, 0), Crashed: true} }
+	cases := []struct {
+		name    string
+		bodies  []Body
+		pairs   [][2]int
+		crashed []bool
+	}{
+		{
+			// Drone 2 is nearer to 0 than drone 1 is, but 0 pairs with
+			// the lower index; 2 is out of 1's reach and survives.
+			name:    "two partners in range",
+			bodies:  []Body{at(0), at(0.4), at(-0.2)},
+			pairs:   [][2]int{{0, 1}},
+			crashed: []bool{true, true, false},
+		},
+		{
+			name:    "chain 0-1-2",
+			bodies:  []Body{at(0), at(0.4), at(0.8)},
+			pairs:   [][2]int{{0, 1}},
+			crashed: []bool{true, true, false},
+		},
+		{
+			// Crashed drones neither pair nor get paired with.
+			name:    "already crashed",
+			bodies:  []Body{crashedAt(0), at(0.1), crashedAt(0.2), at(0.3), at(5)},
+			pairs:   [][2]int{{1, 3}},
+			crashed: []bool{true, true, true, true, false},
+		},
+		{
+			name:    "at the threshold",
+			bodies:  []Body{at(0), at(threshold)},
+			pairs:   [][2]int{{0, 1}},
+			crashed: []bool{true, true},
+		},
+		{
+			name:    "one ulp past the threshold",
+			bodies:  []Body{at(0), at(math.Nextafter(threshold, 1))},
+			crashed: []bool{false, false},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			pairs := collide(c.bodies, threshold, nil)
+			if fmt.Sprint(pairs) != fmt.Sprint(c.pairs) {
+				t.Errorf("pairs = %v, want %v", pairs, c.pairs)
 			}
-		}
-		for i := range ref {
-			if ref[i].Crashed != grid[i].Crashed {
-				t.Fatalf("trial %d drone %d: brute crashed=%v grid crashed=%v", trial, i, ref[i].Crashed, grid[i].Crashed)
+			for i, b := range c.bodies {
+				if b.Crashed != c.crashed[i] {
+					t.Errorf("drone %d crashed = %v, want %v", i, b.Crashed, c.crashed[i])
+				}
 			}
-		}
-	}
-}
-
-// TestCollideGridReuse verifies a collider instance reused across
-// ticks (as the Stepper does) keeps producing correct results and
-// stops allocating once warm.
-func TestCollideGridReuse(t *testing.T) {
-	src := rng.Derive(77, "collide-reuse")
-	var c droneCollider
-	var pairs [][2]int
-	for tick := 0; tick < 50; tick++ {
-		ref := randomBodies(src, 40, 1.2)
-		grid := cloneBodies(ref)
-		want := collideBrute(ref, 0.5, nil)
-		pairs = c.collideGrid(grid, 0.5, pairs[:0])
-		if fmt.Sprint(want) != fmt.Sprint(pairs) {
-			t.Fatalf("tick %d: brute %v vs grid %v", tick, want, pairs)
-		}
-	}
-	bodies := randomBodies(src, 40, 6)
-	c.collideGrid(bodies, 0.5, pairs[:0]) // warm for this n
-	allocs := testing.AllocsPerRun(20, func() {
-		pairs = c.collideGrid(bodies, 0.5, pairs[:0])
-	})
-	if allocs != 0 {
-		t.Errorf("warm collideGrid allocates %v objects/op, want 0", allocs)
-	}
-}
-
-// TestColliderSelectsGrid pins the brute/grid dispatch threshold.
-func TestColliderSelectsGrid(t *testing.T) {
-	src := rng.Derive(3, "collide-dispatch")
-	for _, n := range []int{2, collideGridMin - 1, collideGridMin, 64} {
-		ref := randomBodies(src, n, 1.0)
-		both := cloneBodies(ref)
-		want := collideBrute(ref, 0.5, nil)
-		var c droneCollider
-		got := c.collide(both, 0.5, nil)
-		if fmt.Sprint(want) != fmt.Sprint(got) {
-			t.Fatalf("n=%d: brute %v vs collide %v", n, want, got)
-		}
+		})
 	}
 }

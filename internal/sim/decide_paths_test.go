@@ -91,7 +91,7 @@ func TestCommandOverrideRuns(t *testing.T) {
 }
 
 // warmStepAllocs steps st past its warm-up — the first steps size the
-// bus arena and collision grid — and returns what one more Step
+// bus arena and collision pair buffer — and returns what one more Step
 // allocates.
 func warmStepAllocs(t *testing.T, st *sim.Stepper) float64 {
 	t.Helper()
@@ -108,10 +108,10 @@ func warmStepAllocs(t *testing.T, st *sim.Stepper) float64 {
 }
 
 // TestStepperZeroAlloc pins that once warm, one simulation step
-// allocates nothing — on both decide paths, across swarm sizes on both
-// collision paths (brute force and spatial hash), with and without
-// trajectory recording, and on a spoofed run resumed from a prefix
-// whose noise table an earlier run already filled.
+// allocates nothing — on both decide paths, across swarm sizes up to
+// n = 50, with and without trajectory recording, and on a spoofed run
+// resumed from a prefix whose noise table an earlier run already
+// filled.
 func TestStepperZeroAlloc(t *testing.T) {
 	ctrl := flockController(t, flock.DefaultParams())
 	paths := []struct {

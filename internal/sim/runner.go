@@ -242,8 +242,8 @@ func validatePrefix(m *Mission, opts RunOptions) error {
 // Stepper simulates one mission incrementally, one integration step
 // per Step call. It owns all per-run scratch — broadcast columns,
 // controller accumulators or the bus's observation arena, GPS
-// readings, commands, trajectory backing arrays and the collision grid
-// — so a steady-state Step performs zero heap allocations. Run drives a
+// readings, commands, trajectory backing arrays and the collision pair
+// buffer — so a steady-state Step performs zero heap allocations. Run drives a
 // Stepper to completion; external callers (benchmarks, interactive
 // tooling) may drive it directly.
 //
@@ -289,7 +289,6 @@ type Stepper struct {
 	published []comms.State
 	readings  []gps.Reading
 	cmds      []vec.Vec3
-	collider  droneCollider
 	pairs     [][2]int
 
 	// contact holds each obstacle's contact gate,
@@ -558,7 +557,7 @@ func (s *Stepper) Step() (done bool, err error) {
 		}
 	}
 	if s.pairScanNeeded(minPairD2, maxErrD2) {
-		s.pairs = s.collider.collide(s.bodies, 2*cfg.DroneRadius, s.pairs[:0])
+		s.pairs = collide(s.bodies, 2*cfg.DroneRadius, s.pairs[:0])
 		for _, p := range s.pairs {
 			i, j := p[0], p[1]
 			ci := Collision{Drone: i, Kind: KindDrone, Other: j, Time: t, Pos: s.bodies[i].Pos}

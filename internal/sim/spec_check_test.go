@@ -237,9 +237,9 @@ func TestRunMatchesSpec(t *testing.T) {
 	ctrl := flockController(t, flock.DefaultParams())
 
 	// Table I and the fuzzers' traffic: clean recordings, and spoofed
-	// runs at 5 and 10 m over forkPlans' windows, on both sides of the
-	// collision grid's crossover (collideGridMin is 24). At n ≥ 30 two
-	// of the windows around a fork boundary, one at each distance.
+	// runs at 5 and 10 m over forkPlans' windows, also past Table I's
+	// sizes at n = 30 and 50. At n ≥ 30 it takes two of the windows
+	// around a fork boundary, one at each distance.
 	for _, n := range []int{3, 5, 10, 15, 30, 50} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			t.Parallel()
