@@ -53,18 +53,21 @@ unreached:
 # the unreachable-API check plus the simulator's spec and unit pins
 # (batch-equiv) plus the full test suite under the race
 # detector (the campaign engine's worker pool and the serving daemon's
-# job queue must stay race-clean; `race` covers internal/serve too),
-# plus the multi-process fabric smoke, plus the campaign-cell
-# benchmark's output check against its stored references.
-check: build vet fmt metrics-lint unreached batch-equiv race fabric-smoke cellbench-smoke
+# job queue must stay race-clean; `race` covers internal/serve too,
+# and runs every e2e smoke test and the atlas pins once), plus the
+# campaign-cell benchmark's output check against its stored
+# references.
+check: build vet fmt metrics-lint unreached batch-equiv race cellbench-smoke
 
 # fuzz-smoke runs the native Go fuzz targets for inputs that can come
 # from a client, a worker or a torn disk, 10 s each. The flight-log and
 # atlas readers must never panic and must accept every prefix of an
 # input they accept (for the atlas, every prefix that keeps the header
-# line). The span-trace reader must never panic, must read every prefix
-# cut at a newline as a prefix of the whole input's spans, and must
-# read back what the trace writer wrote. JobSpec decode must never
+# line). The span-trace and job-event readers must never panic, must
+# read every prefix cut at a newline as a prefix of the whole input's
+# spans or events, and must read back what the trace writer or the
+# event hub wrote; an unterminated event line that does not decode
+# must change nothing. JobSpec decode must never
 # panic, Normalize must be idempotent, and Hash and CacheKey must
 # survive normalization. The fabric's heartbeat, complete and fail
 # handlers must answer every body with 200, 400 or 410, and a body that
@@ -78,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFlight$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/flightlog/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAtlas$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/atlas/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSpans$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/telemetry/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadEvents$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzFabricVerdict$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/fabric/
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/experiments/
@@ -85,7 +89,10 @@ fuzz-smoke:
 # The four smoke targets run the real swarmfuzz and swarmfuzzd binaries
 # through the e2e package: its TestMain builds both once, each test
 # boots the daemons it needs on ephemeral ports, and every child
-# process is reaped when the test ends. `go test ./...` runs them too.
+# process is reaped when the test ends. They are local loops: the gate
+# that runs each e2e test is `race` (in `check`, so in CI), and
+# `go test ./...` runs them too. The e2e tests stat every source file
+# the binaries build from, so a cached e2e pass is never stale.
 
 # serve-smoke boots a real swarmfuzzd, submits a tiny fuzz job through
 # the CLI client, and asserts it finishes with a persisted report, then

@@ -29,8 +29,19 @@ import (
 // binDir holds the swarmfuzz and swarmfuzzd binaries TestMain built.
 var binDir string
 
+// sources are the package directories and Go files the two binaries
+// build from. go test caches a result against the test binary and the
+// files the tests themselves open or stat, and the binaries' main
+// packages and the client package are not in the test binary: every
+// test stats these (trackSources), so an edit to any of them reruns
+// the package instead of reporting a stale pass.
+var sources []string
+
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "swarmfuzz-e2e-")
+	if err == nil {
+		sources, err = listSources()
+	}
 	if err == nil {
 		err = goBuild(dir, "swarmfuzz")
 	}
@@ -60,6 +71,31 @@ func goBuild(dir, name string, flags ...string) error {
 
 func bin(name string) string { return filepath.Join(binDir, name) }
 
+// listSources lists the directory and Go files of every module package
+// the two commands build from.
+func listSources() ([]string, error) {
+	const tmpl = `{{if not .Standard}}{{.Dir}}{{range .GoFiles}}{{"\n"}}{{$.Dir}}/{{.}}{{end}}{{end}}`
+	out, err := exec.Command("go", "list", "-deps", "-f", tmpl, "swarmfuzz/cmd/swarmfuzz", "swarmfuzz/cmd/swarmfuzzd").Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %v", err)
+	}
+	var paths []string
+	for _, p := range strings.Split(string(out), "\n") {
+		if p != "" {
+			paths = append(paths, p)
+		}
+	}
+	return paths, nil
+}
+
+// trackSources stats every source the binaries build from. Stats made
+// inside a test, unlike TestMain's, enter the result cache's key.
+func trackSources() {
+	for _, p := range sources {
+		_, _ = os.Stat(p)
+	}
+}
+
 // daemon is one running swarmfuzzd process.
 type daemon struct {
 	cmd    *exec.Cmd
@@ -76,6 +112,7 @@ type daemon struct {
 // t.Cleanup; a failed test gets its stderr in the log.
 func startDaemon(t *testing.T, exe, sub string, args ...string) *daemon {
 	t.Helper()
+	trackSources()
 	dir := t.TempDir()
 	addrFile := filepath.Join(dir, "addr")
 	if sub != "work" {
@@ -141,6 +178,7 @@ func (d *daemon) url(path string) string { return "http://" + d.addr + path }
 // run executes a built binary and returns its stdout, stderr and exit
 // error.
 func run(exe string, args ...string) (stdout, stderr string, err error) {
+	trackSources()
 	var out, errb bytes.Buffer
 	cmd := exec.Command(exe, args...)
 	cmd.Stdout, cmd.Stderr = &out, &errb

@@ -571,8 +571,9 @@ func (e *Engine) Report(id string) ([]byte, error) {
 }
 
 // Atlas returns the job's search-atlas artifact bytes, verbatim as the
-// job recorded them. ErrConflict means the job has not finished or was
-// not submitted with atlas recording enabled.
+// job recorded them. ErrConflict means the job has not finished, was
+// not submitted with atlas recording enabled, or is a fuzz job whose
+// mission failed its no-attack test, so no search ran.
 func (e *Engine) Atlas(id string) ([]byte, error) {
 	e.mu.Lock()
 	j, ok := e.jobs[id]
@@ -592,6 +593,9 @@ func (e *Engine) Atlas(id string) ([]byte, error) {
 	}
 	data, err := e.store.ReadAtlasArtifact(id)
 	if os.IsNotExist(err) {
+		if report, rerr := e.Report(id); rerr == nil && reportUnsafe(report) {
+			return nil, fmt.Errorf("%w: mission failed its no-attack test, so no search ran and the job has no atlas", ErrConflict)
+		}
 		return nil, fmt.Errorf("%w: atlas artifact missing from the store", ErrConflict)
 	}
 	return data, err
@@ -737,12 +741,13 @@ func (e *Engine) worker() {
 	}
 }
 
-// startTrace wires a per-job span tracer writing to the store's
-// trace.jsonl. Every span carries the job id as its trace ID, and span
-// IDs continue past whatever an earlier attempt left in the file, so a
-// retried job appends to one coherent trace instead of colliding with
-// its own history. A trace that cannot open degrades to no tracing —
-// observability never fails a job.
+// startTrace builds the attempt's telemetry: a fresh registry for the
+// job's counters and gauges, plus a span stream appending to the
+// store's trace.jsonl. Every span carries the job id as its trace ID,
+// and span IDs continue past whatever an earlier attempt left in the
+// file, so a retried job appends to one coherent trace instead of
+// colliding with its own history. A trace that cannot open leaves the
+// attempt without a span stream — observability never fails a job.
 func (e *Engine) startTrace(id string) (*telemetry.Telemetry, func()) {
 	base := uint64(0)
 	if spans, err := e.store.ReadTrace(id); err == nil {
@@ -755,7 +760,7 @@ func (e *Engine) startTrace(id string) (*telemetry.Telemetry, func()) {
 	w, err := e.store.OpenTrace(id)
 	if err != nil {
 		e.log.Warnf("job %s: open trace: %v (spans not recorded this attempt)", id, err)
-		return nil, func() {}
+		return telemetry.New(telemetry.NewRegistry(), nil), func() {}
 	}
 	tr := telemetry.New(telemetry.NewRegistry(), w)
 	tr.SetClock(e.opts.Clock)
@@ -772,11 +777,9 @@ func (e *Engine) startTrace(id string) (*telemetry.Telemetry, func()) {
 // and converts a watchdog kill into a robust.ErrDeadline verdict so
 // the normal transient-retry machinery handles it.
 func (e *Engine) executeWatched(ctx context.Context, cancel context.CancelFunc, id string, j *job) ([]byte, error) {
-	rec := newJobRecorder(e.rec, j.hub)
-	rec.chaos = e.opts.Chaos
-	tracer, closeTrace := e.startTrace(id)
+	tel, closeTrace := e.startTrace(id)
 	defer closeTrace()
-	rec.tracer = tracer
+	rec := &jobRecorder{Recorder: e.rec, job: tel, hub: j.hub, chaos: e.opts.Chaos}
 	e.mu.Lock()
 	j.rec = rec
 	e.mu.Unlock()

@@ -7,13 +7,17 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"swarmfuzz/internal/experiments"
+	"swarmfuzz/internal/fabric"
 	"swarmfuzz/internal/fuzz"
 	"swarmfuzz/internal/gps"
+	"swarmfuzz/internal/telemetry"
 )
 
 // stubFuzzer is a scriptable fuzz.Fuzzer for engine tests. It succeeds
@@ -187,9 +191,16 @@ func TestFuzzJobProducesCanonicalReport(t *testing.T) {
 // TestFuzzJobUnsafeMissionIsDone pins that a mission failing its
 // no-attack test settles its job done, as cmd/swarmfuzz exits 0 on it:
 // the report is marked unsafe, counts the one clean run, and the job
-// has no atlas to serve.
+// has no atlas to serve — the 409 says why, and the result cache,
+// which has no atlas to store, skips the job without a warning.
 func TestFuzzJobUnsafeMissionIsDone(t *testing.T) {
-	e, err := NewEngine(Options{Store: t.TempDir(), Workers: 1})
+	cache, err := fabric.OpenCache(filepath.Join(t.TempDir(), "cache"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs bytes.Buffer
+	e, err := NewEngine(Options{Store: t.TempDir(), Workers: 1, Cache: cache,
+		Log: telemetry.NewLogger(&logs, telemetry.LevelWarn)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +223,13 @@ func TestFuzzJobUnsafeMissionIsDone(t *testing.T) {
 	if rep["unsafe"] != true || rep["sim_runs"] != 1.0 || rep["found"] != false {
 		t.Errorf("report = %s, want unsafe, one sim run and nothing found", got)
 	}
-	if _, err := e.Atlas(st.ID); !errors.Is(err, ErrConflict) {
-		t.Errorf("Atlas = %v, want ErrConflict", err)
+	_, err = e.Atlas(st.ID)
+	if want := "mission failed its no-attack test"; !errors.Is(err, ErrConflict) || !strings.Contains(err.Error(), want) {
+		t.Errorf("Atlas = %v, want ErrConflict saying %q", err, want)
+	}
+	e.Drain(time.Second)
+	if logs.Len() != 0 {
+		t.Errorf("engine logged warnings:\n%s", logs.String())
 	}
 }
 

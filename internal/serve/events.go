@@ -127,15 +127,15 @@ func (h *hub) subscribe() (history []Event, live chan Event, cancel func()) {
 // progressCounters are the pipeline counters a job's progress events
 // snapshot. Mission-level counters trigger an event; the rest ride
 // along in the snapshot.
-var progressCounters = []string{
-	telemetry.MMissionsPlanned,
-	telemetry.MMissionsDone,
-	telemetry.MMissionsCracked,
-	telemetry.MMissionErrors,
-	telemetry.MSimRuns,
-	telemetry.MSeedsScheduled,
-	telemetry.MCheckpointSaves,
-	telemetry.MCheckpointLoads,
+var progressCounters = map[string]bool{
+	telemetry.MMissionsPlanned: true,
+	telemetry.MMissionsDone:    true,
+	telemetry.MMissionsCracked: true,
+	telemetry.MMissionErrors:   true,
+	telemetry.MSimRuns:         true,
+	telemetry.MSeedsScheduled:  true,
+	telemetry.MCheckpointSaves: true,
+	telemetry.MCheckpointLoads: true,
 }
 
 // progressTriggers are the counter increments that emit a progress
@@ -149,31 +149,19 @@ var progressTriggers = map[string]bool{
 
 // jobRecorder is the telemetry.Recorder a job runs under: it forwards
 // everything to the daemon's shared recorder (so /metrics aggregates
-// across jobs) while keeping per-job counts and publishing a progress
-// event whenever a mission settles. It is also the job's liveness
-// surface: every counter increment beats the stall watchdog, and the
-// chaos harness can wedge the job here ("job:<counter>" stall points)
-// to prove the watchdog notices.
+// across jobs), records counters, gauges and spans into the attempt's
+// own telemetry, and publishes a progress event whenever a mission
+// settles. It is also the job's liveness surface: every counter
+// increment beats the stall watchdog, and the chaos harness can wedge
+// the job here ("job:<counter>" stall points) to prove the watchdog
+// notices.
 type jobRecorder struct {
 	telemetry.Recorder
-	hub    *hub
-	beat   func()               // watchdog heartbeat; nil when the watchdog is off
-	chaos  *chaos.Injector      // stall hook points; nil when chaos is off
-	tracer *telemetry.Telemetry // per-job span stream; nil disables tracing
-	root   atomic.Uint64        // the job root span's ID, once started
-
-	mu     sync.Mutex
-	counts map[string]int64
-	gauges map[string]float64
-}
-
-func newJobRecorder(parent telemetry.Recorder, h *hub) *jobRecorder {
-	return &jobRecorder{
-		Recorder: telemetry.OrNop(parent),
-		hub:      h,
-		counts:   map[string]int64{},
-		gauges:   map[string]float64{},
-	}
+	job   *telemetry.Telemetry // the attempt's registry and span stream
+	hub   *hub
+	beat  func()          // watchdog heartbeat; nil when the watchdog is off
+	chaos *chaos.Injector // stall hook points; nil when chaos is off
+	root  atomic.Uint64   // the job root span's ID, once started
 }
 
 // StartSpan implements telemetry.Recorder, routing spans into the
@@ -183,13 +171,10 @@ func newJobRecorder(parent telemetry.Recorder, h *hub) *jobRecorder {
 // reparented under it, which is what stitches one job's spans into a
 // single tree.
 func (r *jobRecorder) StartSpan(parent telemetry.SpanID, name string, attrs ...telemetry.Attr) telemetry.Span {
-	if r.tracer == nil {
-		return r.Recorder.StartSpan(parent, name, attrs...)
-	}
 	if parent == 0 {
 		parent = telemetry.SpanID(r.root.Load())
 	}
-	span := r.tracer.StartSpan(parent, name, attrs...)
+	span := r.job.StartSpan(parent, name, attrs...)
 	r.root.CompareAndSwap(0, uint64(span.ID()))
 	return span
 }
@@ -205,25 +190,29 @@ func (r *jobRecorder) Add(name string, delta int64) {
 		r.beat()
 	}
 	r.Recorder.Add(name, delta)
-	r.mu.Lock()
-	r.counts[name] += delta
-	r.mu.Unlock()
+	r.job.Add(name, delta)
 	if progressTriggers[name] {
-		r.hub.publish("progress", func(e *Event) { e.Counters = r.snapshot() })
+		r.hub.publish("progress", func(e *Event) {
+			e.Counters = r.job.Registry().Snapshot().Counters
+			for k, v := range e.Counters {
+				if v == 0 || !progressCounters[k] {
+					delete(e.Counters, k)
+				}
+			}
+		})
 	}
 }
 
 // Set implements telemetry.Recorder, keeping the per-job value — the
 // shared gauge is last-writer-wins across concurrent jobs, so a job's
-// own search-progress gauges (best SPV objective) live here.
+// own search-progress gauges (best SPV objective) live in the
+// attempt's registry.
 func (r *jobRecorder) Set(name string, v float64) {
 	if r.beat != nil {
 		r.beat()
 	}
 	r.Recorder.Set(name, v)
-	r.mu.Lock()
-	r.gauges[name] = v
-	r.mu.Unlock()
+	r.job.Set(name, v)
 }
 
 // Observe implements telemetry.Recorder; histogram samples count as
@@ -233,39 +222,4 @@ func (r *jobRecorder) Observe(name string, v float64) {
 		r.beat()
 	}
 	r.Recorder.Observe(name, v)
-}
-
-// snapshot copies the job's progress counters.
-func (r *jobRecorder) snapshot() map[string]int64 {
-	out := make(map[string]int64, len(progressCounters))
-	r.mu.Lock()
-	for _, name := range progressCounters {
-		if v := r.counts[name]; v != 0 {
-			out[name] = v
-		}
-	}
-	r.mu.Unlock()
-	return out
-}
-
-// allCounters copies every counter the job has incremented.
-func (r *jobRecorder) allCounters() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.counts))
-	for name, v := range r.counts {
-		out[name] = v
-	}
-	return out
-}
-
-// allGauges copies every gauge the job has set.
-func (r *jobRecorder) allGauges() map[string]float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]float64, len(r.gauges))
-	for name, v := range r.gauges {
-		out[name] = v
-	}
-	return out
 }

@@ -112,6 +112,12 @@ func (e *Engine) admitCached(spec JobSpec, key string, ent fabric.Entry) (JobSta
 func (e *Engine) storeCacheEntry(id string, spec JobSpec, report []byte) {
 	ent := fabric.Entry{Report: report}
 	if spec.Atlas {
+		if reportUnsafe(report) {
+			// The mission failed its no-attack test: no search ran, so
+			// there is no atlas, and an entry without one never answers
+			// an atlas spec's lookup.
+			return
+		}
 		data, err := e.store.ReadAtlasArtifact(id)
 		if err != nil {
 			e.log.Warnf("job %s: cache: read atlas artifact: %v (result not cached)", id, err)

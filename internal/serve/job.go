@@ -319,6 +319,15 @@ type FuzzReport struct {
 	Findings         []fuzz.Finding `json:"findings,omitempty"`
 }
 
+// reportUnsafe reports whether an encoded job report is a FuzzReport
+// marked unsafe.
+func reportUnsafe(report []byte) bool {
+	var r struct {
+		Unsafe bool `json:"unsafe"`
+	}
+	return json.Unmarshal(report, &r) == nil && r.Unsafe
+}
+
 // NewFuzzReport summarises a fuzz.Report for persistence.
 func NewFuzzReport(spec JobSpec, rep *fuzz.Report) FuzzReport {
 	out := FuzzReport{

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -153,6 +154,52 @@ func TestIODegradedReportServedFromMemory(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no io_degraded event in stream: %+v", events)
+	}
+}
+
+// TestTraceOpenFailureRecordsNoSpans fails the attempt's trace open:
+// the job still completes with its per-job counters, and its spans go
+// nowhere — not into the daemon-wide trace either.
+func TestTraceOpenFailureRecordsNoSpans(t *testing.T) {
+	// startTrace opens trace.jsonl twice: once to read what an earlier
+	// attempt left, then for appending. The rule fails the second.
+	in := chaos.New(chaos.Spec{Faults: []chaos.Fault{
+		{Op: chaos.OpOpen, Match: "trace.jsonl", Nth: 2, Kind: chaos.KindEIO},
+	}}, nil, nil)
+	var shared bytes.Buffer
+	reg := telemetry.NewRegistry()
+	e, err := NewEngine(Options{
+		Store: t.TempDir(), Workers: 1, Chaos: in,
+		Fuzzers:   map[string]fuzz.Fuzzer{"stub": newStub()},
+		Telemetry: telemetry.New(reg, &shared),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start(context.Background())
+	defer e.Drain(5 * time.Second)
+	st, err := e.Submit(JobSpec{Kind: KindCampaign, Fuzzer: "stub", SwarmSize: 3, SpoofDistance: 10, Missions: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, e, st.ID, StateDone)
+	e.Drain(5 * time.Second)
+
+	if got := reg.Counter(chaos.MFaultsInjected).Value(); got != 1 {
+		t.Fatalf("%s = %d, want 1 (the trace open)", chaos.MFaultsInjected, got)
+	}
+	p, err := e.JobStats(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{telemetry.MMissionsPlanned, telemetry.MMissionsDone} {
+		if got := p.Counters[name]; got != 2 {
+			t.Errorf("job stats %s = %d, want 2", name, got)
+		}
+	}
+	spans, err := telemetry.ReadSpans(&shared)
+	if err != nil || len(spans) != 0 {
+		t.Errorf("daemon-wide trace holds %d span(s) (%v), want none: %+v", len(spans), err, spans)
 	}
 }
 

@@ -150,8 +150,8 @@ func (e *Engine) JobStats(id string) (JobProgress, error) {
 		WallSeconds:      j.status.WallSeconds,
 	}
 	if j.rec != nil {
-		p.Counters = j.rec.allCounters()
-		p.Gauges = j.rec.allGauges()
+		snap := j.rec.job.Registry().Snapshot()
+		p.Counters, p.Gauges = snap.Counters, snap.Gauges
 	}
 	return p, nil
 }

@@ -354,8 +354,14 @@ func (s *Store) ReadEvents(id string) ([]Event, error) {
 		return nil, err
 	}
 	defer f.Close()
+	return readEvents(f)
+}
+
+// readEvents decodes an events.jsonl stream in order, skipping lines
+// that do not decode (a torn line from an append cut short).
+func readEvents(r io.Reader) ([]Event, error) {
 	var out []Event
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
 		var e Event

@@ -1,10 +1,15 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"unicode/utf8"
+
+	"swarmfuzz/internal/telemetry"
 )
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -137,6 +142,91 @@ func TestStoreEventsSkipTornLines(t *testing.T) {
 	if len(events) != 2 || events[0].Seq != 1 || events[1].Seq != 2 {
 		t.Errorf("events = %+v, want seqs 1,2 with the torn line dropped", events)
 	}
+}
+
+// FuzzReadEvents holds the events.jsonl reader to what the daemon
+// needs of it at boot and on every GET …/events: no input panics, a
+// prefix cut just after a newline (an append cut short at a line
+// boundary) reads as a prefix of the whole input's events, an
+// unterminated tail that does not decode (a torn append) changes
+// nothing, and events written as hub.publish writes them read back
+// equal.
+func FuzzReadEvents(f *testing.F) {
+	store, err := OpenStoreWith(StoreOptions{Dir: f.TempDir()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	id := FormatID(1)
+	h := newHub(id, 0, store, nil)
+	h.publish("state", func(e *Event) { e.State = StateQueued })
+	h.publish("state", func(e *Event) { e.State = StateRunning })
+	h.publish("progress", func(e *Event) {
+		e.Counters = map[string]int64{telemetry.MMissionsPlanned: 2, telemetry.MSimRuns: 7}
+	})
+	h.publish("state", func(e *Event) { e.State = StateFailed; e.Error = "serve: boom" })
+	events, err := store.ReadEvents(id)
+	if err != nil || !reflect.DeepEqual(events, h.history) {
+		f.Fatalf("hub published %+v, store read back %+v (err %v)", h.history, events, err)
+	}
+	stream, err := os.ReadFile(store.EventsPath(id))
+	if err != nil {
+		f.Fatal(err)
+	}
+	nl := bytes.IndexByte(stream, '\n')
+	for _, cut := range []int{0, 1, nl, nl + 1, len(stream) / 2, len(stream) - 3, len(stream)} {
+		f.Add(stream, uint(cut), "progress", "running", "", telemetry.MSimRuns, 3, int64(11))
+		f.Add(append(stream[:cut:cut], `{"seq":9,"ty`...), uint(cut/2), "state", "failed", "boom", "", -1, int64(cut))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cut uint, typ, state, errText, counter string, seq int, value int64) {
+		all, err := readEvents(bytes.NewReader(data))
+		if err == nil {
+			k := cut % uint(len(data)+1)
+			end := bytes.LastIndexByte(data[:k], '\n') + 1
+			head, err := readEvents(bytes.NewReader(data[:end]))
+			if err != nil {
+				t.Fatalf("read the whole input but not its %d-byte prefix: %v", end, err)
+			}
+			if len(head) > len(all) {
+				t.Fatalf("%d-byte prefix read %d events, the whole input %d", end, len(head), len(all))
+			}
+			for i := range head {
+				if !reflect.DeepEqual(head[i], all[i]) {
+					t.Fatalf("%d-byte prefix read event %d as %+v, the whole input as %+v", end, i, head[i], all[i])
+				}
+			}
+
+			end = bytes.LastIndexByte(data, '\n') + 1
+			var e Event
+			if json.Unmarshal(data[end:], &e) != nil {
+				head, err := readEvents(bytes.NewReader(data[:end]))
+				if err != nil || !reflect.DeepEqual(head, all) {
+					t.Fatalf("undecodable tail %q changed the events: %+v without it, %+v with it (err %v)", data[end:], head, all, err)
+				}
+			}
+		}
+
+		for _, s := range []string{typ, state, errText, counter} {
+			if !utf8.ValidString(s) {
+				return // encoding/json rewrites invalid UTF-8, by design
+			}
+		}
+		want := []Event{
+			{Seq: seq, Type: typ, State: State(state), Error: errText, TimeUnix: value},
+			{Seq: seq + 1, Type: typ, Counters: map[string]int64{counter: value}},
+		}
+		var buf bytes.Buffer
+		for _, e := range want {
+			line, err := json.Marshal(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf.Write(append(line, '\n'))
+		}
+		got, err := readEvents(&buf)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("wrote %+v, read back %+v (err %v)", want, got, err)
+		}
+	})
 }
 
 func TestParseID(t *testing.T) {
