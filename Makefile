@@ -35,12 +35,14 @@ metrics-lint:
 # gate to its exact formula at the ulp edges random missions never
 # reach: ClampNorm, IsFinite, Body.Step, the obstacle gates, the flock
 # kernel's commands, farthest-neighbour ties and shared pair work, and
-# gps's table-side Perceive. The rest pin the shared noise table under
-# concurrent and reordered growth, and svg's t_clo against the series
-# the simulator used to record. `race` runs them too; the target is
+# gps's Perceive against a reference read from the sensor's stream.
+# The rest pin the chunked noise fill every run reads through to
+# per-sensor streaming, the shared noise table under concurrent and
+# reordered growth, and svg's t_clo against the series the simulator
+# used to record. `race` runs them too; the target is
 # the equivalence contract's own CI handle and a fast local loop.
 batch-equiv:
-	$(GO) test -race -run '^(TestRunMatchesSpec|TestBatchCommandsMatchesCommand|TestBatchFarthestNeighbourTies|TestBatchPairSharing|TestClampNormMatchesReference|TestIsFiniteMatchesMath|TestBodyStepMatchesClampFormula|TestObstacleGatesMatchExact|TestPrefixResumeConcurrent|TestNoiseTableOrderIndependence|TestPerceiveMatchesRead|TestTCloMatchesRecordedSeries)$$' \
+	$(GO) test -race -run '^(TestRunMatchesSpec|TestBatchCommandsMatchesCommand|TestBatchFarthestNeighbourTies|TestBatchPairSharing|TestClampNormMatchesReference|TestIsFiniteMatchesMath|TestBodyStepMatchesClampFormula|TestObstacleGatesMatchExact|TestPrefixResumeConcurrent|TestNoiseTableOrderIndependence|TestNoiseFillMatchesStream|TestPerceiveMatchesRead|TestTCloMatchesRecordedSeries)$$' \
 		./internal/sim/ ./internal/flock/ ./internal/vec/ ./internal/gps/ ./internal/svg/
 
 # unreached fails when an exported identifier has no use outside

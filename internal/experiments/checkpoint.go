@@ -32,9 +32,9 @@ func EncodeCell(cell *CampaignResult) ([]byte, error) {
 	return data, nil
 }
 
-// writeFileAtomic persists data as dir/name via a temp file in dir and
-// an atomic rename, creating dir as needed. what labels errors
-// ("checkpoint", "atlas fragment", ...).
+// writeFileAtomic persists data as dir/name via a temp file in dir,
+// flushed to disk, and an atomic rename, creating dir as needed. what
+// labels errors ("checkpoint", "atlas fragment", ...).
 func writeFileAtomic(dir, name string, data []byte, what string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("experiments: %s dir: %w", what, err)
@@ -50,6 +50,12 @@ func writeFileAtomic(dir, name string, data []byte, what string) error {
 		return fmt.Errorf("experiments: %s temp file: %w", what, err)
 	}
 	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return fmt.Errorf("experiments: write %s: %w", what, err)
+	}
+	// Flush before the rename: a power cut after it must not leave an
+	// empty file under the final name, which LoadCheckpoint rejects.
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		return fmt.Errorf("experiments: write %s: %w", what, err)
 	}

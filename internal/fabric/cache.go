@@ -102,6 +102,12 @@ func writeCacheFile(dir, name string, data []byte) error {
 		tmp.Close()
 		return fmt.Errorf("fabric: write cache %s: %w", name, err)
 	}
+	// Flush before the rename, so a power cut cannot leave an empty
+	// entry under the final name.
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("fabric: write cache %s: %w", name, err)
+	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("fabric: write cache %s: %w", name, err)
 	}

@@ -103,17 +103,10 @@ func (s *Sensor) Noise() Noise {
 	return Noise{X: x, Y: s.src.Gaussian(0, s.noiseStd)}
 }
 
-// Read returns the perceived position for the given true position at
-// mission time t, drawing the fix's noise from the stream.
-func (s *Sensor) Read(truth vec.Vec3, t float64) Reading {
-	return s.rx.Perceive(truth, s.Noise(), t)
-}
-
 // Perceive returns the reading of truth at mission time t with noise n
 // as the fix's noise. The bias is added first, then the noise; a
 // receiver without noise skips the second add, so a −0 coordinate
-// stays −0. Given the Noise its sensor would draw next, Perceive
-// returns Read's reading bit for bit.
+// stays −0.
 func (r Receiver) Perceive(truth vec.Vec3, n Noise, t float64) Reading {
 	p := truth.Add(r.bias)
 	if r.noisy {

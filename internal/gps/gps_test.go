@@ -30,7 +30,7 @@ func TestDirectionValid(t *testing.T) {
 func TestIdealSensorPassThrough(t *testing.T) {
 	s := NewSensor(0, 0, rng.New(0))
 	truth := vec.New(10, 20, 30)
-	r := s.Read(truth, 1.5)
+	r := read(s, truth, 1.5)
 	if r.Position != truth {
 		t.Errorf("ideal sensor perturbed position: %v", r.Position)
 	}
@@ -44,12 +44,12 @@ func TestIdealSensorPassThrough(t *testing.T) {
 
 func TestSensorBiasMagnitude(t *testing.T) {
 	s := NewSensor(3, 0, rng.New(7))
-	r := s.Read(vec.Zero, 0)
+	r := read(s, vec.Zero, 0)
 	if got := r.Position.Norm(); math.Abs(got-3) > 1e-9 {
 		t.Errorf("bias magnitude = %v, want 3", got)
 	}
 	// Bias is constant across reads.
-	r2 := s.Read(vec.Zero, 1)
+	r2 := read(s, vec.Zero, 1)
 	if r.Position != r2.Position {
 		t.Error("bias changed between reads")
 	}
@@ -64,7 +64,7 @@ func TestSensorNoiseStatistics(t *testing.T) {
 	const n = 20000
 	var sumX, sumXX float64
 	for i := 0; i < n; i++ {
-		r := s.Read(vec.Zero, float64(i))
+		r := read(s, vec.Zero, float64(i))
 		sumX += r.Position.X
 		sumXX += r.Position.X * r.Position.X
 	}
@@ -82,8 +82,8 @@ func TestSensorDeterminism(t *testing.T) {
 	a := NewSensor(1, 0.5, rng.New(11))
 	b := NewSensor(1, 0.5, rng.New(11))
 	for i := 0; i < 50; i++ {
-		ra := a.Read(vec.New(float64(i), 0, 0), float64(i))
-		rb := b.Read(vec.New(float64(i), 0, 0), float64(i))
+		ra := read(a, vec.New(float64(i), 0, 0), float64(i))
+		rb := read(b, vec.New(float64(i), 0, 0), float64(i))
 		if ra != rb {
 			t.Fatalf("same-seed sensors diverged at read %d", i)
 		}
@@ -235,9 +235,17 @@ func TestPropOffsetPerpendicular(t *testing.T) {
 	}
 }
 
+// read is one fix of s as the simulator takes it: s's receiver
+// perceives truth with the next noise of s's stream.
+func read(s *Sensor, truth vec.Vec3, t float64) Reading {
+	return s.Receiver().Perceive(truth, s.Noise(), t)
+}
+
 // TestPerceiveMatchesRead sweeps random receivers and true positions,
-// signed zeros included, and requires perceiving each fix with the
-// sensor's next Noise to equal Read's reading bit for bit.
+// signed zeros included, and requires each fix to equal the reference
+// read, computed straight from a copy of the sensor's stream: the true
+// position plus the bias drawn at seeding, then plus the fix's two
+// Gaussian draws (x first) when the sensor is noisy, bit for bit.
 func TestPerceiveMatchesRead(t *testing.T) {
 	src := rng.New(21)
 	coord := func() float64 {
@@ -255,21 +263,26 @@ func TestPerceiveMatchesRead(t *testing.T) {
 		biasMag := []float64{0, 0.4, src.Uniform(0, 5)}[trial%3]
 		noiseStd := []float64{0, 0.12, src.Uniform(0, 3)}[trial/3%3]
 		seed := src.Uint64()
-		read, split := NewSensor(biasMag, noiseStd, rng.New(seed)), NewSensor(biasMag, noiseStd, rng.New(seed))
-		rx := split.Receiver()
+		sensor, ref := NewSensor(biasMag, noiseStd, rng.New(seed)), rng.New(seed)
+		angle := ref.Uniform(0, 2*math.Pi)
+		bias := vec.New(biasMag*math.Cos(angle), biasMag*math.Sin(angle), 0)
 		for k := 0; k < 20; k++ {
 			truth, at := vec.New(coord(), coord(), coord()), src.Uniform(0, 100)
-			want := read.Read(truth, at)
-			got := rx.Perceive(truth, split.Noise(), at)
+			want := Reading{Position: truth.Add(bias), Time: at}
+			if noiseStd > 0 {
+				x := ref.Gaussian(0, noiseStd)
+				want.Position = want.Position.Add(vec.New(x, ref.Gaussian(0, noiseStd), 0))
+			}
+			got := read(sensor, truth, at)
 			for c, pair := range [][2]float64{{got.Position.X, want.Position.X}, {got.Position.Y, want.Position.Y}, {got.Position.Z, want.Position.Z}, {got.Time, want.Time}} {
 				if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
-					t.Fatalf("trial %d fix %d component %d: Perceive %v, Read %v", trial, k, c, pair[0], pair[1])
+					t.Fatalf("trial %d fix %d component %d: Perceive %v, reference %v", trial, k, c, pair[0], pair[1])
 				}
 				if c < 3 && pair[1] == 0 && math.Signbit(pair[1]) {
 					negZeros++
 				}
 			}
-			if got.Spoofed || want.Spoofed {
+			if got.Spoofed {
 				t.Fatalf("trial %d fix %d: unspoofed fix marked spoofed", trial, k)
 			}
 		}

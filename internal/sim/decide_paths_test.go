@@ -90,16 +90,21 @@ func TestCommandOverrideRuns(t *testing.T) {
 	}
 }
 
-// warmStepAllocs steps st past its warm-up — the first steps size the
-// bus arena and collision pair buffer — and returns what one more Step
-// allocates.
-func warmStepAllocs(t *testing.T, st *sim.Stepper) float64 {
+// warmUp steps st past its warm-up: the first steps size the bus
+// arena and the collision pair buffer.
+func warmUp(t *testing.T, st *sim.Stepper) {
 	t.Helper()
 	for i := 0; i < 5; i++ {
 		if _, err := st.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// warmStepAllocs warms st up and returns what one more Step allocates.
+func warmStepAllocs(t *testing.T, st *sim.Stepper) float64 {
+	t.Helper()
+	warmUp(t, st)
 	return testing.AllocsPerRun(100, func() {
 		if _, err := st.Step(); err != nil {
 			t.Fatal(err)
@@ -107,11 +112,29 @@ func warmStepAllocs(t *testing.T, st *sim.Stepper) float64 {
 	})
 }
 
-// TestStepperZeroAlloc pins that once warm, one simulation step
-// allocates nothing — on both decide paths, across swarm sizes up to
-// n = 50, with and without trajectory recording, and on a spoofed run
-// resumed from a prefix whose noise table an earlier run already
-// filled.
+// windowAllocs warms st up and returns exactly what the steps of one
+// window of sim.TrajChunk trajectory samples allocate. Such a window
+// holds one sample that starts a new pair of backing chunks, whatever
+// its phase, so a recording run's window allocates those two and a
+// per-step average would floor them away.
+func windowAllocs(t *testing.T, st *sim.Stepper, sampleEvery int) float64 {
+	t.Helper()
+	warmUp(t, st)
+	return testing.AllocsPerRun(1, func() {
+		for i := 0; i < sim.TrajChunk*sampleEvery; i++ {
+			if _, err := st.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestStepperZeroAlloc pins that once warm, a simulation step
+// allocates nothing, on both decide paths and across swarm sizes up to
+// n = 50, and on a spoofed run resumed from a prefix whose noise table
+// an earlier run already filled. A recording run allocates its
+// trajectory's position and velocity chunks and nothing else: exactly
+// two allocations per window of sim.TrajChunk samples.
 func TestStepperZeroAlloc(t *testing.T) {
 	ctrl := flockController(t, flock.DefaultParams())
 	paths := []struct {
@@ -134,8 +157,12 @@ func TestStepperZeroAlloc(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if allocs := warmStepAllocs(t, st); allocs != 0 {
-					t.Errorf("%s path n=%d traj=%v: warm Step allocates %v objects/op, want 0", path.name, n, traj, allocs)
+				if !traj {
+					if allocs := warmStepAllocs(t, st); allocs != 0 {
+						t.Errorf("%s path n=%d: warm Step allocates %v objects/op, want 0", path.name, n, allocs)
+					}
+				} else if allocs := windowAllocs(t, st, mission.Config.SampleEvery); allocs != 2 {
+					t.Errorf("%s path n=%d recording: a %d-sample window allocates %v objects, want 2 (one chunk each of positions and velocities)", path.name, n, sim.TrajChunk, allocs)
 				}
 			}
 		}

@@ -13,8 +13,12 @@ func Straight(speed float64) Controller { return straightController{speed} }
 
 func NaNAfter(t float64) Controller { return nanController{after: t} }
 
-// NoiseChunk exposes the noise table's fill unit to the external tests.
-const NoiseChunk = noiseChunk
+// NoiseChunk and TrajChunk expose the noise chunk's steps and the
+// trajectory chunk's samples to the external tests.
+const (
+	NoiseChunk = noiseChunk
+	TrajChunk  = trajChunk
+)
 
 // NoiseSteps returns how many steps of GPS noise the shared table of
 // tr's fork points holds.

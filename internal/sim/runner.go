@@ -8,7 +8,6 @@ import (
 
 	"swarmfuzz/internal/comms"
 	"swarmfuzz/internal/gps"
-	"swarmfuzz/internal/rng"
 	"swarmfuzz/internal/robust"
 	"swarmfuzz/internal/telemetry"
 	"swarmfuzz/internal/vec"
@@ -134,6 +133,9 @@ type Trajectory struct {
 // every step whose index is a multiple of forkEvery.
 const forkEvery = 20
 
+// trajChunk is the number of trajectory samples per backing chunk.
+const trajChunk = 64
+
 // forkPoints are a clean run's state snapshots. Snapshot k is the state
 // at the start of step k·forkEvery, i.e. everything steps 0..k·forkEvery−1
 // produced: bodies and each drone's obstacle clearance so far in flat
@@ -241,9 +243,10 @@ func validatePrefix(m *Mission, opts RunOptions) error {
 
 // Stepper simulates one mission incrementally, one integration step
 // per Step call. It owns all per-run scratch — broadcast columns,
-// controller accumulators or the bus's observation arena, GPS
-// readings, commands, trajectory backing arrays and the collision pair
-// buffer — so a steady-state Step performs zero heap allocations. Run drives a
+// controller accumulators or the bus's observation arena, a GPS noise
+// chunk, readings, commands and the collision pair buffer — so a
+// steady-state Step performs zero heap allocations, save a recording
+// run's two trajectory chunks every trajChunk samples. Run drives a
 // Stepper to completion; external callers (benchmarks, interactive
 // tooling) may drive it directly.
 //
@@ -271,18 +274,17 @@ type Stepper struct {
 	limits  StepLimits
 
 	bodies []Body
-	// sensors stream a fresh run's GPS noise. A resumed run has none:
-	// it perceives through rx with noise read from the chunks of its
-	// prefix's shared table.
+	// chunk holds the noise of the current step's fixes (see sense). A
+	// resumed run has no sensors: it reads its prefix's shared table.
+	rx      []gps.Receiver
+	chunk   []gps.Noise
 	sensors []*gps.Sensor
 	noise   *noiseTable
-	rx      []gps.Receiver
-	chunks  [][]gps.Noise
 	res     *Result
 	traj    *Trajectory
 	forks   *forkPoints
-	// posFlat/velFlat are the flat backing arrays trajectory sample
-	// rows are sliced from, reserved once from the known sample count.
+	// posFlat/velFlat are the backing chunks of trajChunk samples the
+	// trajectory sample rows are sliced from.
 	posFlat []vec.Vec3
 	velFlat []vec.Vec3
 
@@ -345,19 +347,18 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 
 	n := cfg.NumDrones
 	s := &Stepper{
-		m:         m,
-		cfg:       cfg,
-		ctrl:      opts.Controller,
-		bus:       bus,
-		spoofer:   spoofer,
-		flight:    opts.Flight,
-		limits:    cfg.Body.Limits(cfg.Dt),
-		bodies:    make([]Body, n),
-		published: make([]comms.State, 0, n),
-		readings:  make([]gps.Reading, n),
-		cmds:      make([]vec.Vec3, n),
-		steps:     int(cfg.MaxTime / cfg.Dt),
-		tEnd:      cfg.MaxTime,
+		m:        m,
+		cfg:      cfg,
+		ctrl:     opts.Controller,
+		bus:      bus,
+		spoofer:  spoofer,
+		flight:   opts.Flight,
+		limits:   cfg.Body.Limits(cfg.Dt),
+		bodies:   make([]Body, n),
+		readings: make([]gps.Reading, n),
+		cmds:     make([]vec.Vec3, n),
+		steps:    int(cfg.MaxTime / cfg.Dt),
+		tEnd:     cfg.MaxTime,
 		bc: comms.Broadcast{
 			Pos:    make([]vec.Vec3, n),
 			Vel:    make([]vec.Vec3, n),
@@ -367,17 +368,14 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 	for i := 0; i < n; i++ {
 		s.bodies[i] = Body{Pos: m.Start[i]}
 	}
-	if opts.Prefix == nil {
-		s.sensors = make([]*gps.Sensor, n)
-		for i := range s.sensors {
-			s.sensors[i] = gps.NewSensor(cfg.GPSBias, cfg.GPSNoise, rng.DeriveN(cfg.Seed, "gps", i))
-		}
-	}
 	if bc, ok := opts.Controller.(BatchController); ok {
 		if _, perfect := bus.(*comms.PerfectBus); perfect {
 			s.batch = bc
 			s.scratch = bc.NewBatchScratch(n, &m.World)
 		}
+	}
+	if s.batch == nil {
+		s.published = make([]comms.State, 0, n)
 	}
 
 	s.res = &Result{MinClearance: make([]float64, n)}
@@ -401,8 +399,6 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 			Positions:  make([][]vec.Vec3, 0, est),
 			Velocities: make([][]vec.Vec3, 0, est),
 		}
-		s.posFlat = make([]vec.Vec3, 0, est*n)
-		s.velFlat = make([]vec.Vec3, 0, est*n)
 	}
 
 	if s.traj != nil && spoofer == nil {
@@ -418,6 +414,9 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 	}
 	if opts.Prefix != nil {
 		s.resume(opts.Prefix.forks, opts.Spoof)
+	} else {
+		s.sensors, s.rx = newSensors(&cfg)
+		s.chunk = make([]gps.Noise, noiseChunk*n)
 	}
 	return s, nil
 }
@@ -428,7 +427,7 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 // SpoofPlan.Active. Every snapshot lies within this run's step bound,
 // since fp was recorded on the same mission. Snapshot 0 is the initial
 // state, so there is always one. The run then reads its GPS noise from
-// fp's table.
+// fp's table, starting with the chunk that holds its first step.
 func (s *Stepper) resume(fp *forkPoints, plan *gps.SpoofPlan) {
 	start := math.Inf(1)
 	if plan != nil {
@@ -447,7 +446,8 @@ func (s *Stepper) resume(fp *forkPoints, plan *gps.SpoofPlan) {
 		s.step = k * forkEvery
 	}
 	s.noise = &fp.noise
-	s.rx, s.chunks = s.noise.upTo(s.step)
+	s.chunk = s.noise.chunk(s.step)
+	s.rx = s.noise.rx // written once, under the lock chunk took
 }
 
 // StepsRun returns the number of integration steps executed so far; a
@@ -570,9 +570,13 @@ func (s *Stepper) Step() (done bool, err error) {
 		}
 	}
 
-	// Record: sample rows are sliced off the flat backing arrays so a
-	// full trajectory costs two allocations per run, not two per sample.
+	// Record: sample rows are sliced off backing chunks, so a
+	// trajectory costs two allocations per trajChunk samples.
 	if s.traj != nil && s.step%cfg.SampleEvery == 0 {
+		if len(s.posFlat) == cap(s.posFlat) {
+			s.posFlat = make([]vec.Vec3, 0, trajChunk*n)
+			s.velFlat = make([]vec.Vec3, 0, trajChunk*n)
+		}
 		mark := len(s.posFlat)
 		for i := 0; i < n; i++ {
 			s.posFlat = append(s.posFlat, s.bodies[i].Pos)
@@ -599,24 +603,18 @@ func (s *Stepper) Step() (done bool, err error) {
 	return false, nil
 }
 
-// sense takes every active drone's GPS fix at time t: from its own
-// sensor on a fresh run, from the shared noise table on a resumed one,
-// growing the run's view of the table when the step passes its end.
+// sense takes every active drone's GPS fix at time t from the step's
+// row of the noise chunk. At a chunk start a resumed run takes the
+// table's next chunk, and a fresh run refills its own from its sensors.
 func (s *Stepper) sense(t float64) {
-	if s.noise == nil {
-		for i := range s.bodies {
-			if !s.bodies[i].Crashed {
-				s.readings[i] = s.sensors[i].Read(s.bodies[i].Pos, t)
-			}
-		}
-		return
-	}
-	c := s.step / noiseChunk
-	if c >= len(s.chunks) {
-		s.rx, s.chunks = s.noise.upTo(s.step)
+	j := s.step % noiseChunk
+	if j == 0 && s.noise != nil {
+		s.chunk = s.noise.chunk(s.step)
+	} else if j == 0 {
+		fillNoise(s.chunk, s.sensors)
 	}
 	n := len(s.bodies)
-	row := s.chunks[c][(s.step%noiseChunk)*n:][:n]
+	row := s.chunk[j*n:][:n]
 	for i := range s.bodies {
 		if !s.bodies[i].Crashed {
 			s.readings[i] = s.rx[i].Perceive(s.bodies[i].Pos, row[i], t)

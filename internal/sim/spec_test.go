@@ -16,8 +16,9 @@ import (
 type commandFunc func(p sim.Perception, nb []comms.State, w *sim.World) vec.Vec3
 
 // specRun is the simulator's step as its specification states it,
-// with no fast path: every step each active drone reads its own
-// streaming GPS sensor and the spoofer shifts the target's fix; each
+// with no fast path: every step each active drone's receiver perceives
+// its true position with the next noise streamed from its own GPS
+// sensor, and the spoofer shifts the target's fix; each
 // active drone derives its command from its own reading and the
 // readings and velocities of every other active drone, in ascending
 // index order; each body's velocity relaxes toward the command under
@@ -72,7 +73,7 @@ func specRun(m *sim.Mission, cmd commandFunc, plan *gps.SpoofPlan, record bool) 
 		t := float64(step) * cfg.Dt
 		for i := range pos {
 			if !crashed[i] {
-				readings[i] = sensors[i].Read(pos[i], t)
+				readings[i] = sensors[i].Receiver().Perceive(pos[i], sensors[i].Noise(), t)
 			}
 		}
 		if spoofer != nil && !crashed[plan.Target] {
