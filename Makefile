@@ -38,11 +38,13 @@ metrics-lint:
 # gps's Perceive against a reference read from the sensor's stream.
 # The rest pin the chunked noise fill every run reads through to
 # per-sensor streaming, the shared noise table under concurrent and
-# reordered growth, and svg's t_clo against the series the simulator
-# used to record. `race` runs them too; the target is
+# reordered growth, the pair-scan gate's sensing error on a spoofed
+# fix (a true collision the shifted fix hides, found only because the
+# spoofed fix's error widens the gate), and svg's t_clo against the
+# series the simulator used to record. `race` runs them too; the target is
 # the equivalence contract's own CI handle and a fast local loop.
 batch-equiv:
-	$(GO) test -race -run '^(TestRunMatchesSpec|TestBatchCommandsMatchesCommand|TestBatchFarthestNeighbourTies|TestBatchPairSharing|TestClampNormMatchesReference|TestIsFiniteMatchesMath|TestBodyStepMatchesClampFormula|TestObstacleGatesMatchExact|TestPrefixResumeConcurrent|TestNoiseTableOrderIndependence|TestNoiseFillMatchesStream|TestPerceiveMatchesRead|TestTCloMatchesRecordedSeries)$$' \
+	$(GO) test -race -run '^(TestRunMatchesSpec|TestBatchCommandsMatchesCommand|TestBatchFarthestNeighbourTies|TestBatchPairSharing|TestClampNormMatchesReference|TestIsFiniteMatchesMath|TestBodyStepMatchesClampFormula|TestObstacleGatesMatchExact|TestPrefixResumeConcurrent|TestNoiseTableOrderIndependence|TestNoiseFillMatchesStream|TestPerceiveMatchesRead|TestPairScanGateSpoofedFix|TestTCloMatchesRecordedSeries)$$' \
 		./internal/sim/ ./internal/flock/ ./internal/vec/ ./internal/gps/ ./internal/svg/
 
 # unreached fails when an exported identifier has no use outside

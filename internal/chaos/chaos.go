@@ -374,6 +374,8 @@ func (c *chaosFile) Name() string { return c.f.Name() }
 
 func (c *chaosFile) Read(p []byte) (int, error) { return c.f.Read(p) }
 
+func (c *chaosFile) Sync() error { return c.f.Sync() }
+
 func (c *chaosFile) Write(p []byte) (int, error) {
 	f := c.in.hit(OpWrite, c.label)
 	if f == nil {

@@ -41,6 +41,8 @@ type File interface {
 	io.Closer
 	// Name returns the path the file was opened with.
 	Name() string
+	// Sync commits the file's contents to stable storage.
+	Sync() error
 }
 
 // osFS is the real filesystem.

@@ -103,16 +103,15 @@ func (s *Sensor) Noise() Noise {
 	return Noise{X: x, Y: s.src.Gaussian(0, s.noiseStd)}
 }
 
-// Perceive returns the reading of truth at mission time t with noise n
-// as the fix's noise. The bias is added first, then the noise; a
-// receiver without noise skips the second add, so a −0 coordinate
-// stays −0.
-func (r Receiver) Perceive(truth vec.Vec3, n Noise, t float64) Reading {
+// Perceive returns the perceived position of truth with noise n as
+// the fix's noise. The bias is added first, then the noise; a receiver
+// without noise skips the second add, so a −0 coordinate stays −0.
+func (r Receiver) Perceive(truth vec.Vec3, n Noise) vec.Vec3 {
 	p := truth.Add(r.bias)
 	if r.noisy {
 		p = p.Add(vec.New(n.X, n.Y, 0))
 	}
-	return Reading{Position: p, Time: t}
+	return p
 }
 
 // SpoofPlan describes one horizontal constant spoofing attack: the
@@ -171,8 +170,7 @@ func (p SpoofPlan) String() string {
 		p.Target, p.Start, p.Duration, p.Direction, p.Distance)
 }
 
-// Spoofer applies a SpoofPlan on top of a Sensor for a specific drone.
-// A nil Spoofer is valid and applies no attack.
+// Spoofer executes a SpoofPlan; a nil Spoofer applies no attack.
 type Spoofer struct {
 	plan SpoofPlan
 	// off is the in-window offset, the same every step, so it is
@@ -189,14 +187,12 @@ func NewSpoofer(plan SpoofPlan, axis vec.Vec3) *Spoofer {
 // Plan returns the plan the spoofer executes.
 func (sp *Spoofer) Plan() SpoofPlan { return sp.plan }
 
-// Apply adds the plan's offset at r.Time to the target drone's reading
-// and marks it Spoofed. Other drones' readings, and readings outside
-// the attack window or under a zero offset, pass through unmarked.
-func (sp *Spoofer) Apply(droneID int, r Reading) Reading {
-	if sp == nil || droneID != sp.plan.Target || sp.off == vec.Zero || !sp.plan.Active(r.Time) {
-		return r
+// Offset returns the shift the plan adds to drone's fix at mission
+// time t, and whether it adds one: it adds none to other drones,
+// outside the attack window or under a zero offset.
+func (sp *Spoofer) Offset(drone int, t float64) (vec.Vec3, bool) {
+	if sp == nil || drone != sp.plan.Target || sp.off == vec.Zero || !sp.plan.Active(t) {
+		return vec.Zero, false
 	}
-	r.Position = r.Position.Add(sp.off)
-	r.Spoofed = true
-	return r
+	return sp.off, true
 }

@@ -155,34 +155,30 @@ func TestSpoofPlanValidate(t *testing.T) {
 func TestSpooferTargetsOnlyTarget(t *testing.T) {
 	plan := SpoofPlan{Target: 2, Start: 0, Duration: 100, Direction: Right, Distance: 10}
 	sp := NewSpoofer(plan, vec.New(0, 1, 0))
-	r := Reading{Position: vec.Zero, Time: 50}
-	got := sp.Apply(1, r)
-	if got != r {
-		t.Errorf("non-target reading modified: %v", got)
+	if off, ok := sp.Offset(1, 50); ok || off != vec.Zero {
+		t.Errorf("non-target fix shifted by %v (ok=%v)", off, ok)
 	}
-	got = sp.Apply(2, r)
-	if !got.Spoofed {
-		t.Error("target reading not marked spoofed")
+	off, ok := sp.Offset(2, 50)
+	if !ok {
+		t.Error("target fix not spoofed")
 	}
-	if got.Position.Dist(vec.New(10, 0, 0)) > 1e-9 {
-		t.Errorf("target reading position = %v, want (10,0,0)", got.Position)
+	if off.Dist(vec.New(10, 0, 0)) > 1e-9 {
+		t.Errorf("target fix shifted by %v, want (10,0,0)", off)
 	}
 }
 
 func TestSpooferInactiveWindow(t *testing.T) {
 	plan := SpoofPlan{Target: 0, Start: 10, Duration: 5, Direction: Right, Distance: 10}
 	sp := NewSpoofer(plan, vec.New(0, 1, 0))
-	r := Reading{Position: vec.New(1, 2, 3), Time: 2}
-	if got := sp.Apply(0, r); got != r {
-		t.Errorf("reading modified outside window: %v", got)
+	if off, ok := sp.Offset(0, 2); ok || off != vec.Zero {
+		t.Errorf("fix shifted by %v outside the window (ok=%v)", off, ok)
 	}
 }
 
 func TestNilSpooferPassThrough(t *testing.T) {
 	var sp *Spoofer
-	r := Reading{Position: vec.New(1, 2, 3), Time: 2}
-	if got := sp.Apply(0, r); got != r {
-		t.Errorf("nil spoofer modified reading: %v", got)
+	if off, ok := sp.Offset(0, 2); ok || off != vec.Zero {
+		t.Errorf("nil spoofer shifted a fix by %v (ok=%v)", off, ok)
 	}
 }
 
@@ -238,7 +234,7 @@ func TestPropOffsetPerpendicular(t *testing.T) {
 // read is one fix of s as the simulator takes it: s's receiver
 // perceives truth with the next noise of s's stream.
 func read(s *Sensor, truth vec.Vec3, t float64) Reading {
-	return s.Receiver().Perceive(truth, s.Noise(), t)
+	return Reading{Position: s.Receiver().Perceive(truth, s.Noise()), Time: t}
 }
 
 // TestPerceiveMatchesRead sweeps random receivers and true positions,
@@ -295,5 +291,6 @@ func TestPerceiveMatchesRead(t *testing.T) {
 // offset is the shift a Spoofer running p adds to the target's fix at
 // time t: zero outside the attack window.
 func offset(p SpoofPlan, axis vec.Vec3, t float64) vec.Vec3 {
-	return NewSpoofer(p, axis).Apply(p.Target, Reading{Time: t}).Position
+	off, _ := NewSpoofer(p, axis).Offset(p.Target, t)
+	return off
 }

@@ -218,7 +218,9 @@ func (s *Store) writeFileAtomic(path string, data []byte) error {
 	return err
 }
 
-// writeFileOnce is one temp-file + rename attempt.
+// writeFileOnce is one temp-file + rename attempt. The temp file is
+// synced before the rename, so a power cut after the rename cannot
+// leave an empty or torn file at path.
 func (s *Store) writeFileOnce(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
@@ -232,6 +234,10 @@ func (s *Store) writeFileOnce(path string, data []byte) error {
 	}
 	defer s.fs.Remove(tmp.Name()) // no-op after a successful rename
 	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		return err
 	}

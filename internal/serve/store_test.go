@@ -3,12 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"unicode/utf8"
 
+	"swarmfuzz/internal/chaos"
 	"swarmfuzz/internal/telemetry"
 )
 
@@ -82,6 +84,87 @@ func TestStoreReadsSpecWithRetiredKnob(t *testing.T) {
 	}
 	if got.Hash() != want.Hash() {
 		t.Errorf("old spec hash %s != %s", got.Hash(), want.Hash())
+	}
+}
+
+// opLog wraps the real filesystem and logs each temp file's writes,
+// syncs and closes and each rename, in order. failSyncs fails that
+// many Sync calls before letting them through.
+type opLog struct {
+	chaos.FS
+	ops       []string
+	failSyncs int
+}
+
+type loggedFile struct {
+	chaos.File
+	log *opLog
+}
+
+func (l *opLog) CreateTemp(dir, pattern string) (chaos.File, error) {
+	f, err := l.FS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return loggedFile{f, l}, nil
+}
+
+func (l *opLog) Rename(oldpath, newpath string) error {
+	l.ops = append(l.ops, "rename "+filepath.Base(newpath))
+	return l.FS.Rename(oldpath, newpath)
+}
+
+func (f loggedFile) Write(p []byte) (int, error) {
+	f.log.ops = append(f.log.ops, "write")
+	return f.File.Write(p)
+}
+
+func (f loggedFile) Sync() error {
+	f.log.ops = append(f.log.ops, "sync")
+	if f.log.failSyncs > 0 {
+		f.log.failSyncs--
+		return errors.New("sync: input/output error")
+	}
+	return f.File.Sync()
+}
+
+func (f loggedFile) Close() error {
+	f.log.ops = append(f.log.ops, "close")
+	return f.File.Close()
+}
+
+// TestStoreSyncsBeforeRename pins the atomic write's order: the temp
+// file's contents are synced before it is closed and renamed into
+// place, so a power cut after the rename cannot leave an empty
+// status.json or report.json. A failed sync fails the attempt, which
+// is retried on a fresh temp file, and leaves no temp file behind.
+func TestStoreSyncsBeforeRename(t *testing.T) {
+	for _, failSyncs := range []int{0, 1} {
+		log := &opLog{FS: chaos.OS(), failSyncs: failSyncs}
+		store, err := OpenStoreWith(StoreOptions{Dir: t.TempDir(), FS: log})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := FormatID(0)
+		report := []byte("{\n  \"ok\": true\n}\n")
+		if err := store.WriteReport(id, report); err != nil {
+			t.Fatal(err)
+		}
+		attempt := []string{"write", "sync", "close", "rename report.json"}
+		want := attempt
+		if failSyncs == 1 {
+			want = append([]string{"write", "sync", "close"}, attempt...)
+		}
+		if !reflect.DeepEqual(log.ops, want) {
+			t.Errorf("failed syncs %d: ops %q, want %q", failSyncs, log.ops, want)
+		}
+		if got, err := store.ReadReport(id); err != nil || !bytes.Equal(got, report) {
+			t.Errorf("failed syncs %d: report %q, %v", failSyncs, got, err)
+		}
+		entries, err := os.ReadDir(store.JobDir(id))
+		if err != nil || len(entries) != 1 {
+			t.Errorf("failed syncs %d: job dir holds %v (%v), want only report.json", failSyncs, entries, err)
+		}
 	}
 }
 

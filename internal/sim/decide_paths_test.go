@@ -112,21 +112,31 @@ func warmStepAllocs(t *testing.T, st *sim.Stepper) float64 {
 	})
 }
 
-// windowAllocs warms st up and returns exactly what the steps of one
-// window of sim.TrajChunk trajectory samples allocate. Such a window
-// holds one sample that starts a new pair of backing chunks, whatever
-// its phase, so a recording run's window allocates those two and a
-// per-step average would floor them away.
+// windowAllocs warms st up and returns what the steps of one window of
+// sim.TrajChunk trajectory samples allocate: the fewest objects any of
+// three consecutive windows allocates. Each window holds exactly one
+// sample that starts a new pair of backing chunks, whatever its phase,
+// so a recording run's window allocates those two, and a per-step
+// average would floor them away. testing.AllocsPerRun counts the whole
+// process's allocations, so a window can also count ones made outside
+// the Stepper: the runtime wakes the unique package's map cleanup
+// after every GC cycle, and it allocates (two objects a cycle in this
+// binary, which links unique through net/netip). An allocation of the
+// Stepper's own shows in every window, and so in the minimum.
 func windowAllocs(t *testing.T, st *sim.Stepper, sampleEvery int) float64 {
 	t.Helper()
 	warmUp(t, st)
-	return testing.AllocsPerRun(1, func() {
-		for i := 0; i < sim.TrajChunk*sampleEvery; i++ {
-			if _, err := st.Step(); err != nil {
-				t.Fatal(err)
+	least := math.Inf(1)
+	for w := 0; w < 3; w++ {
+		least = min(least, testing.AllocsPerRun(1, func() {
+			for i := 0; i < sim.TrajChunk*sampleEvery; i++ {
+				if _, err := st.Step(); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-	})
+		}))
+	}
+	return least
 }
 
 // TestStepperZeroAlloc pins that once warm, a simulation step

@@ -1,6 +1,6 @@
 package sim
 
-import "swarmfuzz/internal/gps"
+import "swarmfuzz/internal/vec"
 
 // ForkEvery exposes the fork-point cadence to the external tests.
 const ForkEvery = forkEvery
@@ -30,12 +30,13 @@ func NoiseSteps(tr *Trajectory) int {
 }
 
 // StepThrough drives st until it has executed step last or the run has
-// ended, and returns copies of its bodies and GPS readings then.
-func StepThrough(st *Stepper, last int) ([]Body, []gps.Reading, error) {
+// ended, and returns copies of its bodies and perceived positions (the
+// broadcast GPS fixes) then.
+func StepThrough(st *Stepper, last int) ([]Body, []vec.Vec3, error) {
 	for st.step <= last && !st.done {
 		if _, err := st.Step(); err != nil {
 			return nil, nil, err
 		}
 	}
-	return append([]Body(nil), st.bodies...), append([]gps.Reading(nil), st.readings...), nil
+	return append([]Body(nil), st.bodies...), append([]vec.Vec3(nil), st.bc.Pos...), nil
 }

@@ -23,8 +23,8 @@ type FlightStep struct {
 	// velocity, crashed flag), indexed by drone ID.
 	Bodies []Body
 	// Readings holds each drone's current GPS fix — the perceived,
-	// possibly spoofed position. Entries of crashed drones are stale
-	// (the last fix before the crash).
+	// possibly spoofed position — rebuilt from the broadcast columns.
+	// A crashed drone's Position is its last fix before the crash.
 	Readings []gps.Reading
 	// Commands holds the velocity command each drone's controller
 	// issued this step; zero for crashed drones.

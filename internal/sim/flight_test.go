@@ -29,7 +29,7 @@ type capturedStep struct {
 	step     int
 	time     float64
 	bodies   []sim.Body
-	readings []vec.Vec3
+	readings []gps.Reading
 	commands []vec.Vec3
 	bc       comms.Broadcast
 }
@@ -46,10 +46,8 @@ func (r *captureRecorder) RecordStep(s sim.FlightStep) {
 		step:     s.Step,
 		time:     s.Time,
 		bodies:   append([]sim.Body(nil), s.Bodies...),
+		readings: append([]gps.Reading(nil), s.Readings...),
 		commands: append([]vec.Vec3(nil), s.Commands...),
-	}
-	for _, rd := range s.Readings {
-		cs.readings = append(cs.readings, rd.Position)
 	}
 	cs.bc = comms.Broadcast{
 		Pos:    append([]vec.Vec3(nil), s.Broadcast.Pos...),
@@ -109,15 +107,22 @@ func TestFlightRecorderLifecycle(t *testing.T) {
 // This is what lets the flight log decompose every issued command after
 // the fact. The flocking controller's flight-recorded runs take the
 // batch kernel, so its case also holds the kernel to the per-drone
-// oracle; the straight-line controller covers the row path.
+// oracle; the straight-line controller covers the row path. On the
+// spoofed cases each active drone's reading is marked Spoofed exactly
+// when it is the target's inside the attack window, and a spoofed fix
+// lies the plan's distance from the unspoofed one.
 func TestFlightRecorderStepConsistency(t *testing.T) {
+	plan := &gps.SpoofPlan{Target: 1, Start: 3, Duration: 5, Direction: gps.Left, Distance: 10}
 	cases := []struct {
-		name string
-		n    int
-		ctrl sim.Controller
+		name  string
+		n     int
+		ctrl  sim.Controller
+		spoof *gps.SpoofPlan
 	}{
-		{"row path", 3, sim.Straight(2)},
-		{"batch path", 5, flockController(t, flock.DefaultParams())},
+		{"row path", 3, sim.Straight(2), nil},
+		{"batch path", 5, flockController(t, flock.DefaultParams()), nil},
+		{"spoofed row path", 3, sim.Straight(2), plan},
+		{"spoofed batch path", 5, flockController(t, flock.DefaultParams()), plan},
 	}
 	for _, tc := range cases {
 		m, err := sim.NewMission(sim.SmallConfig(tc.n, 5))
@@ -125,33 +130,53 @@ func TestFlightRecorderStepConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := &captureRecorder{}
-		if _, err := sim.Run(m, sim.RunOptions{Controller: tc.ctrl, Flight: rec}); err != nil {
+		if _, err := sim.Run(m, sim.RunOptions{Controller: tc.ctrl, Spoof: tc.spoof, Flight: rec}); err != nil {
 			t.Fatal(err)
 		}
 		if len(rec.steps) == 0 {
 			t.Fatalf("%s: no steps recorded", tc.name)
 		}
 		var nbs []comms.State
+		spoofed := 0
 		for _, s := range rec.steps {
 			for i := range s.bodies {
 				if s.bodies[i].Crashed {
 					continue
 				}
-				if s.bc.Time != s.time || !s.bc.Active[i] || s.bc.Pos[i] != s.readings[i] || s.bc.Vel[i] != s.bodies[i].Vel {
+				rd := s.readings[i]
+				if s.bc.Time != s.time || rd.Time != s.time || !s.bc.Active[i] || s.bc.Pos[i] != rd.Position || s.bc.Vel[i] != s.bodies[i].Vel {
 					t.Fatalf("%s: step %d drone %d: broadcast disagrees with the recorded state", tc.name, s.step, i)
+				}
+				if want := tc.spoof != nil && i == tc.spoof.Target && tc.spoof.Active(s.time); rd.Spoofed != want {
+					t.Fatalf("%s: step %d drone %d: reading marked spoofed %v, want %v", tc.name, s.step, i, rd.Spoofed, want)
+				}
+				if rd.Spoofed {
+					spoofed++
+					// SmallConfig's receivers are ideal, so the fix is
+					// the true position plus the shift.
+					if d := rd.Position.Dist(s.bodies[i].Pos); d < 10-1e-9 || d > 10+1e-9 {
+						t.Fatalf("%s: step %d: spoofed fix %v m from the true position, want 10", tc.name, s.step, d)
+					}
 				}
 				nbs = s.bc.Neighbors(i, nbs)
 				p := sim.Perception{ID: i, Velocity: s.bodies[i].Vel, Time: s.time}
-				p.GPS.Position = s.readings[i]
+				p.GPS.Position = rd.Position
 				want := tc.ctrl.Command(p, nbs, &m.World)
 				if got := s.commands[i]; !sameBits(reflect.ValueOf(got), reflect.ValueOf(want)) {
 					t.Fatalf("%s: step %d drone %d: recorded command %#v, recomputed %#v", tc.name, s.step, i, got, want)
 				}
 			}
 		}
+		if (tc.spoof != nil) != (spoofed > 0) {
+			t.Fatalf("%s: %d readings marked spoofed", tc.name, spoofed)
+		}
 	}
 }
 
+// TestFlightRecorderSeesCollisions flies drone 0 into an obstacle under
+// a spoof that lasts the whole run: the recorder sees every collision,
+// and the crashed target's recorded fix stays its last one, shifted
+// once, while the attack goes on.
 func TestFlightRecorderSeesCollisions(t *testing.T) {
 	cfg := sim.SmallConfig(2, 3)
 	m, err := sim.NewMission(cfg)
@@ -160,7 +185,8 @@ func TestFlightRecorderSeesCollisions(t *testing.T) {
 	}
 	m.World.Obstacles[0].Center = m.Start[0].Add(vec.New(0, 20, 0))
 	rec := &captureRecorder{}
-	res, err := sim.Run(m, sim.RunOptions{Controller: sim.Straight(2), Flight: rec})
+	plan := &gps.SpoofPlan{Target: 0, Duration: cfg.MaxTime + 1, Direction: gps.Right, Distance: 1}
+	res, err := sim.Run(m, sim.RunOptions{Controller: sim.Straight(2), Spoof: plan, Flight: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,6 +196,20 @@ func TestFlightRecorderSeesCollisions(t *testing.T) {
 	for i, c := range rec.collisions {
 		if c != res.Collisions[i] {
 			t.Errorf("collision %d: recorded %+v, result %+v", i, c, res.Collisions[i])
+		}
+	}
+	var last []vec.Vec3
+	for _, s := range rec.steps {
+		if s.bodies[0].Crashed {
+			last = append(last, s.readings[0].Position)
+		}
+	}
+	if len(last) < 2 {
+		t.Fatalf("target crashed on %d recorded steps, want at least 2", len(last))
+	}
+	for k, p := range last {
+		if p != last[0] {
+			t.Fatalf("crashed target's fix moved from %v to %v on its crashed step %d", last[0], p, k)
 		}
 	}
 }

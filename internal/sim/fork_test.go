@@ -14,6 +14,7 @@ import (
 	"swarmfuzz/internal/rng"
 	"swarmfuzz/internal/sim"
 	"swarmfuzz/internal/telemetry"
+	"swarmfuzz/internal/vec"
 )
 
 // countedRun runs m and returns the result with the run's sim_runs and
@@ -249,16 +250,16 @@ func TestNoiseTableOrderIndependence(t *testing.T) {
 
 	// stepped resumes (or, with prefix nil, fully runs) the long plan
 	// through step last and returns the state there.
-	stepped := func(prefix *sim.Trajectory, last int) ([]sim.Body, []gps.Reading) {
+	stepped := func(prefix *sim.Trajectory, last int) ([]sim.Body, []vec.Vec3) {
 		st, err := sim.NewStepper(m, sim.RunOptions{Controller: ctrl, Spoof: long, Prefix: prefix})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bodies, readings, err := sim.StepThrough(st, last)
+		bodies, fixes, err := sim.StepThrough(st, last)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return bodies, readings
+		return bodies, fixes
 	}
 	c := sim.NoiseChunk
 	first := 10*c - 1 // the first run fills exactly ten chunks
@@ -275,10 +276,10 @@ func TestNoiseTableOrderIndependence(t *testing.T) {
 		for _, order := range [][2]int{{first, second.last}, {second.last, first}} {
 			tr := record()
 			for _, last := range order {
-				gotBodies, gotReadings := stepped(tr, last)
-				wantBodies, wantReadings := stepped(nil, last)
+				gotBodies, gotFixes := stepped(tr, last)
+				wantBodies, wantFixes := stepped(nil, last)
 				if !reflect.DeepEqual(gotBodies, wantBodies) || !sameBits(reflect.ValueOf(gotBodies), reflect.ValueOf(wantBodies)) ||
-					!reflect.DeepEqual(gotReadings, wantReadings) || !sameBits(reflect.ValueOf(gotReadings), reflect.ValueOf(wantReadings)) {
+					!reflect.DeepEqual(gotFixes, wantFixes) || !sameBits(reflect.ValueOf(gotFixes), reflect.ValueOf(wantFixes)) {
 					t.Fatalf("%s, order %v: state after step %d differs from the full run's", second.name, order, last)
 				}
 			}

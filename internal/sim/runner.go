@@ -244,14 +244,14 @@ func validatePrefix(m *Mission, opts RunOptions) error {
 // Stepper simulates one mission incrementally, one integration step
 // per Step call. It owns all per-run scratch — broadcast columns,
 // controller accumulators or the bus's observation arena, a GPS noise
-// chunk, readings, commands and the collision pair buffer — so a
-// steady-state Step performs zero heap allocations, save a recording
-// run's two trajectory chunks every trajChunk samples. Run drives a
-// Stepper to completion; external callers (benchmarks, interactive
-// tooling) may drive it directly.
+// chunk, commands and the collision pair buffer — so a steady-state
+// Step performs zero heap allocations, save a recording run's two
+// trajectory chunks every trajChunk samples. Run drives a Stepper to
+// completion; external callers (benchmarks, interactive tooling) may
+// drive it directly.
 //
-// Every step fills the broadcast columns from the drones' readings and
-// velocities. The decide phase then takes one of two paths. A run
+// Every step senses the drones' fixes and velocities straight into the
+// broadcast columns. The decide phase then takes one of two paths. A run
 // whose controller is a BatchController and whose bus is a PerfectBus
 // hands the columns to BatchCommands (the batch path); every run any
 // entry point starts takes it. Otherwise the Stepper publishes State
@@ -289,9 +289,9 @@ type Stepper struct {
 	velFlat []vec.Vec3
 
 	published []comms.State
-	readings  []gps.Reading
 	cmds      []vec.Vec3
 	pairs     [][2]int
+	fixes     []gps.Reading // FlightStep.Readings
 
 	// contact holds each obstacle's contact gate,
 	// SurfaceGate(DroneRadius), and held the deferred clearances, one
@@ -347,18 +347,17 @@ func NewStepper(m *Mission, opts RunOptions) (*Stepper, error) {
 
 	n := cfg.NumDrones
 	s := &Stepper{
-		m:        m,
-		cfg:      cfg,
-		ctrl:     opts.Controller,
-		bus:      bus,
-		spoofer:  spoofer,
-		flight:   opts.Flight,
-		limits:   cfg.Body.Limits(cfg.Dt),
-		bodies:   make([]Body, n),
-		readings: make([]gps.Reading, n),
-		cmds:     make([]vec.Vec3, n),
-		steps:    int(cfg.MaxTime / cfg.Dt),
-		tEnd:     cfg.MaxTime,
+		m:       m,
+		cfg:     cfg,
+		ctrl:    opts.Controller,
+		bus:     bus,
+		spoofer: spoofer,
+		flight:  opts.Flight,
+		limits:  cfg.Body.Limits(cfg.Dt),
+		bodies:  make([]Body, n),
+		cmds:    make([]vec.Vec3, n),
+		steps:   int(cfg.MaxTime / cfg.Dt),
+		tEnd:    cfg.MaxTime,
 		bc: comms.Broadcast{
 			Pos:    make([]vec.Vec3, n),
 			Vel:    make([]vec.Vec3, n),
@@ -491,28 +490,30 @@ func (s *Stepper) Step() (done bool, err error) {
 	s.stepsRun++
 	t := float64(s.step) * cfg.Dt
 
-	// (1) Sense: read GPS, then spoof the target's fix.
-	s.sense(t)
-	if sp := s.spoofer; sp != nil {
-		if i := sp.Plan().Target; !s.bodies[i].Crashed {
-			s.readings[i] = sp.Apply(i, s.readings[i])
-		}
+	// (1) Sense and (2) broadcast, then (3)+(4) decide: every active
+	// drone derives its command from its own perception and the
+	// received states. On the row path a zero pair bound proves nothing.
+	maxErrD2, minPairD2 := s.sense(t), 0.0
+	if s.batch != nil {
+		minPairD2 = s.batch.BatchCommands(&s.bc, &s.m.World, s.scratch, s.cmds)
+	} else {
+		s.decideRows()
 	}
-
-	// (2) Broadcast and (3)+(4) decide: every active drone derives its
-	// command from its own perception and the received states.
-	minPairD2, maxErrD2 := s.decide(t)
 
 	// Flight recording sits between decide and actuate, so the
 	// recorded Commands are exactly what the controllers derived
 	// from the recorded Readings and Broadcast. The slices alias
 	// the stepper's buffers; recorders copy what they keep.
 	if s.flight != nil && s.step%cfg.SampleEvery == 0 {
+		s.fixes = s.fixes[:0]
+		for i := range s.bodies {
+			s.fixes = append(s.fixes, s.fix(i))
+		}
 		s.flight.RecordStep(FlightStep{
 			Step:      s.step,
 			Time:      t,
 			Bodies:    s.bodies,
-			Readings:  s.readings,
+			Readings:  s.fixes,
 			Commands:  s.cmds,
 			Broadcast: &s.bc,
 		})
@@ -603,51 +604,54 @@ func (s *Stepper) Step() (done bool, err error) {
 	return false, nil
 }
 
-// sense takes every active drone's GPS fix at time t from the step's
-// row of the noise chunk. At a chunk start a resumed run takes the
-// table's next chunk, and a fresh run refills its own from its sensors.
-func (s *Stepper) sense(t float64) {
+// sense writes each active drone's GPS fix at time t, perceived from
+// the step's row of the noise chunk, and its velocity into the
+// broadcast columns, then shifts the spoof target's fix in the attack
+// window. At a chunk start a resumed run takes the table's next chunk,
+// and a fresh run refills its own. It returns the worst squared
+// sensing error of any active drone, counting the target's fix before
+// and after the shift: an upper bound on every broadcast fix's error.
+// A NaN error never compares ≤, so it keeps the collision scan.
+func (s *Stepper) sense(t float64) (maxErrD2 float64) {
 	j := s.step % noiseChunk
 	if j == 0 && s.noise != nil {
 		s.chunk = s.noise.chunk(s.step)
 	} else if j == 0 {
 		fillNoise(s.chunk, s.sensors)
 	}
-	n := len(s.bodies)
-	row := s.chunk[j*n:][:n]
-	for i := range s.bodies {
-		if !s.bodies[i].Crashed {
-			s.readings[i] = s.rx[i].Perceive(s.bodies[i].Pos, row[i], t)
-		}
-	}
-}
-
-// decide fills the broadcast columns with every active drone's
-// perceived position and velocity, then derives every command on the
-// batch or the row path. It returns the kernel's minimum squared
-// broadcast pair distance (zero on the row path: a zero bound proves
-// nothing) and the worst squared sensing error (noise, bias and spoof
-// displacement) of any active drone. A NaN error never compares ≤, so
-// it poisons the bound and keeps the collision scan.
-func (s *Stepper) decide(t float64) (minPairD2, maxErrD2 float64) {
-	for i := range s.bodies {
-		b := &s.bodies[i]
-		s.bc.Active[i] = !b.Crashed
+	bodies := s.bodies
+	n := len(bodies)
+	row, rx := s.chunk[j*n:][:n], s.rx[:n]
+	pos, vel, active := s.bc.Pos[:n], s.bc.Vel[:n], s.bc.Active[:n]
+	s.bc.Time = t
+	for i := range bodies {
+		b := &bodies[i]
+		active[i] = !b.Crashed
 		if b.Crashed {
 			continue
 		}
-		s.bc.Pos[i] = s.readings[i].Position
-		s.bc.Vel[i] = b.Vel
-		if e2 := s.readings[i].Position.Sub(b.Pos).NormSq(); !(e2 <= maxErrD2) {
+		p := rx[i].Perceive(b.Pos, row[i])
+		pos[i], vel[i] = p, b.Vel
+		if e2 := p.Sub(b.Pos).NormSq(); !(e2 <= maxErrD2) {
 			maxErrD2 = e2
 		}
 	}
-	s.bc.Time = t
-	if s.batch != nil {
-		return s.batch.BatchCommands(&s.bc, &s.m.World, s.scratch, s.cmds), maxErrD2
+	if sp := s.spoofer; sp != nil {
+		i := sp.Plan().Target
+		if off, ok := sp.Offset(i, t); ok && active[i] {
+			pos[i] = pos[i].Add(off)
+			if e2 := pos[i].Sub(bodies[i].Pos).NormSq(); !(e2 <= maxErrD2) {
+				maxErrD2 = e2
+			}
+		}
 	}
-	s.decideRows()
-	return 0, maxErrD2
+	return maxErrD2
+}
+
+// fix rebuilds drone i's current GPS fix from the broadcast columns.
+func (s *Stepper) fix(i int) gps.Reading {
+	_, spoofed := s.spoofer.Offset(i, s.bc.Time)
+	return gps.Reading{Position: s.bc.Pos[i], Time: s.bc.Time, Spoofed: spoofed}
 }
 
 // decideRows is the row path's decide phase: publish every active
@@ -669,7 +673,7 @@ func (s *Stepper) decideRows() {
 		}
 		s.cmds[i] = s.ctrl.Command(Perception{
 			ID:       i,
-			GPS:      s.readings[i],
+			GPS:      s.fix(i),
 			Velocity: s.bc.Vel[i],
 			Time:     s.bc.Time,
 		}, observations[obsIdx], &s.m.World)

@@ -407,3 +407,35 @@ func TestRunMatchesSpec(t *testing.T) {
 		}
 	})
 }
+
+// TestPairScanGateSpoofedFix flies two noise-free drones head-on, as
+// the head-on case does, while the spoofer shifts drone 1's fix 10 m
+// sideways from the first step: away from drone 0 (Right, +x) or
+// toward and past it (Left). Their true positions collide, but the
+// fixes broadcast on the colliding step are over 8 m apart, and every
+// fix's sensing error before the shift is zero. Only the spoofed
+// fix's error widens the pair-scan gate's reach enough to run the
+// scan, so sim.Run must match specRun's collisions, full and resumed.
+func TestPairScanGateSpoofedFix(t *testing.T) {
+	headOn := func(p sim.Perception, _ []comms.State, _ *sim.World) vec.Vec3 {
+		return vec.New(8-16*float64(p.ID), 0, 0)
+	}
+	for _, dir := range []gps.Direction{gps.Right, gps.Left} {
+		for k := 0; k < 16; k += 5 {
+			gap := 6 + float64(k)/16
+			m := scriptedMission(sim.World{Obstacles: []sim.Obstacle{{Center: vec.New(0, 500, 0), Radius: 4}}},
+				vec.New(0, 0, 10), vec.New(gap, 0, 10))
+			m.Config.MaxTime = 2
+			c := scriptedCase(fmt.Sprintf("gap %v %s", gap, dir), m, headOn)
+			clean, steps := c.clean(t)
+			plan := gps.SpoofPlan{Target: 1, Duration: 2, Direction: dir, Distance: 10}
+			if off, _ := gps.NewSpoofer(plan, m.Axis).Offset(1, 0); off.X != 10*float64(dir) {
+				t.Fatalf("%s: spoof offset %v, want %v m along x", c.name, off, 10*float64(dir))
+			}
+			c.spoofed(t, clean, steps, []gps.SpoofPlan{plan})
+			if droneCollisions(clean) != 2 {
+				t.Fatalf("%s: collisions %v, want one drone pair", c.name, clean.Collisions)
+			}
+		}
+	}
+}

@@ -73,11 +73,14 @@ func specRun(m *sim.Mission, cmd commandFunc, plan *gps.SpoofPlan, record bool) 
 		t := float64(step) * cfg.Dt
 		for i := range pos {
 			if !crashed[i] {
-				readings[i] = sensors[i].Receiver().Perceive(pos[i], sensors[i].Noise(), t)
+				readings[i] = gps.Reading{Position: sensors[i].Receiver().Perceive(pos[i], sensors[i].Noise()), Time: t}
 			}
 		}
 		if spoofer != nil && !crashed[plan.Target] {
-			readings[plan.Target] = spoofer.Apply(plan.Target, readings[plan.Target])
+			if off, ok := spoofer.Offset(plan.Target, t); ok {
+				readings[plan.Target].Position = readings[plan.Target].Position.Add(off)
+				readings[plan.Target].Spoofed = true
+			}
 		}
 		states = states[:0]
 		for j := range pos {
